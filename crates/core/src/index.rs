@@ -16,9 +16,9 @@
 //! cost-equivalent to iterating exact-DOD order, and ties inside a bucket are
 //! broken deterministically by rack id.
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 
-use recharge_units::{Amperes, Dod, Priority, RackId};
+use recharge_units::{Amperes, Dod, Priority, RackId, RackMap};
 
 use crate::algorithm::RackChargeState;
 use crate::policy::SLA_MEMO_DOD_BINS;
@@ -60,7 +60,10 @@ type OrderKey = (u8, u16, RackId);
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct ChargeIndex {
-    entries: HashMap<RackId, IndexedCharge>,
+    /// Keyed with the cheap rack hasher: the controller looks racks up here
+    /// several times per rack per tick, and nothing iterates this map in an
+    /// order-sensitive way (order comes from `order`).
+    entries: RackMap<IndexedCharge>,
     order: BTreeSet<OrderKey>,
 }
 

@@ -13,12 +13,24 @@ use crate::messages::PowerReading;
 /// implementation. Both present the same read/override/cap surface, so the
 /// [`Controller`](crate::Controller) is transport-agnostic.
 pub trait AgentBus {
-    /// The racks reachable on this bus, in stable order.
+    /// The racks reachable on this bus, in stable order, each listed once.
     fn racks(&self) -> Vec<RackId>;
 
     /// Reads a rack's telemetry, or `None` if the agent is unreachable — a
     /// real possibility in production that controllers must tolerate.
     fn read(&self, rack: RackId) -> Option<PowerReading>;
+
+    /// Appends every reachable rack's reading to `out`, in [`racks`] order.
+    ///
+    /// The contract is exactly `racks().filter_map(read)`, which is the
+    /// default body. Buses that hold the fleet in order override it to skip
+    /// the per-rack lookup; an override must return the same readings in the
+    /// same order.
+    ///
+    /// [`racks`]: Self::racks
+    fn read_all(&self, out: &mut Vec<PowerReading>) {
+        out.extend(self.racks().into_iter().filter_map(|r| self.read(r)));
+    }
 
     /// Sends a charging-current override.
     fn set_charge_override(&mut self, rack: RackId, current: Amperes);
@@ -112,6 +124,15 @@ impl<A: RackAgent> AgentBus for InMemoryBus<A> {
             return None;
         }
         self.agent(rack).map(RackAgent::read)
+    }
+
+    fn read_all(&self, out: &mut Vec<PowerReading>) {
+        out.extend(
+            self.agents
+                .iter()
+                .filter(|a| !self.unreachable.contains(&a.rack()))
+                .map(RackAgent::read),
+        );
     }
 
     fn set_charge_override(&mut self, rack: RackId, current: Amperes) {

@@ -7,7 +7,7 @@ use recharge_core::{
     ChargeIndex, RechargePowerModel, SlaCurrentPolicy,
 };
 use recharge_telemetry::{flight, tcounter, tspan, FlightKind, ReasonCode, NO_BUCKET};
-use recharge_units::{Amperes, DeviceId, Dod, Priority, RackId, SimTime, Watts};
+use recharge_units::{Amperes, DeviceId, Dod, Priority, RackId, RackMap, SimTime, Watts};
 
 use crate::bus::AgentBus;
 use crate::capping::{plan_caps, plan_uncaps};
@@ -119,7 +119,8 @@ impl ControllerConfig {
 
     /// Restricts the controller to a subset of the bus's racks — a leaf
     /// controller sees only the racks under its own RPP even when the bus
-    /// spans the whole suite.
+    /// spans the whole suite. Each rack is named at most once; the
+    /// controller reads the scope rack by rack, in this order.
     #[must_use]
     pub fn with_scope(mut self, racks: Vec<RackId>) -> Self {
         self.scope = Some(racks);
@@ -220,7 +221,7 @@ pub struct Controller {
     config: ControllerConfig,
     strategy: Strategy,
     index: ChargeIndex,
-    parked: HashMap<RackId, ParkedCharge>,
+    parked: RackMap<ParkedCharge>,
 }
 
 impl Controller {
@@ -231,7 +232,7 @@ impl Controller {
             config,
             strategy,
             index: ChargeIndex::new(),
-            parked: HashMap::new(),
+            parked: RackMap::default(),
         }
     }
 
@@ -290,14 +291,11 @@ impl Controller {
         // decision journaled below lands at this tick's simulated instant.
         recharge_telemetry::set_flight_now(now.as_secs());
         let gather_span = tspan!("controller.gather", "controller");
-        let scoped_racks = match &self.config.scope {
-            Some(scope) => scope.clone(),
-            None => bus.racks(),
-        };
-        let readings: Vec<PowerReading> = scoped_racks
-            .into_iter()
-            .filter_map(|r| bus.read(r))
-            .collect();
+        let mut readings: Vec<PowerReading> = Vec::new();
+        match &self.config.scope {
+            Some(scope) => readings.extend(scope.iter().filter_map(|&r| bus.read(r))),
+            None => bus.read_all(&mut readings),
+        }
 
         let it_load: Watts = readings
             .iter()
@@ -321,25 +319,38 @@ impl Controller {
             .iter()
             .filter(|r| r.bbu_state == recharge_battery::BbuState::Discharging)
             .collect();
-        let fresh: Vec<&PowerReading> = charging
-            .iter()
-            .chain(discharging.iter())
-            .copied()
-            .filter(|r| !self.index.contains(r.rack) && !self.parked.contains_key(&r.rack))
-            .collect();
-        let finished: Vec<RackId> = self
-            .index
-            .charge_order()
-            .map(|(r, _)| r)
-            .chain(self.parked.keys().copied())
-            .filter(|r| {
-                !charging.iter().any(|c| c.rack == *r) && !discharging.iter().any(|d| d.rack == *r)
-            })
-            .collect();
-        for rack in finished {
-            self.index.remove(rack);
-            self.parked.remove(&rack);
-            bus.clear_charge_override(rack);
+        // One pass splits the live racks into fresh ones and tracked ones. If
+        // every tracked rack is still live, nothing finished; only otherwise
+        // is the set difference built. A tracked rack with no reading at all
+        // (unreachable) counts as finished too.
+        let mut fresh: Vec<&PowerReading> = Vec::new();
+        let mut live_tracked = 0;
+        for &r in charging.iter().chain(&discharging) {
+            if self.index.contains(r.rack) || self.parked.contains_key(&r.rack) {
+                live_tracked += 1;
+            } else {
+                fresh.push(r);
+            }
+        }
+        if live_tracked != self.index.len() + self.parked.len() {
+            let mut live: Vec<RackId> = charging
+                .iter()
+                .chain(&discharging)
+                .map(|r| r.rack)
+                .collect();
+            live.sort_unstable();
+            let finished: Vec<RackId> = self
+                .index
+                .charge_order()
+                .map(|(r, _)| r)
+                .chain(self.parked.keys().copied())
+                .filter(|r| live.binary_search(r).is_err())
+                .collect();
+            for rack in finished {
+                self.index.remove(rack);
+                self.parked.remove(&rack);
+                bus.clear_charge_override(rack);
+            }
         }
 
         // Available power is planned against the fleet's full IT load — racks
@@ -413,7 +424,6 @@ impl Controller {
         let mut racks_throttled = 0;
         let mut cap_requested = Watts::ZERO;
         let mut racks_postponed_now = 0;
-        let _ = &mut racks_postponed_now;
         if effective_total > self.config.limit {
             let _throttle_span = tspan!("controller.throttle", "controller");
             let overload = effective_total - self.config.limit;
@@ -771,6 +781,9 @@ pub enum SnapshotError {
     BadVersion(u8),
     /// A priority rank outside 1..=3.
     BadPriority(u8),
+    /// An `f64` field no snapshot can hold (a DOD outside `[0, 1]`, a
+    /// negative or non-finite current), as its raw bits.
+    BadValue(u64),
     /// Trailing bytes after a complete snapshot.
     TrailingBytes,
 }
@@ -783,6 +796,7 @@ impl core::fmt::Display for SnapshotError {
                 write!(f, "snapshot version {v} (expected {SNAPSHOT_VERSION})")
             }
             SnapshotError::BadPriority(v) => write!(f, "illegal priority rank {v}"),
+            SnapshotError::BadValue(bits) => write!(f, "illegal value {}", f64::from_bits(*bits)),
             SnapshotError::TrailingBytes => write!(f, "trailing bytes after snapshot"),
         }
     }
@@ -850,7 +864,8 @@ impl ControllerSnapshot {
     /// # Errors
     ///
     /// Returns a [`SnapshotError`] when the buffer is truncated, carries an
-    /// unknown version, an illegal priority rank, or trailing bytes.
+    /// unknown version, an illegal priority rank or value, or trailing
+    /// bytes. It never panics, whatever the bytes.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, SnapshotError> {
         let mut cursor = SnapshotReader(bytes);
         let version = cursor.u8()?;
@@ -866,8 +881,8 @@ impl ControllerSnapshot {
             entries.push(SnapshotEntry {
                 rack: RackId::new(cursor.u32()?),
                 priority: cursor.priority()?,
-                dod: Dod::new(f64::from_bits(cursor.u64()?)),
-                current: Amperes::new(f64::from_bits(cursor.u64()?)),
+                dod: cursor.dod()?,
+                current: cursor.current()?,
             });
         }
         let parked_count = cursor.u32()? as usize;
@@ -879,7 +894,7 @@ impl ControllerSnapshot {
             parked.push(SnapshotParked {
                 rack: RackId::new(cursor.u32()?),
                 priority: cursor.priority()?,
-                dod: Dod::new(f64::from_bits(cursor.u64()?)),
+                dod: cursor.dod()?,
             });
         }
         if cursor.remaining() != 0 {
@@ -923,6 +938,29 @@ impl SnapshotReader<'_> {
         }
     }
 
+    /// A DOD, rejected unless already in `[0, 1]` (so NaN never reaches
+    /// `Dod::new` and no value is silently clamped).
+    fn dod(&mut self) -> Result<Dod, SnapshotError> {
+        let bits = self.u64()?;
+        let value = f64::from_bits(bits);
+        if (0.0..=1.0).contains(&value) {
+            Ok(Dod::new(value))
+        } else {
+            Err(SnapshotError::BadValue(bits))
+        }
+    }
+
+    /// A commanded current: finite and non-negative.
+    fn current(&mut self) -> Result<Amperes, SnapshotError> {
+        let bits = self.u64()?;
+        let value = f64::from_bits(bits);
+        if value.is_finite() && value >= 0.0 {
+            Ok(Amperes::new(value))
+        } else {
+            Err(SnapshotError::BadValue(bits))
+        }
+    }
+
     fn remaining(&self) -> usize {
         self.0.len()
     }
@@ -933,7 +971,9 @@ mod tests {
     use super::*;
     use crate::agent::{RackAgent, SimRackAgent};
     use crate::bus::InMemoryBus;
+    use recharge_battery::BbuState;
     use recharge_units::Seconds;
+    use std::cell::{Cell, RefCell};
 
     fn fleet(n_per_priority: usize, load_kw: f64) -> InMemoryBus<SimRackAgent> {
         let mut agents = Vec::new();
@@ -1235,6 +1275,166 @@ mod tests {
         for a in bus.agents() {
             assert!(!a.battery().is_postponed());
         }
+    }
+
+    /// A fixed-reading bus that counts bulk and per-rack reads and records
+    /// override clears; other commands route nowhere.
+    #[derive(Default)]
+    struct ScriptedBus {
+        readings: Vec<PowerReading>,
+        reads: RefCell<Vec<RackId>>,
+        bulk_reads: Cell<usize>,
+        cleared: Vec<RackId>,
+    }
+
+    impl AgentBus for ScriptedBus {
+        fn racks(&self) -> Vec<RackId> {
+            self.readings.iter().map(|r| r.rack).collect()
+        }
+        fn read(&self, rack: RackId) -> Option<PowerReading> {
+            self.reads.borrow_mut().push(rack);
+            self.readings.iter().find(|r| r.rack == rack).copied()
+        }
+        fn read_all(&self, out: &mut Vec<PowerReading>) {
+            self.bulk_reads.set(self.bulk_reads.get() + 1);
+            out.extend_from_slice(&self.readings);
+        }
+        fn set_charge_override(&mut self, _rack: RackId, _current: Amperes) {}
+        fn clear_charge_override(&mut self, rack: RackId) {
+            self.cleared.push(rack);
+        }
+        fn set_charge_postponed(&mut self, _rack: RackId, _postponed: bool) {}
+        fn cap_servers(&mut self, _rack: RackId, _limit: Watts) {}
+        fn uncap_servers(&mut self, _rack: RackId) {}
+    }
+
+    fn reading(rack: u32, priority: Priority, state: BbuState, dod: f64) -> PowerReading {
+        PowerReading {
+            rack: RackId::new(rack),
+            priority,
+            input_power_present: true,
+            it_load: Watts::from_kilowatts(6.0),
+            recharge_power: Watts::from_kilowatts(1.0),
+            bbu_state: state,
+            event_dod: Dod::new(dod),
+            dod: Dod::new(dod),
+            capped_power: Watts::ZERO,
+        }
+    }
+
+    fn indexed(c: &Controller) -> Vec<RackId> {
+        c.index.charge_order().map(|(r, _)| r).collect()
+    }
+
+    #[test]
+    fn unreachable_tracked_rack_is_evicted_and_its_override_cleared() {
+        let mut bus = fleet(1, 6.0);
+        let mut c = controller(190.0, Strategy::PriorityAware);
+        open_transition(&mut bus, 45.0);
+        c.tick(SimTime::from_secs(46.0), &mut bus);
+        let rack = RackId::new(1);
+        assert!(c.commanded_currents().contains_key(&rack));
+        assert!(bus
+            .agent(rack)
+            .unwrap()
+            .battery()
+            .bbu()
+            .charger()
+            .override_current()
+            .is_some());
+
+        // The agent stops answering mid-charge: the next tick evicts it.
+        bus.disconnect(rack);
+        for a in bus.agents_mut() {
+            a.step(Seconds::new(1.0));
+        }
+        c.tick(SimTime::from_secs(47.0), &mut bus);
+        assert!(!c.commanded_currents().contains_key(&rack));
+        assert_eq!(c.commanded_currents().len(), 2, "the others stay tracked");
+        assert_eq!(
+            bus.agent(rack)
+                .unwrap()
+                .battery()
+                .bbu()
+                .charger()
+                .override_current(),
+            None
+        );
+    }
+
+    #[test]
+    fn finishing_and_admitting_on_one_tick_matches_the_old_filter() {
+        let mut bus = ScriptedBus {
+            readings: vec![
+                reading(0, Priority::P3, BbuState::Charging, 0.5),
+                reading(1, Priority::P1, BbuState::Charging, 0.3),
+                reading(2, Priority::P2, BbuState::FullyCharged, 0.0),
+                reading(3, Priority::P2, BbuState::Charging, 0.6),
+            ],
+            ..ScriptedBus::default()
+        };
+        let mut c = controller(190.0, Strategy::PriorityAware);
+        c.tick(SimTime::from_secs(1.0), &mut bus);
+        assert_eq!(
+            indexed(&c),
+            vec![RackId::new(1), RackId::new(3), RackId::new(0)]
+        );
+
+        // Racks 0 and 1 finish on the tick rack 2 starts charging.
+        bus.readings[0].bbu_state = BbuState::FullyCharged;
+        bus.readings[1].bbu_state = BbuState::FullyCharged;
+        bus.readings[2] = reading(2, Priority::P2, BbuState::Charging, 0.4);
+
+        // The quadratic filter this tick replaced, over the same state.
+        let live: Vec<RackId> = bus
+            .readings
+            .iter()
+            .filter(|r| r.is_charging() || r.bbu_state == BbuState::Discharging)
+            .map(|r| r.rack)
+            .collect();
+        let old_finished: Vec<RackId> = indexed(&c)
+            .into_iter()
+            .chain(c.parked.keys().copied())
+            .filter(|r| !live.iter().any(|l| l == r))
+            .collect();
+        assert_eq!(old_finished, vec![RackId::new(1), RackId::new(0)]);
+
+        c.tick(SimTime::from_secs(2.0), &mut bus);
+        assert_eq!(bus.cleared, old_finished, "evictions in charge order");
+        assert_eq!(indexed(&c), vec![RackId::new(2), RackId::new(3)]);
+    }
+
+    #[test]
+    fn unscoped_tick_reads_in_bulk() {
+        let mut bus = ScriptedBus {
+            readings: (0..4)
+                .map(|i| reading(i, Priority::P2, BbuState::Charging, 0.5))
+                .collect(),
+            ..ScriptedBus::default()
+        };
+        let mut c = controller(190.0, Strategy::PriorityAware);
+        let report = c.tick(SimTime::from_secs(1.0), &mut bus);
+        assert_eq!(bus.bulk_reads.get(), 1);
+        assert!(bus.reads.borrow().is_empty(), "no per-rack reads");
+        assert_eq!(report.it_load, Watts::from_kilowatts(24.0));
+    }
+
+    #[test]
+    fn scoped_tick_reads_only_its_scope() {
+        let mut bus = ScriptedBus {
+            readings: (0..4)
+                .map(|i| reading(i, Priority::P2, BbuState::Charging, 0.5))
+                .collect(),
+            ..ScriptedBus::default()
+        };
+        let config = ControllerConfig::new(DeviceId::new(0), Watts::from_kilowatts(190.0))
+            .with_scope(vec![RackId::new(2), RackId::new(0)]);
+        let mut c = Controller::new(config, Strategy::PriorityAware);
+        let report = c.tick(SimTime::from_secs(1.0), &mut bus);
+        assert_eq!(bus.bulk_reads.get(), 0);
+        assert_eq!(*bus.reads.borrow(), vec![RackId::new(2), RackId::new(0)]);
+        assert_eq!(report.it_load, Watts::from_kilowatts(12.0));
+        assert_eq!(indexed(&c), vec![RackId::new(0), RackId::new(2)]);
     }
 
     #[test]

@@ -427,6 +427,10 @@ impl AgentBus for EventDrivenBackend {
         AgentBus::read(&self.soa, rack)
     }
 
+    fn read_all(&self, out: &mut Vec<PowerReading>) {
+        self.soa.read_all(out);
+    }
+
     fn set_charge_override(&mut self, rack: RackId, current: Amperes) {
         self.soa.set_charge_override(rack, current);
         self.wake_rack(rack);

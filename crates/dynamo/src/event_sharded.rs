@@ -609,10 +609,9 @@ impl FleetBackend for EventShardedBackend {
     }
 
     fn readings(&self) -> Vec<PowerReading> {
-        self.order
-            .iter()
-            .map(|&(s, slot)| self.state(s).shard.read(slot))
-            .collect()
+        let mut out = Vec::with_capacity(self.order.len());
+        self.read_all(&mut out);
+        out
     }
 
     fn bus_mut(&mut self) -> &mut dyn AgentBus {
@@ -631,6 +630,14 @@ impl AgentBus for EventShardedBackend {
     fn read(&self, rack: RackId) -> Option<PowerReading> {
         let &(s, slot) = self.index.get(&rack)?;
         Some(self.state(s).shard.read(slot))
+    }
+
+    fn read_all(&self, out: &mut Vec<PowerReading>) {
+        out.extend(
+            self.order
+                .iter()
+                .map(|&(s, slot)| self.state(s).shard.read(slot)),
+        );
     }
 
     fn set_charge_override(&mut self, rack: RackId, current: Amperes) {

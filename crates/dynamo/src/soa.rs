@@ -604,12 +604,9 @@ impl FleetBackend for SoaBackend {
     }
 
     fn readings(&self) -> Vec<PowerReading> {
-        // `order` replays the original fleet order, whatever the grouping
-        // pass did to the shard layout.
-        self.order
-            .iter()
-            .map(|&(s, slot)| self.shards[s].read(slot))
-            .collect()
+        let mut out = Vec::with_capacity(self.order.len());
+        self.read_all(&mut out);
+        out
     }
 
     fn bus_mut(&mut self) -> &mut dyn AgentBus {
@@ -628,6 +625,16 @@ impl AgentBus for SoaBackend {
     fn read(&self, rack: RackId) -> Option<PowerReading> {
         let &(s, slot) = self.index.get(&rack)?;
         Some(self.shards[s].read(slot))
+    }
+
+    fn read_all(&self, out: &mut Vec<PowerReading>) {
+        // `order` replays the original fleet order, whatever the grouping
+        // pass did to the shard layout.
+        out.extend(
+            self.order
+                .iter()
+                .map(|&(s, slot)| self.shards[s].read(slot)),
+        );
     }
 
     fn set_charge_override(&mut self, rack: RackId, current: Amperes) {

@@ -6,8 +6,8 @@ use proptest::prelude::*;
 use recharge_battery::BbuState;
 use recharge_dynamo::capping::{plan_caps, plan_uncaps};
 use recharge_dynamo::{
-    Controller, ControllerConfig, InMemoryBus, PowerReading, SimRackAgent,
-    Strategy as ControlStrategy,
+    Controller, ControllerConfig, ControllerSnapshot, FleetBackendKind, InMemoryBus, PowerReading,
+    SimRackAgent, Strategy as ControlStrategy,
 };
 use recharge_units::{DeviceId, Dod, Priority, RackId, Seconds, SimTime, Watts};
 
@@ -31,6 +31,100 @@ fn arb_readings(max: usize) -> impl Strategy<Value = Vec<PowerReading>> {
                 .collect()
         },
     )
+}
+
+/// `f64` bit patterns: in-range values, the values a snapshot must reject
+/// (NaN, infinite, negative, above one), and arbitrary bits.
+fn arb_f64_bits() -> impl Strategy<Value = u64> {
+    (0usize..7, 0u64..u64::MAX).prop_map(|(k, raw)| match k {
+        0 => f64::NAN.to_bits(),
+        1 => f64::INFINITY.to_bits(),
+        2 => (-0.5f64).to_bits(),
+        3 => 1.5f64.to_bits(),
+        4 => raw,
+        _ => (raw as f64 / u64::MAX as f64).to_bits(),
+    })
+}
+
+/// Snapshot-shaped bytes: a version byte, entries and parked racks with
+/// arbitrary priority bytes and `f64` bits, then one optional corruption
+/// (truncation, an appended byte, or a flipped byte). One case in four is
+/// plain arbitrary bytes instead.
+fn arb_snapshot_bytes() -> impl Strategy<Value = Vec<u8>> {
+    let entry = (0u32..1000, 0u8..5, arb_f64_bits(), arb_f64_bits());
+    let parked = (0u32..1000, 0u8..5, arb_f64_bits());
+    (
+        (0usize..4, 0u8..=255),
+        proptest::collection::vec(entry, 0..4),
+        proptest::collection::vec(parked, 0..3),
+        (0usize..4, 0usize..256, 0u8..=255),
+        proptest::collection::vec(0u8..=255, 0..64),
+    )
+        .prop_map(
+            |((shape, version), entries, parked, (corrupt, at, byte), raw)| {
+                if shape == 0 {
+                    return raw;
+                }
+                let mut out = vec![if shape == 1 { version } else { 1 }];
+                out.extend_from_slice(&(entries.len() as u32).to_le_bytes());
+                for (rack, priority, dod, current) in entries {
+                    out.extend_from_slice(&rack.to_le_bytes());
+                    out.push(priority);
+                    out.extend_from_slice(&dod.to_le_bytes());
+                    out.extend_from_slice(&current.to_le_bytes());
+                }
+                out.extend_from_slice(&(parked.len() as u32).to_le_bytes());
+                for (rack, priority, dod) in parked {
+                    out.extend_from_slice(&rack.to_le_bytes());
+                    out.push(priority);
+                    out.extend_from_slice(&dod.to_le_bytes());
+                }
+                match corrupt {
+                    1 => out.truncate(at % out.len()),
+                    2 => out.push(byte),
+                    3 => {
+                        let i = at % out.len();
+                        out[i] ^= byte;
+                    }
+                    _ => {}
+                }
+                out
+            },
+        )
+}
+
+/// Backend-kind prefixes, so random suffixes exercise every parser arm.
+const KIND_PREFIXES: [&str; 8] = [
+    "",
+    "serial",
+    "soa",
+    "event",
+    "sharded:",
+    "sharded-batched:",
+    "soa-sharded:",
+    "event-sharded:",
+];
+
+/// Suffix characters: digits and signs for the shard counts, separators,
+/// letters, whitespace, a NUL and a few multi-byte characters.
+const KIND_CHARS: &str = "0179+-:sa \0é\u{1F50B}٣x_";
+
+fn arb_kind_text() -> impl Strategy<Value = String> {
+    (
+        0usize..KIND_PREFIXES.len(),
+        proptest::collection::vec(0usize..KIND_CHARS.chars().count(), 0..24),
+        proptest::collection::vec(0u32..0x11_0000, 0..8),
+    )
+        .prop_map(|(prefix, suffix, raw)| {
+            let mut text = KIND_PREFIXES[prefix].to_owned();
+            let pool: Vec<char> = KIND_CHARS.chars().collect();
+            text.extend(suffix.into_iter().map(|i| pool[i]));
+            if prefix == 0 {
+                // Fully arbitrary scalar values, not just the pool.
+                text.extend(raw.into_iter().filter_map(char::from_u32));
+            }
+            text
+        })
 }
 
 proptest! {
@@ -162,5 +256,26 @@ proptest! {
             worst_after_settle <= limit + Watts::new(1.0),
             "settled draw {worst_after_settle} exceeded limit {limit}"
         );
+    }
+}
+
+proptest! {
+    // Decoding is cheap; run enough cases to reach the rare byte patterns.
+    #![proptest_config(ProptestConfig::with_cases(2048))]
+
+    #[test]
+    fn snapshot_decoder_never_panics(bytes in arb_snapshot_bytes()) {
+        // Ok only for a canonical encoding: re-encoding gives the input back.
+        if let Ok(snapshot) = ControllerSnapshot::from_bytes(&bytes) {
+            prop_assert_eq!(snapshot.to_bytes(), bytes);
+        }
+    }
+
+    #[test]
+    fn backend_kind_parser_never_panics(text in arb_kind_text()) {
+        match text.parse::<FleetBackendKind>() {
+            Ok(kind) => prop_assert_eq!(kind.to_string().parse::<FleetBackendKind>(), Ok(kind)),
+            Err(err) => prop_assert_eq!(err.text, text),
+        }
     }
 }

@@ -285,6 +285,18 @@ impl ShardedRpcBus {
             .collect()
     }
 
+    /// Runs `f` on the per-tick read snapshot, fanning out first if this is
+    /// the first read since the last invalidation.
+    fn with_snapshot<R>(&self, f: impl FnOnce(&HashMap<RackId, PowerReading>) -> R) -> R {
+        let state = self.lock();
+        if let Some(snapshot) = &state.snapshot {
+            return f(snapshot);
+        }
+        drop(state);
+        let snapshot = self.fan_out_reads();
+        f(self.lock().snapshot.insert(snapshot))
+    }
+
     fn buffer(&self, rack: RackId, command: AgentCommand) {
         if let Some(&shard) = self.shard_of.get(&rack) {
             self.lock().pending[shard].push(command);
@@ -298,17 +310,13 @@ impl AgentBus for ShardedRpcBus {
     }
 
     fn read(&self, rack: RackId) -> Option<PowerReading> {
-        let mut state = self.lock();
-        if state.snapshot.is_none() {
-            drop(state);
-            let snapshot = self.fan_out_reads();
-            state = self.lock();
-            state.snapshot = Some(snapshot);
-        }
-        state
-            .snapshot
-            .as_ref()
-            .and_then(|snapshot| snapshot.get(&rack).copied())
+        self.with_snapshot(|snapshot| snapshot.get(&rack).copied())
+    }
+
+    fn read_all(&self, out: &mut Vec<PowerReading>) {
+        self.with_snapshot(|snapshot| {
+            out.extend(self.racks.iter().filter_map(|r| snapshot.get(r).copied()));
+        });
     }
 
     fn set_charge_override(&mut self, rack: RackId, current: Amperes) {
@@ -635,6 +643,48 @@ mod tests {
             assert_eq!(single.bus_mut().read(rack), sharded.bus_mut().read(rack));
         }
         assert!(sharded.bus_mut().read(RackId::new(42)).is_none());
+    }
+
+    /// `read_all` must equal `racks().filter_map(read)` in order, whether it
+    /// is the call that fans out or reads a snapshot a `read` already took.
+    #[test]
+    fn read_all_matches_per_rack_reads_in_rack_order() {
+        // Descending ids: fleet order differs from id order.
+        let fleet: Vec<SimRackAgent> = (0..7u32)
+            .rev()
+            .map(|i| {
+                SimRackAgent::builder(RackId::new(i * 3), Priority::ALL[(i % 3) as usize])
+                    .offered_load(Watts::from_kilowatts(5.0 + f64::from(i)))
+                    .build()
+            })
+            .collect();
+        let mut sharded =
+            ShardedRpcFleetBackend::spawn(fleet, &RpcMeshConfig::shard_count(3), None)
+                .expect("spawn");
+        let load =
+            |rack: RackId, _: usize| Watts::from_kilowatts(4.0 + 0.1 * f64::from(rack.index()));
+        let per_rack = |bus: &dyn AgentBus| -> Vec<PowerReading> {
+            bus.racks()
+                .into_iter()
+                .filter_map(|r| bus.read(r))
+                .collect()
+        };
+
+        // An outage sub-step so the racks charge with distinct readings.
+        sharded.step_schedule(Seconds::new(30.0), &[false, true], &load);
+        let bus = sharded.bus_mut();
+        let mut bulk = Vec::new();
+        bus.read_all(&mut bulk); // fans out
+        assert_eq!(bulk.len(), 7);
+        assert_eq!(bulk, per_rack(bus));
+
+        sharded.step_schedule(Seconds::new(30.0), &[true], &load);
+        let bus = sharded.bus_mut();
+        let expected = per_rack(bus); // fans out
+        let mut bulk = vec![expected[0]]; // appends, never clears
+        bus.read_all(&mut bulk);
+        assert_eq!(bulk[1..], expected[..]);
+        assert_eq!(bulk[0], expected[0]);
     }
 
     #[test]
