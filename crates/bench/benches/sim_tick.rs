@@ -4,9 +4,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
-use recharge_dynamo::{
-    Controller, ControllerConfig, InMemoryBus, SimRackAgent, Strategy, ThreadedFleet,
-};
+use recharge_dynamo::{Controller, ControllerConfig, InMemoryBus, SimRackAgent, Strategy};
 use recharge_units::{DeviceId, Priority, RackId, Seconds, SimTime, Watts};
 
 fn msb_agents() -> Vec<SimRackAgent> {
@@ -71,32 +69,6 @@ fn bench_charging_tick(c: &mut Criterion) {
     });
 }
 
-fn bench_threaded_tick(c: &mut Criterion) {
-    // Same charging workload as bench_charging_tick, but the agents live on
-    // ThreadedFleet shard workers and step in parallel.
-    let shards = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let mut agents = msb_agents();
-    for a in &mut agents {
-        a.set_input_power(false);
-        a.step(Seconds::new(141.0)); // ≈50% DOD
-        a.set_input_power(true);
-    }
-    let mut fleet = ThreadedFleet::spawn(agents, shards);
-    let mut controller = Controller::new(
-        ControllerConfig::new(DeviceId::new(0), Watts::from_megawatts(2.3)),
-        Strategy::PriorityAware,
-    );
-    let mut t = SimTime::ZERO;
-    c.bench_function("controller_tick_charging_316racks_threaded", |b| {
-        b.iter(|| {
-            fleet.step_all(Seconds::new(1.0), |_| Watts::from_kilowatts(6.33), true);
-            t += Seconds::new(1.0);
-            black_box(controller.tick(t, &mut fleet))
-        });
-    });
-    let _ = fleet.into_agents();
-}
-
 fn bench_steady_tick_telemetry(c: &mut Criterion) {
     // bench_steady_tick with telemetry recording enabled: the delta against
     // the plain variant is the live span/counter cost per controller tick.
@@ -123,7 +95,6 @@ criterion_group!(
     benches,
     bench_steady_tick,
     bench_charging_tick,
-    bench_threaded_tick,
     bench_steady_tick_telemetry
 );
 criterion_main!(benches);

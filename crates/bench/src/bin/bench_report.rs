@@ -18,7 +18,7 @@ use std::time::Instant;
 use recharge_core::SlaCurrentPolicy;
 use recharge_dynamo::{FleetBackendKind, SimRackAgent, Strategy};
 use recharge_reliability::{table1, AorSimulation, PhysicalAorSimulation};
-use recharge_sim::{DischargeLevel, Scenario};
+use recharge_sim::{DischargeLevel, RunMetrics, Scenario};
 use recharge_trace::{CampusFleet, RackPowerTrace};
 use recharge_units::{Amperes, Dod, Priority, RackId, Seconds, Watts};
 
@@ -137,93 +137,12 @@ fn sharded_sim(cores: usize) -> Pair {
         .tick(Seconds::new(1.0))
         .max_horizon(Seconds::from_hours(2.5));
     let (serial, serial_secs) = time(|| base.clone().build().run());
-    let (sharded, fast_secs) = time(|| base.clone().shards(cores).build().run());
+    let (sharded, fast_secs) = time(|| base.clone().soa_sharded(cores).build().run());
     Pair {
         name: "sharded_sim",
         serial_secs,
         fast_secs,
         identical: serial == sharded,
-    }
-}
-
-/// The batched-submission probe: the same sharded scenario stepped per tick
-/// (one channel round-trip per shard per sub-step) versus batched (one
-/// round-trip per shard per control interval), with the serial backend as the
-/// equivalence reference. Gates only on bit-identical metrics — the speedup
-/// column is informational, so the probe stays green on a single core where
-/// threading measures pure coordination overhead.
-struct BackendProbe {
-    serial_secs: f64,
-    per_tick_secs: f64,
-    batched_secs: f64,
-    shards: usize,
-    control_every: usize,
-    identical: bool,
-}
-
-fn backend_probe() -> BackendProbe {
-    let shards = 2;
-    let control_every = 20;
-    let base = || {
-        Scenario::row(3, 2, 2, 7)
-            .power_limit(Watts::from_kilowatts(190.0))
-            .strategy(Strategy::PriorityAware)
-            .discharge(DischargeLevel::Low)
-            .tick(Seconds::new(1.0))
-            .max_horizon(Seconds::from_hours(2.5))
-            .control_every(control_every)
-    };
-    let (serial, serial_secs) = time(|| base().build().run());
-    let (per_tick, per_tick_secs) = time(|| base().shards(shards).build().run());
-    let (batched, batched_secs) = time(|| base().shards_batched(shards).build().run());
-    BackendProbe {
-        serial_secs,
-        per_tick_secs,
-        batched_secs,
-        shards,
-        control_every,
-        identical: per_tick == serial && batched == serial,
-    }
-}
-
-impl BackendProbe {
-    fn emit(&self, out_dir: &Path, cores: usize) -> std::io::Result<()> {
-        let speedup = self.per_tick_secs / self.batched_secs.max(1e-12);
-        let mut json = String::new();
-        let _ = writeln!(json, "{{");
-        let _ = writeln!(json, "  \"benchmark\": \"backend\",");
-        let _ = writeln!(json, "  \"serial_secs\": {:.6},", self.serial_secs);
-        let _ = writeln!(json, "  \"per_tick_secs\": {:.6},", self.per_tick_secs);
-        let _ = writeln!(json, "  \"batched_secs\": {:.6},", self.batched_secs);
-        let _ = writeln!(json, "  \"batched_speedup\": {speedup:.3},");
-        let _ = writeln!(json, "  \"shards\": {},", self.shards);
-        let _ = writeln!(json, "  \"control_every\": {},", self.control_every);
-        let _ = writeln!(
-            json,
-            "  \"round_trips_per_interval_per_tick\": {},",
-            self.shards * self.control_every
-        );
-        let _ = writeln!(
-            json,
-            "  \"round_trips_per_interval_batched\": {},",
-            self.shards
-        );
-        let _ = writeln!(json, "  \"identical\": {},", self.identical);
-        let _ = writeln!(json, "  \"cores\": {cores}");
-        let _ = writeln!(json, "}}");
-        let path = out_dir.join("BENCH_backend.json");
-        std::fs::write(&path, json)?;
-        println!(
-            "backend: serial {:.3}s, per-tick {:.3}s, batched {:.3}s \
-             (speedup {speedup:.2}x, {} vs {} round-trips/interval), identical: {}",
-            self.serial_secs,
-            self.per_tick_secs,
-            self.batched_secs,
-            self.shards * self.control_every,
-            self.shards,
-            self.identical
-        );
-        Ok(())
     }
 }
 
@@ -269,14 +188,14 @@ fn telemetry_probe() -> TelemetryProbe {
     let per_op_ns = disabled_secs * 1e9 / f64::from(SPAN_OPS);
 
     // Telemetry-off wall time per tick for the sharded small scenario.
-    let (_, run_secs) = time(|| scenario().shards(2).build().run());
+    let (_, run_secs) = time(|| scenario().soa_sharded(2).build().run());
 
     // Instrumented run: counts real ops per tick and yields the snapshot +
     // trace that BENCH_telemetry.json publishes.
     recharge_telemetry::set_enabled(true);
     recharge_telemetry::reset_metrics();
     let _ = recharge_telemetry::take_records();
-    let metrics = scenario().shards(2).build().run();
+    let metrics = scenario().soa_sharded(2).build().run();
     let _ = AorSimulation::new(table1::standard_sources()).run_trials(50.0, 4, 9);
     let records = recharge_telemetry::take_records();
     let snapshot = recharge_telemetry::snapshot();
@@ -369,7 +288,7 @@ fn obs_probe() -> ObsProbe {
             .discharge(DischargeLevel::Low)
             .tick(Seconds::new(1.0))
             .max_horizon(Seconds::from_hours(2.5))
-            .shards(2)
+            .soa_sharded(2)
     };
     recharge_telemetry::set_enabled(false);
 
@@ -863,23 +782,87 @@ impl ScaleProbe {
     }
 }
 
-/// The event-stepping pair: the event-driven backend must be bit-identical
-/// to a dense run of the same scenario AND execute at least 5x fewer rack
-/// sub-steps on the paper diurnal profile. A 4 h warmup puts most of the
-/// horizon in the quiet wall-power regime the scheduler is built to skip;
-/// the counters come from the backend itself (executed + skipped always
-/// equals the dense sub-step count, so the dense denominator needs no
-/// second instrumented run).
+/// Shard count the sharded event engine is probed at.
+const EVENT_SHARDED_SHARDS: usize = 4;
+
+/// Racks in the probe scenario (`Scenario::row(3, 2, 2, _)`), used to turn
+/// the dense sub-step count back into a batch count.
+const EVENT_SHARDED_RACKS: u64 = 3 + 2 + 2;
+
+/// Per-batch coordination budget for the sharded event engine, in
+/// microseconds: frame building, channel handoff, waiting for every shard
+/// state to come back, and post-batch journaling across all shards.
+/// Generous on purpose — the gate exists to catch regressions to per-rack or
+/// per-sub-step coordination work, not to benchmark thread wakeup latency on
+/// a shared CI runner.
+const EVENT_SHARDED_COORD_BUDGET_US: f64 = 500.0;
+
+/// One run of the event probe scenario with the engine's counter deltas.
+struct EventRun {
+    metrics: RunMetrics,
+    secs: f64,
+    executed: u64,
+    skipped: u64,
+    events_fired: u64,
+    offered_replays: u64,
+}
+
+impl EventRun {
+    /// Runs `scenario` with telemetry on (the counters gate on the global
+    /// enable flag; `RunMetrics` are bit-identical either way).
+    fn measure(scenario: Scenario) -> EventRun {
+        let counters = [
+            "sim.rack_substeps",
+            "sim.ticks_skipped",
+            "sim.events_fired",
+            "sim.offered_replays",
+        ]
+        .map(recharge_telemetry::counter);
+        recharge_telemetry::set_enabled(true);
+        let before = counters.each_ref().map(|c| c.value());
+        let (metrics, secs) = time(|| scenario.build().run());
+        let [executed, skipped, events_fired, offered_replays] =
+            std::array::from_fn(|i| counters[i].value() - before[i]);
+        recharge_telemetry::set_enabled(false);
+        EventRun {
+            metrics,
+            secs,
+            executed,
+            skipped,
+            events_fired,
+            offered_replays,
+        }
+    }
+
+    fn dense(&self) -> u64 {
+        self.executed + self.skipped
+    }
+
+    fn reduction(&self) -> f64 {
+        self.dense() as f64 / self.executed.max(1) as f64
+    }
+}
+
+/// The event-stepping probes, `BENCH_event.json` and
+/// `BENCH_event_sharded.json`, over one dense, one inline event, and one
+/// `event-sharded` run of the paper diurnal profile. A 4 h warmup puts most
+/// of the horizon in the quiet wall-power regime the engine skips; the
+/// counters come from the engine itself (executed + skipped always equals
+/// the dense sub-step count, so the dense denominator needs no second
+/// instrumented run).
+///
+/// Inline, event mode must be bit-identical to dense and execute at least
+/// 5x fewer rack sub-steps. On 4 shard workers it must also match, skip at
+/// least as much, and keep coordination within
+/// [`EVENT_SHARDED_COORD_BUDGET_US`] per batch. Every gate is
+/// core-count-independent: on a 1-CPU runner the sharded run records pure
+/// coordination tax, never a speedup.
 struct EventProbe {
     dense_secs: f64,
-    event_secs: f64,
-    substeps_dense: u64,
-    substeps_executed: u64,
-    substeps_skipped: u64,
-    events_fired: u64,
-    reduction: f64,
-    identical: bool,
-    ok: bool,
+    event: EventRun,
+    sharded: EventRun,
+    event_identical: bool,
+    sharded_identical: bool,
 }
 
 fn event_probe() -> EventProbe {
@@ -893,241 +876,117 @@ fn event_probe() -> EventProbe {
             .max_horizon(Seconds::from_hours(2.5))
     };
     let (dense, dense_secs) = time(|| scenario().soa().build().run());
-
-    // Counters gate on the global enable flag; RunMetrics are bit-identical
-    // with telemetry on or off, so flipping it between runs is safe.
-    recharge_telemetry::set_enabled(true);
-    let executed_counter = recharge_telemetry::counter("sim.rack_substeps");
-    let skipped_counter = recharge_telemetry::counter("sim.ticks_skipped");
-    let events_counter = recharge_telemetry::counter("sim.events_fired");
-    let executed_before = executed_counter.value();
-    let skipped_before = skipped_counter.value();
-    let events_before = events_counter.value();
-    let (event, event_secs) = time(|| scenario().event_driven().build().run());
-    let substeps_executed = executed_counter.value() - executed_before;
-    let substeps_skipped = skipped_counter.value() - skipped_before;
-    let events_fired = events_counter.value() - events_before;
-    recharge_telemetry::set_enabled(false);
-
-    let substeps_dense = substeps_executed + substeps_skipped;
-    let reduction = substeps_dense as f64 / substeps_executed.max(1) as f64;
-    let identical = event == dense;
+    let event = EventRun::measure(scenario().event_driven());
+    let sharded = EventRun::measure(scenario().event_sharded(EVENT_SHARDED_SHARDS));
     EventProbe {
         dense_secs,
-        event_secs,
-        substeps_dense,
-        substeps_executed,
-        substeps_skipped,
-        events_fired,
-        reduction,
-        identical,
-        ok: identical && reduction >= 5.0,
+        event_identical: event.metrics == dense,
+        sharded_identical: sharded.metrics == dense && event.metrics == dense,
+        event,
+        sharded,
     }
 }
 
 impl EventProbe {
+    fn event_ok(&self) -> bool {
+        self.event_identical && self.event.reduction() >= 5.0
+    }
+
+    /// One batch per control interval; the probe's control cadence is every
+    /// tick, so batches is exactly the dense per-rack sub-step count.
+    fn batches(&self) -> u64 {
+        self.sharded.dense() / EVENT_SHARDED_RACKS
+    }
+
+    fn coord_overhead_us_per_batch(&self) -> f64 {
+        (self.sharded.secs - self.event.secs).max(0.0) * 1e6 / self.batches().max(1) as f64
+    }
+
+    fn sharded_ok(&self) -> bool {
+        self.sharded_identical
+            && self.sharded.reduction() >= self.event.reduction()
+            && self.coord_overhead_us_per_batch() <= EVENT_SHARDED_COORD_BUDGET_US
+    }
+
     fn emit(&self, out_dir: &Path, cores: usize) -> std::io::Result<()> {
+        let (event, sharded) = (&self.event, &self.sharded);
         let mut json = String::new();
         let _ = writeln!(json, "{{");
         let _ = writeln!(json, "  \"benchmark\": \"event\",");
         let _ = writeln!(json, "  \"cores\": {cores},");
         let _ = writeln!(json, "  \"dense_secs\": {:.6},", self.dense_secs);
-        let _ = writeln!(json, "  \"event_secs\": {:.6},", self.event_secs);
-        let _ = writeln!(json, "  \"rack_substeps_dense\": {},", self.substeps_dense);
-        let _ = writeln!(
-            json,
-            "  \"rack_substeps_executed\": {},",
-            self.substeps_executed
-        );
-        let _ = writeln!(
-            json,
-            "  \"rack_substeps_skipped\": {},",
-            self.substeps_skipped
-        );
-        let _ = writeln!(json, "  \"events_fired\": {},", self.events_fired);
-        let _ = writeln!(json, "  \"substep_reduction\": {:.3},", self.reduction);
+        let _ = writeln!(json, "  \"event_secs\": {:.6},", event.secs);
+        let _ = writeln!(json, "  \"rack_substeps_dense\": {},", event.dense());
+        let _ = writeln!(json, "  \"rack_substeps_executed\": {},", event.executed);
+        let _ = writeln!(json, "  \"rack_substeps_skipped\": {},", event.skipped);
+        let _ = writeln!(json, "  \"events_fired\": {},", event.events_fired);
+        let _ = writeln!(json, "  \"substep_reduction\": {:.3},", event.reduction());
         let _ = writeln!(json, "  \"reduction_gate\": 5.0,");
-        let _ = writeln!(json, "  \"metrics_identical\": {},", self.identical);
-        let _ = writeln!(json, "  \"pass\": {}", self.ok);
+        let _ = writeln!(json, "  \"metrics_identical\": {},", self.event_identical);
+        let _ = writeln!(json, "  \"pass\": {}", self.event_ok());
         let _ = writeln!(json, "}}");
-        let path = out_dir.join("BENCH_event.json");
-        std::fs::write(&path, json)?;
+        std::fs::write(out_dir.join("BENCH_event.json"), json)?;
         println!(
             "event: {} of {} sub-steps executed ({:.1}x reduction, {} skipped), \
              identical: {}, pass: {}",
-            self.substeps_executed,
-            self.substeps_dense,
-            self.reduction,
-            self.substeps_skipped,
-            self.identical,
-            self.ok
+            event.executed,
+            event.dense(),
+            event.reduction(),
+            event.skipped,
+            self.event_identical,
+            self.event_ok()
         );
-        Ok(())
-    }
-}
 
-/// Shard count the sharded event backend is probed at.
-const EVENT_SHARDED_SHARDS: usize = 4;
-
-/// Racks in the probe scenario (`Scenario::row(3, 2, 2, _)`), used to turn
-/// the dense sub-step count back into a batch count.
-const EVENT_SHARDED_RACKS: u64 = 3 + 2 + 2;
-
-/// Per-batch coordination budget for the sharded event backend, in
-/// microseconds: frame building, channel handoff, the latch barrier, and
-/// post-batch journaling across all shards. Generous on purpose — the gate
-/// exists to catch regressions to per-rack or per-sub-step coordination
-/// work, not to benchmark thread wakeup latency on a shared CI runner.
-const EVENT_SHARDED_COORD_BUDGET_US: f64 = 500.0;
-
-/// The sharded event backend triple: bit-identical to both the dense SoA
-/// run and the single-threaded event backend, a sub-step reduction at least
-/// as large as the single-threaded backend's, and coordination overhead
-/// within [`EVENT_SHARDED_COORD_BUDGET_US`] per batch. All three gates are
-/// core-count-independent: on a 1-CPU runner the parallel run records pure
-/// coordination tax (never a speedup), and the gates still measure exactly
-/// the properties the backend promises.
-struct EventShardedProbe {
-    dense_secs: f64,
-    event_secs: f64,
-    sharded_secs: f64,
-    substeps_dense: u64,
-    substeps_executed: u64,
-    substeps_skipped: u64,
-    offered_replays: u64,
-    events_fired: u64,
-    reduction_event: f64,
-    reduction_sharded: f64,
-    batches: u64,
-    coord_overhead_us_per_batch: f64,
-    identical: bool,
-    ok: bool,
-}
-
-fn event_sharded_probe() -> EventShardedProbe {
-    let scenario = || {
-        Scenario::row(3, 2, 2, 7)
-            .power_limit(Watts::from_kilowatts(190.0))
-            .strategy(Strategy::PriorityAware)
-            .discharge(DischargeLevel::Low)
-            .tick(Seconds::new(1.0))
-            .warmup(Seconds::from_hours(4.0))
-            .max_horizon(Seconds::from_hours(2.5))
-    };
-    let (dense, dense_secs) = time(|| scenario().soa().build().run());
-
-    recharge_telemetry::set_enabled(true);
-    let executed_counter = recharge_telemetry::counter("sim.rack_substeps");
-    let skipped_counter = recharge_telemetry::counter("sim.ticks_skipped");
-    let events_counter = recharge_telemetry::counter("sim.events_fired");
-    let replays_counter = recharge_telemetry::counter("sim.offered_replays");
-
-    let event_executed_before = executed_counter.value();
-    let (event, event_secs) = time(|| scenario().event_driven().build().run());
-    let event_executed = executed_counter.value() - event_executed_before;
-
-    let executed_before = executed_counter.value();
-    let skipped_before = skipped_counter.value();
-    let events_before = events_counter.value();
-    let replays_before = replays_counter.value();
-    let (sharded, sharded_secs) =
-        time(|| scenario().event_sharded(EVENT_SHARDED_SHARDS).build().run());
-    let substeps_executed = executed_counter.value() - executed_before;
-    let substeps_skipped = skipped_counter.value() - skipped_before;
-    let events_fired = events_counter.value() - events_before;
-    let offered_replays = replays_counter.value() - replays_before;
-    recharge_telemetry::set_enabled(false);
-
-    let substeps_dense = substeps_executed + substeps_skipped;
-    let reduction_event = substeps_dense as f64 / event_executed.max(1) as f64;
-    let reduction_sharded = substeps_dense as f64 / substeps_executed.max(1) as f64;
-    // One batch per control interval; the probe's control cadence is every
-    // tick, so batches is exactly the dense per-rack sub-step count.
-    let batches = substeps_dense / EVENT_SHARDED_RACKS;
-    let coord_overhead_us_per_batch =
-        (sharded_secs - event_secs).max(0.0) * 1e6 / batches.max(1) as f64;
-    let identical = sharded == dense && event == dense;
-    EventShardedProbe {
-        dense_secs,
-        event_secs,
-        sharded_secs,
-        substeps_dense,
-        substeps_executed,
-        substeps_skipped,
-        offered_replays,
-        events_fired,
-        reduction_event,
-        reduction_sharded,
-        batches,
-        coord_overhead_us_per_batch,
-        identical,
-        ok: identical
-            && reduction_sharded >= reduction_event
-            && coord_overhead_us_per_batch <= EVENT_SHARDED_COORD_BUDGET_US,
-    }
-}
-
-impl EventShardedProbe {
-    fn emit(&self, out_dir: &Path, cores: usize) -> std::io::Result<()> {
         let mut json = String::new();
         let _ = writeln!(json, "{{");
         let _ = writeln!(json, "  \"benchmark\": \"event_sharded\",");
         let _ = writeln!(json, "  \"cores\": {cores},");
         let _ = writeln!(json, "  \"shards\": {EVENT_SHARDED_SHARDS},");
         let _ = writeln!(json, "  \"dense_secs\": {:.6},", self.dense_secs);
-        let _ = writeln!(json, "  \"event_secs\": {:.6},", self.event_secs);
-        let _ = writeln!(json, "  \"sharded_secs\": {:.6},", self.sharded_secs);
-        let _ = writeln!(json, "  \"rack_substeps_dense\": {},", self.substeps_dense);
-        let _ = writeln!(
-            json,
-            "  \"rack_substeps_executed\": {},",
-            self.substeps_executed
-        );
-        let _ = writeln!(
-            json,
-            "  \"rack_substeps_skipped\": {},",
-            self.substeps_skipped
-        );
-        let _ = writeln!(json, "  \"offered_replays\": {},", self.offered_replays);
-        let _ = writeln!(json, "  \"events_fired\": {},", self.events_fired);
+        let _ = writeln!(json, "  \"event_secs\": {:.6},", event.secs);
+        let _ = writeln!(json, "  \"sharded_secs\": {:.6},", sharded.secs);
+        let _ = writeln!(json, "  \"rack_substeps_dense\": {},", sharded.dense());
+        let _ = writeln!(json, "  \"rack_substeps_executed\": {},", sharded.executed);
+        let _ = writeln!(json, "  \"rack_substeps_skipped\": {},", sharded.skipped);
+        let _ = writeln!(json, "  \"offered_replays\": {},", sharded.offered_replays);
+        let _ = writeln!(json, "  \"events_fired\": {},", sharded.events_fired);
         let _ = writeln!(
             json,
             "  \"substep_reduction_event\": {:.3},",
-            self.reduction_event
+            event.reduction()
         );
         let _ = writeln!(
             json,
             "  \"substep_reduction_sharded\": {:.3},",
-            self.reduction_sharded
+            sharded.reduction()
         );
-        let _ = writeln!(json, "  \"batches\": {},", self.batches);
+        let _ = writeln!(json, "  \"batches\": {},", self.batches());
         let _ = writeln!(
             json,
             "  \"coord_overhead_us_per_batch\": {:.3},",
-            self.coord_overhead_us_per_batch
+            self.coord_overhead_us_per_batch()
         );
         let _ = writeln!(
             json,
             "  \"coord_budget_us_per_batch\": {EVENT_SHARDED_COORD_BUDGET_US},"
         );
-        let _ = writeln!(json, "  \"metrics_identical\": {},", self.identical);
-        let _ = writeln!(json, "  \"pass\": {}", self.ok);
+        let _ = writeln!(json, "  \"metrics_identical\": {},", self.sharded_identical);
+        let _ = writeln!(json, "  \"pass\": {}", self.sharded_ok());
         let _ = writeln!(json, "}}");
-        let path = out_dir.join("BENCH_event_sharded.json");
-        std::fs::write(&path, json)?;
+        std::fs::write(out_dir.join("BENCH_event_sharded.json"), json)?;
         println!(
             "event_sharded: {} of {} sub-steps executed on {} shards \
              ({:.1}x vs {:.1}x single-threaded), {:.1} us/batch coordination \
              over {} batches, identical: {}, pass: {}",
-            self.substeps_executed,
-            self.substeps_dense,
+            sharded.executed,
+            sharded.dense(),
             EVENT_SHARDED_SHARDS,
-            self.reduction_sharded,
-            self.reduction_event,
-            self.coord_overhead_us_per_batch,
-            self.batches,
-            self.identical,
-            self.ok
+            sharded.reduction(),
+            event.reduction(),
+            self.coord_overhead_us_per_batch(),
+            self.batches(),
+            self.sharded_identical,
+            self.sharded_ok()
         );
         Ok(())
     }
@@ -1426,21 +1285,6 @@ fn main() -> ExitCode {
         );
     }
 
-    let backend = backend_probe();
-    if let Err(e) = backend.emit(&out_dir, cores) {
-        eprintln!("failed to write BENCH_backend.json: {e}");
-        ok = false;
-    }
-    ok &= backend.identical;
-    summary.push(
-        "backend",
-        backend.identical,
-        format!(
-            "\"batched_speedup\": {:.3}",
-            backend.per_tick_secs / backend.batched_secs.max(1e-12)
-        ),
-    );
-
     let probe = telemetry_probe();
     if let Err(e) = probe.emit(&out_dir) {
         eprintln!("failed to write BENCH_telemetry.json: {e}");
@@ -1517,28 +1361,22 @@ fn main() -> ExitCode {
 
     let event = event_probe();
     if let Err(e) = event.emit(&out_dir, cores) {
-        eprintln!("failed to write BENCH_event.json: {e}");
+        eprintln!("failed to write BENCH_event*.json: {e}");
         ok = false;
     }
-    ok &= event.ok;
+    ok &= event.event_ok() && event.sharded_ok();
     summary.push(
         "event",
-        event.ok,
-        format!("\"substep_reduction\": {:.3}", event.reduction),
+        event.event_ok(),
+        format!("\"substep_reduction\": {:.3}", event.event.reduction()),
     );
-
-    let event_sharded = event_sharded_probe();
-    if let Err(e) = event_sharded.emit(&out_dir, cores) {
-        eprintln!("failed to write BENCH_event_sharded.json: {e}");
-        ok = false;
-    }
-    ok &= event_sharded.ok;
     summary.push(
         "event_sharded",
-        event_sharded.ok,
+        event.sharded_ok(),
         format!(
             "\"substep_reduction\": {:.3}, \"coord_overhead_us_per_batch\": {:.3}",
-            event_sharded.reduction_sharded, event_sharded.coord_overhead_us_per_batch
+            event.sharded.reduction(),
+            event.coord_overhead_us_per_batch()
         ),
     );
 

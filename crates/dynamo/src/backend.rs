@@ -5,8 +5,8 @@
 //! fleet's telemetry, and hand the controller an [`AgentBus`]. The
 //! [`FleetBackend`] trait captures exactly that surface, so the loop is
 //! agnostic to whether agents are stepped serially in-process
-//! ([`SerialBackend`]), on sharded worker threads ([`ShardedBackend`]), or —
-//! in the future — behind an async or remote transport.
+//! ([`SerialBackend`]), by the struct-of-arrays engine ([`SoaBackend`]), or
+//! behind a remote transport.
 //!
 //! All backends are **bit-identical**: a backend chooses *who* executes the
 //! per-agent `set_offered_load → set_input_power → step` sequence and how
@@ -21,11 +21,8 @@ use recharge_units::{RackId, Seconds, SimTime, Watts};
 
 use crate::agent::{RackAgent, SimRackAgent};
 use crate::bus::{AgentBus, InMemoryBus};
-use crate::event::EventDrivenBackend;
-use crate::event_sharded::EventShardedBackend;
 use crate::messages::PowerReading;
 use crate::soa::SoaBackend;
-use crate::threaded::ThreadedFleet;
 
 /// Where rack agents execute, and how sub-step schedules reach them.
 ///
@@ -80,20 +77,40 @@ pub struct HostedControlReport {
     pub capped_power: Watts,
 }
 
+/// Advances `agents` through a schedule of sub-steps in fleet order: for
+/// each sub-step `i`, every agent in turn runs
+/// `set_offered_load(load_of(rack, i)) → set_input_power(input_power[i]) →
+/// step(dt)`.
+///
+/// This is the object path's one step loop. [`SerialBackend`] and the RPC
+/// backends call it, so they all execute the same per-agent sequence; the
+/// SoA engine replays it per rack over arrays.
+pub fn step_agents(
+    agents: &mut [SimRackAgent],
+    dt: Seconds,
+    input_power: &[bool],
+    load_of: &dyn Fn(RackId, usize) -> Watts,
+) {
+    for (i, &power) in input_power.iter().enumerate() {
+        for agent in agents.iter_mut() {
+            agent.set_offered_load(load_of(agent.rack(), i));
+            agent.set_input_power(power);
+            agent.step(dt);
+        }
+    }
+}
+
 /// Steps every agent in-process, one rack at a time — the reference backend.
 pub struct SerialBackend {
     bus: InMemoryBus<SimRackAgent>,
-    racks: Vec<RackId>,
 }
 
 impl SerialBackend {
     /// Creates a serial backend over the given agents.
     #[must_use]
     pub fn new(agents: Vec<SimRackAgent>) -> Self {
-        let racks = agents.iter().map(RackAgent::rack).collect();
         SerialBackend {
             bus: InMemoryBus::new(agents),
-            racks,
         }
     }
 }
@@ -109,15 +126,7 @@ impl FleetBackend for SerialBackend {
         input_power: &[bool],
         load_of: &dyn Fn(RackId, usize) -> Watts,
     ) {
-        for (i, &power) in input_power.iter().enumerate() {
-            for &rack in &self.racks {
-                if let Some(agent) = self.bus.agent_mut(rack) {
-                    agent.set_offered_load(load_of(rack, i));
-                    agent.set_input_power(power);
-                    agent.step(dt);
-                }
-            }
-        }
+        step_agents(self.bus.agents_slice_mut(), dt, input_power, load_of);
     }
 
     fn readings(&self) -> Vec<PowerReading> {
@@ -129,67 +138,6 @@ impl FleetBackend for SerialBackend {
     }
 }
 
-/// Steps agents on [`ThreadedFleet`] shard workers.
-///
-/// With `batched` set, a whole schedule travels as **one** channel round-trip
-/// per shard ([`ThreadedFleet::step_batch`]); otherwise each sub-step is
-/// submitted individually — the per-tick cadence the batched path is measured
-/// against. Results are bit-identical either way.
-pub struct ShardedBackend {
-    fleet: ThreadedFleet,
-    batched: bool,
-}
-
-impl ShardedBackend {
-    /// Spawns `shards` workers over the agents (the count clamps to
-    /// `[1, agents.len()]`).
-    #[must_use]
-    pub fn new(agents: Vec<SimRackAgent>, shards: usize, batched: bool) -> Self {
-        ShardedBackend {
-            fleet: ThreadedFleet::spawn(agents, shards),
-            batched,
-        }
-    }
-}
-
-impl FleetBackend for ShardedBackend {
-    fn name(&self) -> &'static str {
-        if self.batched {
-            "sharded-batched"
-        } else {
-            "sharded"
-        }
-    }
-
-    fn step_schedule(
-        &mut self,
-        dt: Seconds,
-        input_power: &[bool],
-        load_of: &dyn Fn(RackId, usize) -> Watts,
-    ) {
-        if self.batched {
-            self.fleet.step_batch(dt, input_power, load_of);
-        } else {
-            for (i, &power) in input_power.iter().enumerate() {
-                self.fleet
-                    .step_batch(dt, &[power], |rack, _| load_of(rack, i));
-            }
-        }
-    }
-
-    fn readings(&self) -> Vec<PowerReading> {
-        self.fleet
-            .racks()
-            .into_iter()
-            .filter_map(|r| self.fleet.read(r))
-            .collect()
-    }
-
-    fn bus_mut(&mut self) -> &mut dyn AgentBus {
-        &mut self.fleet
-    }
-}
-
 /// The backend selector a scenario carries: which [`FleetBackend`] to build
 /// for a fleet of agents.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -197,34 +145,22 @@ pub enum FleetBackendKind {
     /// In-process serial stepping ([`SerialBackend`]); the default.
     #[default]
     Serial,
-    /// Sharded worker threads, one channel round-trip per sub-step.
-    Sharded {
-        /// Worker-thread count (clamped to `[1, agents.len()]` at build).
-        shards: usize,
-    },
-    /// Sharded worker threads, one channel round-trip per schedule.
-    ShardedBatched {
-        /// Worker-thread count (clamped to `[1, agents.len()]` at build).
-        shards: usize,
-    },
-    /// Struct-of-arrays physics kernel, stepped in one serial pass
-    /// ([`SoaBackend::new`]).
+    /// The SoA engine, dense, on the calling thread ([`SoaBackend::new`]).
     Soa,
-    /// Struct-of-arrays physics kernel sharded over scoped threads
+    /// The SoA engine, dense, one persistent worker per shard
     /// ([`SoaBackend::sharded`]).
     SoaSharded {
-        /// Shard count (clamped to `[1, agents.len()]` at build).
+        /// Shard/worker-thread count (clamped to `[1, agents.len()]` at
+        /// build).
         shards: usize,
     },
-    /// Event-driven stepping over the SoA arrays
-    /// ([`EventDrivenBackend`](crate::EventDrivenBackend)): quiescent racks
-    /// fast-forward instead of stepping. Bit-identical to every dense
-    /// backend.
+    /// The SoA engine in event mode on the calling thread
+    /// ([`SoaBackend::event`]): quiescent racks fast-forward instead of
+    /// stepping. Bit-identical to every dense backend.
     Event,
-    /// Event-driven stepping sharded over persistent worker threads
-    /// ([`EventShardedBackend`](crate::EventShardedBackend)): one scheduler
-    /// and active list per SoA shard, wake sources merged at the
-    /// coordinator. Bit-identical to every other backend.
+    /// The SoA engine in event mode, one persistent worker per shard
+    /// ([`SoaBackend::event_sharded`]): one event queue and active list per
+    /// shard. Bit-identical to every other backend.
     EventSharded {
         /// Shard/worker-thread count (clamped to `[1, agents.len()]` at
         /// build).
@@ -238,19 +174,13 @@ impl FleetBackendKind {
     pub fn build(self, agents: Vec<SimRackAgent>) -> Box<dyn FleetBackend> {
         match self {
             FleetBackendKind::Serial => Box::new(SerialBackend::new(agents)),
-            FleetBackendKind::Sharded { shards } => {
-                Box::new(ShardedBackend::new(agents, shards, false))
-            }
-            FleetBackendKind::ShardedBatched { shards } => {
-                Box::new(ShardedBackend::new(agents, shards, true))
-            }
             FleetBackendKind::Soa => Box::new(SoaBackend::new(agents)),
             FleetBackendKind::SoaSharded { shards } => {
                 Box::new(SoaBackend::sharded(agents, shards))
             }
-            FleetBackendKind::Event => Box::new(EventDrivenBackend::new(agents)),
+            FleetBackendKind::Event => Box::new(SoaBackend::event(agents)),
             FleetBackendKind::EventSharded { shards } => {
-                Box::new(EventShardedBackend::new(agents, shards))
+                Box::new(SoaBackend::event_sharded(agents, shards))
             }
         }
     }
@@ -260,8 +190,6 @@ impl fmt::Display for FleetBackendKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             FleetBackendKind::Serial => write!(f, "serial"),
-            FleetBackendKind::Sharded { shards } => write!(f, "sharded:{shards}"),
-            FleetBackendKind::ShardedBatched { shards } => write!(f, "sharded-batched:{shards}"),
             FleetBackendKind::Soa => write!(f, "soa"),
             FleetBackendKind::SoaSharded { shards } => write!(f, "soa-sharded:{shards}"),
             FleetBackendKind::Event => write!(f, "event"),
@@ -281,9 +209,8 @@ impl fmt::Display for ParseBackendKindError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "unknown backend kind {:?} (expected \"serial\", \"sharded:N\", \
-             \"sharded-batched:N\", \"soa\", \"soa-sharded:N\", \"event\", or \
-             \"event-sharded:N\")",
+            "unknown backend kind {:?} (expected \"serial\", \"soa\", \
+             \"soa-sharded:N\", \"event\", or \"event-sharded:N\")",
             self.text
         )
     }
@@ -298,16 +225,6 @@ impl FromStr for FleetBackendKind {
         let reject = || ParseBackendKindError { text: s.to_owned() };
         if s == "serial" {
             return Ok(FleetBackendKind::Serial);
-        }
-        // The longer prefix first: "sharded-batched:2" also starts with
-        // "sharded" and must not fall into the plain sharded arm.
-        if let Some(count) = s.strip_prefix("sharded-batched:") {
-            let shards = count.parse().map_err(|_| reject())?;
-            return Ok(FleetBackendKind::ShardedBatched { shards });
-        }
-        if let Some(count) = s.strip_prefix("sharded:") {
-            let shards = count.parse().map_err(|_| reject())?;
-            return Ok(FleetBackendKind::Sharded { shards });
         }
         if s == "soa" {
             return Ok(FleetBackendKind::Soa);
@@ -350,8 +267,6 @@ mod tests {
         };
         let mut backends: Vec<Box<dyn FleetBackend>> = vec![
             FleetBackendKind::Serial.build(agents(6)),
-            FleetBackendKind::Sharded { shards: 3 }.build(agents(6)),
-            FleetBackendKind::ShardedBatched { shards: 3 }.build(agents(6)),
             FleetBackendKind::Soa.build(agents(6)),
             FleetBackendKind::SoaSharded { shards: 3 }.build(agents(6)),
             FleetBackendKind::Event.build(agents(6)),
@@ -362,15 +277,7 @@ mod tests {
         }
         let reference = backends[0].readings();
         for backend in &backends[1..] {
-            let readings = backend.readings();
-            assert_eq!(readings.len(), reference.len(), "{}", backend.name());
-            for (a, b) in reference.iter().zip(&readings) {
-                assert_eq!(a.rack, b.rack, "{}", backend.name());
-                assert_eq!(a.bbu_state, b.bbu_state, "{}", backend.name());
-                assert_eq!(a.recharge_power, b.recharge_power, "{}", backend.name());
-                assert_eq!(a.it_load, b.it_load, "{}", backend.name());
-                assert_eq!(a.event_dod, b.event_dod, "{}", backend.name());
-            }
+            assert_eq!(backend.readings(), reference, "{}", backend.name());
         }
     }
 
@@ -378,18 +285,6 @@ mod tests {
     fn kind_names_and_default() {
         assert_eq!(FleetBackendKind::default(), FleetBackendKind::Serial);
         assert_eq!(FleetBackendKind::Serial.build(agents(1)).name(), "serial");
-        assert_eq!(
-            FleetBackendKind::Sharded { shards: 1 }
-                .build(agents(1))
-                .name(),
-            "sharded"
-        );
-        assert_eq!(
-            FleetBackendKind::ShardedBatched { shards: 1 }
-                .build(agents(1))
-                .name(),
-            "sharded-batched"
-        );
         assert_eq!(FleetBackendKind::Soa.build(agents(1)).name(), "soa");
         assert_eq!(
             FleetBackendKind::SoaSharded { shards: 1 }
@@ -410,8 +305,6 @@ mod tests {
     fn kind_round_trips_through_strings() {
         for kind in [
             FleetBackendKind::Serial,
-            FleetBackendKind::Sharded { shards: 4 },
-            FleetBackendKind::ShardedBatched { shards: 2 },
             FleetBackendKind::Soa,
             FleetBackendKind::SoaSharded { shards: 3 },
             FleetBackendKind::Event,
@@ -421,10 +314,6 @@ mod tests {
         }
         assert_eq!("event".parse(), Ok(FleetBackendKind::Event));
         assert_eq!("serial".parse(), Ok(FleetBackendKind::Serial));
-        assert_eq!(
-            "sharded-batched:8".parse(),
-            Ok(FleetBackendKind::ShardedBatched { shards: 8 })
-        );
         assert_eq!("soa".parse(), Ok(FleetBackendKind::Soa));
         assert_eq!(
             "soa-sharded:4".parse(),
@@ -453,6 +342,15 @@ mod tests {
             "event-sharded:-2",
         ] {
             assert!(bad.parse::<FleetBackendKind>().is_err(), "{bad:?} parsed");
+        }
+        // `sharded:N` and `sharded-batched:N` name no backend.
+        for gone in ["sharded:4", "sharded-batched:2"] {
+            assert_eq!(
+                gone.parse::<FleetBackendKind>(),
+                Err(ParseBackendKindError {
+                    text: gone.to_owned()
+                })
+            );
         }
     }
 }

@@ -88,6 +88,11 @@ impl<A: RackAgent> InMemoryBus<A> {
         self.agents.iter_mut()
     }
 
+    /// The agents as a mutable slice, in fleet order.
+    pub(crate) fn agents_slice_mut(&mut self) -> &mut [A] {
+        &mut self.agents
+    }
+
     /// The agent for a rack, if present.
     #[must_use]
     pub fn agent(&self, rack: RackId) -> Option<&A> {

@@ -11,12 +11,12 @@
 //!   server power caps to the rack.
 //! * [`AgentBus`] / [`InMemoryBus`] — the controller ↔ agent request path.
 //! * [`FleetBackend`] / [`FleetBackendKind`] — pluggable fleet execution:
-//!   serial in-process, sharded worker threads (per-tick or batched
-//!   submission), the struct-of-arrays kernel ([`SoaBackend`]) for
-//!   campus-scale fleets, or event-driven stepping
-//!   ([`EventDrivenBackend`], sharded over worker threads as
-//!   [`EventShardedBackend`]) that fast-forwards quiescent racks — all
-//!   bit-identical.
+//!   the serial object path ([`SerialBackend`], the readable oracle) or the
+//!   struct-of-arrays engine ([`SoaBackend`]) for campus-scale fleets, in
+//!   dense or event mode (quiescent racks fast-forward), on the calling
+//!   thread or on one persistent worker per shard — all bit-identical.
+//!   [`step_agents`] is the one serial step loop every object-path backend
+//!   shares.
 //! * [`Controller`] — a leaf/upper controller protecting one breaker: detects
 //!   charge sequences, runs Algorithm 1 (or the global baseline), monitors
 //!   for overload, throttles battery charging in reverse priority order, and
@@ -48,26 +48,22 @@ mod bus;
 pub mod capping;
 mod controller;
 mod event;
-mod event_sharded;
 mod hierarchy;
 mod messages;
 mod scheduler;
 mod soa;
-mod threaded;
+mod workers;
 
 pub use agent::{RackAgent, SimRackAgent, SimRackAgentBuilder};
 pub use backend::{
-    FleetBackend, FleetBackendKind, HostedControlReport, ParseBackendKindError, SerialBackend,
-    ShardedBackend,
+    step_agents, FleetBackend, FleetBackendKind, HostedControlReport, ParseBackendKindError,
+    SerialBackend,
 };
 pub use bus::{AgentBus, InMemoryBus};
 pub use controller::{
     Controller, ControllerConfig, ControllerReport, ControllerSnapshot, SnapshotError, Strategy,
 };
-pub use event::EventDrivenBackend;
-pub use event_sharded::EventShardedBackend;
 pub use hierarchy::{HierarchicalControl, UpperMonitor};
 pub use messages::PowerReading;
 pub use scheduler::EventScheduler;
 pub use soa::SoaBackend;
-pub use threaded::ThreadedFleet;

@@ -1,4 +1,4 @@
-//! Struct-of-arrays fleet physics: the campus-scale execution backend.
+//! The struct-of-arrays fleet engine: every fast in-process backend.
 //!
 //! The object path dispatches every rack through
 //! `SimRackAgent` → `RackBatterySystem` → `Bbu` → `BbuPack`, four layers of
@@ -8,6 +8,22 @@
 //! `soc[]`, `event_dod[]`, `automatic[]`, `offered[]`, … per shard, plus one
 //! packed flag byte per rack — and steps them in a single branch-light pass.
 //!
+//! One engine serves four [`FleetBackendKind`](crate::FleetBackendKind)s,
+//! configured by a stepping mode and where the shards run:
+//!
+//! | kind              | mode  | shards run on                  |
+//! |-------------------|-------|--------------------------------|
+//! | `soa`             | dense | the calling thread             |
+//! | `soa-sharded:N`   | dense | one persistent worker per shard |
+//! | `event`           | event | the calling thread             |
+//! | `event-sharded:N` | event | one persistent worker per shard |
+//!
+//! Dense mode steps every slot on every sub-step. Event mode steps only the
+//! slots that are awake and fast-forwards the rest (the rules are in
+//! `event.rs`). Both modes share one construction pass, one routing index,
+//! one [`AgentBus`] implementation, and one per-shard batch runner; the
+//! worker protocol lives in `workers.rs`.
+//!
 //! **Equivalence argument.** The per-rack state transition is *the same
 //! code*: both paths call [`recharge_battery::kernel`] for the CC-CV and
 //! discharge arithmetic, and the SoA pass replays the exact
@@ -15,8 +31,9 @@
 //! [`SerialBackend`](crate::SerialBackend) per rack per sub-step. Racks do
 //! not interact during physics, so per-rack state — and therefore every
 //! [`PowerReading`] and downstream `RunMetrics` — is bit-identical to the
-//! object path regardless of shard count. The backend-equivalence matrix and
-//! a proptest over random command schedules enforce this.
+//! object path regardless of mode, shard count, or thread. The
+//! backend-equivalence matrix and proptests over random command schedules
+//! enforce this.
 //!
 //! Flag packing (one `u8` per rack):
 //!
@@ -34,13 +51,16 @@ use std::collections::HashMap;
 
 use recharge_battery::kernel;
 use recharge_battery::{BbuParams, BbuState, ChargePhase, ChargePolicy};
-use recharge_telemetry::tspan;
+use recharge_telemetry::{flight, tcounter, tspan, FlightKind, ReasonCode, NO_BUCKET};
 use recharge_units::{Amperes, Dod, Priority, RackId, Seconds, Soc, Watts};
 
 use crate::agent::{RackAgent, SimRackAgent};
 use crate::backend::FleetBackend;
 use crate::bus::AgentBus;
+use crate::event::{Lane, ShardEvent, WakeRecord, EDGE_HEADROOM};
 use crate::messages::PowerReading;
+use crate::scheduler::EventScheduler;
+use crate::workers::Workers;
 
 const STATE_MASK: u8 = 0b0000_0011;
 const STATE_FULLY_CHARGED: u8 = 0b00;
@@ -52,14 +72,6 @@ const FLAG_POSTPONED: u8 = 1 << 3;
 const FLAG_OVERRIDE: u8 = 1 << 4;
 const FLAG_CAPPED: u8 = 1 << 5;
 const FLAG_INPUT_POWER: u8 = 1 << 6;
-
-/// What [`SoaBackend::into_parts`] yields: the shards, the fleet-order map,
-/// and the rack → (shard, slot) routing index.
-pub(crate) type SoaParts = (
-    Vec<SoaShard>,
-    Vec<(usize, usize)>,
-    HashMap<RackId, (usize, usize)>,
-);
 
 fn state_bits(state: BbuState) -> u8 {
     match state {
@@ -174,14 +186,14 @@ impl SoaShard {
     }
 
     /// The priority of the rack in `slot` (flight-recorder provenance).
-    pub(crate) fn priority_at(&self, slot: usize) -> Priority {
+    fn priority_at(&self, slot: usize) -> Priority {
         self.priority[slot]
     }
 
     /// Whether the next sub-step for this rack is a provable no-op given
     /// unchanged input power and an arbitrary offered load.
     ///
-    /// This is the event-driven backend's *entire* skip authority: a rack may
+    /// This is event mode's *entire* skip authority: a rack may
     /// be fast-forwarded only while this predicate holds, because then the
     /// dense sub-step would write nothing except `offered[]` (patched up
     /// separately by [`touch_offered`](Self::touch_offered)). The cases:
@@ -196,8 +208,8 @@ impl SoaShard {
     ///   to `FullyCharged`, which is observable.
     /// - `Discharging` never sleeps: drain is load-dependent every sub-step.
     ///
-    /// Input-power *edges* invalidate sleep; the event backend wakes all
-    /// racks on every edge, so the predicate can assume power is steady.
+    /// Input-power *edges* invalidate sleep; event mode wakes all racks on
+    /// every edge, so the predicate can assume power is steady.
     pub(crate) fn is_quiescent(&self, slot: usize) -> bool {
         if self.recharge[slot] != 0.0 {
             return false;
@@ -333,20 +345,9 @@ impl SoaShard {
         }
     }
 
-    /// Runs a whole schedule over this shard (the threaded fan-out path).
-    fn run_schedule(&mut self, dt: Seconds, input_power: &[bool], loads: &[Watts]) {
-        let n = self.len();
-        for (i, &power) in input_power.iter().enumerate() {
-            let row = &loads[i * n..(i + 1) * n];
-            for (slot, &load) in row.iter().enumerate() {
-                self.substep(slot, load, power, dt);
-            }
-        }
-    }
-
     /// `Charger::set_override` for one slot: clamp to the 1–5 A hardware
     /// range and raise the override flag.
-    pub(crate) fn set_override_slot(&mut self, slot: usize, current: Amperes) {
+    fn set_override_slot(&mut self, slot: usize, current: Amperes) {
         self.override_a[slot] = current
             .clamp(Amperes::MIN_CHARGE, Amperes::MAX_CHARGE)
             .as_amps();
@@ -354,12 +355,12 @@ impl SoaShard {
     }
 
     /// `Charger::clear_override` for one slot.
-    pub(crate) fn clear_override_slot(&mut self, slot: usize) {
+    fn clear_override_slot(&mut self, slot: usize) {
         self.flags[slot] &= !FLAG_OVERRIDE;
     }
 
     /// `Charger::set_postponed` for one slot.
-    pub(crate) fn set_postponed_slot(&mut self, slot: usize, postponed: bool) {
+    fn set_postponed_slot(&mut self, slot: usize, postponed: bool) {
         if postponed {
             self.flags[slot] |= FLAG_POSTPONED;
         } else {
@@ -368,18 +369,18 @@ impl SoaShard {
     }
 
     /// `SimRackAgent::cap_servers` for one slot.
-    pub(crate) fn cap_slot(&mut self, slot: usize, limit: Watts) {
+    fn cap_slot(&mut self, slot: usize, limit: Watts) {
         self.cap[slot] = limit.max(Watts::ZERO).as_watts();
         self.flags[slot] |= FLAG_CAPPED;
     }
 
     /// `SimRackAgent::uncap_servers` for one slot.
-    pub(crate) fn uncap_slot(&mut self, slot: usize) {
+    fn uncap_slot(&mut self, slot: usize) {
         self.flags[slot] &= !FLAG_CAPPED;
     }
 
     /// `SimRackAgent::read` over array state.
-    pub(crate) fn read(&self, slot: usize) -> PowerReading {
+    fn read(&self, slot: usize) -> PowerReading {
         let flags = self.flags[slot];
         let input = flags & FLAG_INPUT_POWER != 0;
         let offered = Watts::new(self.offered[slot]);
@@ -402,12 +403,126 @@ impl SoaShard {
     }
 }
 
-/// The struct-of-arrays fleet backend: serial (`threads == 1`) or sharded
-/// over scoped threads, one contiguous chunk of the fleet per shard.
+/// How the engine steps a shard's slots.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Mode {
+    /// Every slot executes every sub-step.
+    Dense,
+    /// Only awake slots execute; quiescent slots fast-forward (`event.rs`).
+    Event,
+}
+
+/// One schedule as the per-shard runner sees it.
+#[derive(Clone, Copy)]
+pub(crate) struct Batch<'a> {
+    pub(crate) mode: Mode,
+    /// Global sub-step index of the batch's first sub-step.
+    pub(crate) base: u64,
+    pub(crate) dt: Seconds,
+    pub(crate) input_power: &'a [bool],
+}
+
+/// What one shard did during the last batch.
+#[derive(Debug, Clone, Copy, Default)]
+struct BatchCounts {
+    executed: u64,
+    fired: u64,
+    replays: u64,
+}
+
+/// One shard's complete stepping state: its arrays, sleep lane, and event
+/// queue. Ownership moves to a worker thread for the length of a batch on
+/// the sharded kinds and stays with the engine otherwise.
+pub(crate) struct ShardState {
+    pub(crate) shard: SoaShard,
+    /// Sleep bookkeeping. Dense mode never retires a slot, so its lane stays
+    /// all-awake and no command ever schedules a wake.
+    pub(crate) lane: Lane,
+    queue: EventScheduler<ShardEvent>,
+    /// Slots a command woke since the last batch (a worker frame carries
+    /// loads for them).
+    pub(crate) woken: Vec<u32>,
+    /// Sleep→wake transitions of the last batch, journaled by the engine.
+    wakes: Vec<WakeRecord>,
+    executed_total: u64,
+    batch: BatchCounts,
+}
+
+impl ShardState {
+    fn new(shard: SoaShard, mode: Mode) -> Self {
+        let queue = match mode {
+            // Steady-state sizing: at most one pending wake per slot plus a
+            // batch's worth of power edges — the hot loop never grows the heap.
+            Mode::Event => EventScheduler::with_capacity(shard.len() + EDGE_HEADROOM),
+            Mode::Dense => EventScheduler::new(),
+        };
+        ShardState {
+            lane: Lane::new(shard.len()),
+            shard,
+            queue,
+            woken: Vec::new(),
+            wakes: Vec::new(),
+            executed_total: 0,
+            batch: BatchCounts::default(),
+        }
+    }
+
+    /// The per-shard batch runner, the same on the calling thread and on a
+    /// worker: in event mode pop the due events, step the awake slots, and
+    /// replay the final offered load into sleepers; in dense mode step every
+    /// slot. `load(substep, slot, rack)` and `final_load(slot, rack)` supply
+    /// offered loads.
+    pub(crate) fn run_batch(
+        &mut self,
+        batch: &Batch<'_>,
+        mut load: impl FnMut(usize, usize, RackId) -> Watts,
+        final_load: impl FnMut(usize, RackId) -> Watts,
+    ) {
+        let ShardState {
+            shard,
+            lane,
+            queue,
+            woken,
+            wakes,
+            executed_total,
+            batch: counts,
+        } = self;
+        woken.clear();
+        *counts = BatchCounts::default();
+        match batch.mode {
+            Mode::Dense => {
+                for (i, &power) in batch.input_power.iter().enumerate() {
+                    for slot in 0..shard.len() {
+                        let offered = load(i, slot, shard.rack_at(slot));
+                        shard.substep(slot, offered, power, batch.dt);
+                    }
+                }
+                counts.executed = (batch.input_power.len() * shard.len()) as u64;
+            }
+            Mode::Event => {
+                for (i, &power) in batch.input_power.iter().enumerate() {
+                    let now = batch.base + i as u64;
+                    counts.fired += lane.fire_due(queue, now, wakes);
+                    counts.executed +=
+                        lane.step_active(shard, now, power, batch.dt, |slot, rack| {
+                            load(i, slot, rack)
+                        });
+                }
+                counts.replays = lane.replay_offered(shard, final_load);
+            }
+        }
+        *executed_total += counts.executed;
+    }
+}
+
+/// The struct-of-arrays fleet engine, in dense or event mode, stepping its
+/// shards on the calling thread or on one persistent worker per shard.
 ///
 /// Implements both [`FleetBackend`] (the tick loop's surface) and
 /// [`AgentBus`] (the controller's surface) over the same arrays — there are
-/// no per-rack agent objects at all.
+/// no per-rack agent objects at all. Readings, bus behavior, and downstream
+/// `RunMetrics` are bit-identical in every configuration; only the number of
+/// rack sub-steps executed and who executes them change.
 ///
 /// # Examples
 ///
@@ -426,18 +541,31 @@ impl SoaShard {
 /// assert!(fleet.readings().iter().all(|r| r.is_charging()));
 /// ```
 pub struct SoaBackend {
-    shards: Vec<SoaShard>,
+    mode: Mode,
+    shards: Vec<ShardState>,
+    /// The persistent shard workers of the sharded kinds; `None` steps every
+    /// shard on the calling thread.
+    workers: Option<Workers>,
     /// Fleet order → (shard, slot); readings and rack listings replay this so
     /// the outside world sees the original agent order even when the
     /// homogeneous-group partition reshuffled racks across shards.
     order: Vec<(usize, usize)>,
     /// rack → (shard, slot); commands and reads route through here.
     index: HashMap<RackId, (usize, usize)>,
-    threaded: bool,
+    /// Fleet-wide input power as of the last scheduled edge. Safe to start
+    /// `true`: every rack begins awake, and a rack only sleeps after
+    /// executing a sub-step whose power this field tracked.
+    power: bool,
+    /// Global sub-step counter across schedules (the event timeline).
+    clock: u64,
+    /// Rack sub-steps actually executed, summed over shards.
+    executed: u64,
+    /// End-of-batch offered-load replay writes, summed over shards.
+    replayed: u64,
 }
 
 impl SoaBackend {
-    /// Creates a serial (single-pass) SoA backend over the given agents.
+    /// Dense stepping on the calling thread (`soa`).
     ///
     /// Heterogeneous fleets are supported: racks are partitioned into
     /// homogeneous groups by `(BbuParams, ChargePolicy)` at construction (in
@@ -446,29 +574,70 @@ impl SoaBackend {
     /// always come back in the original fleet order.
     #[must_use]
     pub fn new(agents: Vec<SimRackAgent>) -> Self {
-        SoaBackend::with_shards(agents, 1, false)
+        SoaBackend::build(agents, Mode::Dense, 1, false)
     }
 
-    /// Creates a sharded SoA backend: the fleet is split into `shards`
-    /// contiguous chunks stepped on scoped threads, a whole schedule per
-    /// fan-out (the batched submission model). `shards` clamps to
+    /// Dense stepping over `shards` contiguous chunks, one persistent worker
+    /// thread per shard (`soa-sharded:N`). `shards` clamps to
     /// `[1, agents.len()]`; a heterogeneous fleet may produce more shards
     /// than requested (at least one per homogeneous group).
     #[must_use]
     pub fn sharded(agents: Vec<SimRackAgent>, shards: usize) -> Self {
-        SoaBackend::with_shards(agents, shards, true)
+        SoaBackend::build(agents, Mode::Dense, shards, true)
     }
 
-    fn with_shards(agents: Vec<SimRackAgent>, shards: usize, threaded: bool) -> Self {
-        if agents.is_empty() {
-            return SoaBackend {
-                shards: Vec::new(),
-                order: Vec::new(),
-                index: HashMap::new(),
-                threaded,
-            };
-        }
+    /// Event-mode stepping on the calling thread (`event`): quiescent racks
+    /// fast-forward instead of stepping.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use recharge_dynamo::{FleetBackend, SimRackAgent, SoaBackend};
+    /// use recharge_units::{Priority, RackId, Seconds, Watts};
+    ///
+    /// let agents = (0..4)
+    ///     .map(|i| SimRackAgent::builder(RackId::new(i), Priority::P2).build())
+    ///     .collect();
+    /// let mut fleet = SoaBackend::event(agents);
+    /// // A 30-second open transition, then a long quiet stretch of wall power.
+    /// let schedule = [&[false][..], &[true; 600][..]].concat();
+    /// fleet.step_schedule(Seconds::new(30.0), &schedule, &|_, _| {
+    ///     Watts::from_kilowatts(6.0)
+    /// });
+    /// assert!(fleet.substeps_skipped() > 0);
+    /// ```
+    #[must_use]
+    pub fn event(agents: Vec<SimRackAgent>) -> Self {
+        SoaBackend::build(agents, Mode::Event, 1, false)
+    }
 
+    /// Event-mode stepping with one persistent worker thread per shard
+    /// (`event-sharded:N`); `shards` clamps like [`sharded`](Self::sharded).
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use recharge_dynamo::{FleetBackend, SimRackAgent, SoaBackend};
+    /// use recharge_units::{Priority, RackId, Seconds, Watts};
+    ///
+    /// let agents = (0..8)
+    ///     .map(|i| SimRackAgent::builder(RackId::new(i), Priority::P2).build())
+    ///     .collect();
+    /// let mut fleet = SoaBackend::event_sharded(agents, 4);
+    /// let schedule = [&[false][..], &[true; 600][..]].concat();
+    /// fleet.step_schedule(Seconds::new(30.0), &schedule, &|_, _| {
+    ///     Watts::from_kilowatts(6.0)
+    /// });
+    /// assert_eq!(fleet.shard_count(), 4);
+    /// assert!(fleet.substeps_skipped() > 0);
+    /// ```
+    #[must_use]
+    pub fn event_sharded(agents: Vec<SimRackAgent>, shards: usize) -> Self {
+        SoaBackend::build(agents, Mode::Event, shards, true)
+    }
+
+    /// The one construction, grouping, and routing pass.
+    fn build(agents: Vec<SimRackAgent>, mode: Mode, shards: usize, threaded: bool) -> Self {
         // Partition fleet positions into homogeneous groups, first-seen
         // order. `BbuParams` is PartialEq-only (f64 fields), so this is a
         // linear scan over the handful of distinct configurations.
@@ -486,80 +655,163 @@ impl SoaBackend {
             }
         }
 
-        // One global chunk size keeps the homogeneous layout identical to
-        // the pre-grouping backend: a single group splits into the same
-        // contiguous chunks as before.
-        let shard_count = shards.clamp(1, agents.len());
-        let chunk = agents.len().div_ceil(shard_count);
-        let mut built: Vec<SoaShard> = Vec::new();
+        // One global chunk size: a single homogeneous group splits into
+        // `shards` contiguous chunks.
+        let chunk = agents.len().div_ceil(shards.clamp(1, agents.len().max(1)));
+        let mut built: Vec<ShardState> = Vec::new();
         let mut order = vec![(0usize, 0usize); agents.len()];
+        let mut index = HashMap::with_capacity(agents.len());
         for (params, policy, members) in &groups {
             for piece in members.chunks(chunk) {
                 let refs: Vec<&SimRackAgent> = piece.iter().map(|&pos| &agents[pos]).collect();
                 let s = built.len();
-                built.push(SoaShard::from_agents(&refs, *params, *policy));
+                built.push(ShardState::new(
+                    SoaShard::from_agents(&refs, *params, *policy),
+                    mode,
+                ));
                 for (slot, &pos) in piece.iter().enumerate() {
                     order[pos] = (s, slot);
+                    index.insert(agents[pos].rack(), (s, slot));
                 }
             }
         }
-
-        let mut index = HashMap::with_capacity(agents.len());
-        for (s, shard) in built.iter().enumerate() {
-            for (slot, &rack) in shard.racks.iter().enumerate() {
-                index.insert(rack, (s, slot));
-            }
-        }
         SoaBackend {
+            mode,
+            workers: threaded.then(|| Workers::spawn(built.len())),
             shards: built,
             order,
             index,
-            threaded,
+            power: true,
+            clock: 0,
+            executed: 0,
+            replayed: 0,
         }
-    }
-
-    /// Shared-crate access for the event-driven wrapper.
-    pub(crate) fn shards(&self) -> &[SoaShard] {
-        &self.shards
-    }
-
-    /// Mutable shard access for the event-driven wrapper.
-    pub(crate) fn shards_mut(&mut self) -> &mut [SoaShard] {
-        &mut self.shards
-    }
-
-    /// Routes a rack to its `(shard, slot)` home, if present.
-    pub(crate) fn slot_of(&self, rack: RackId) -> Option<(usize, usize)> {
-        self.index.get(&rack).copied()
-    }
-
-    /// Decomposes the backend into its shards plus the fleet-order and
-    /// rack-routing maps — the sharded event backend takes ownership of the
-    /// shards (they ping-pong to worker threads) but keeps the same
-    /// construction/grouping pass and external ordering.
-    pub(crate) fn into_parts(self) -> SoaParts {
-        (self.shards, self.order, self.index)
     }
 
     /// Total racks across all shards.
     #[must_use]
     pub fn rack_count(&self) -> usize {
-        self.shards.iter().map(SoaShard::len).sum()
+        self.order.len()
     }
 
-    /// Number of shards the fleet is split into.
+    /// Number of shards the fleet is split into (and worker threads, on the
+    /// sharded kinds).
     #[must_use]
     pub fn shard_count(&self) -> usize {
         self.shards.len()
+    }
+
+    /// Rack sub-steps actually executed since construction, over all shards.
+    #[must_use]
+    pub fn substeps_executed(&self) -> u64 {
+        self.executed
+    }
+
+    /// Rack sub-steps fast-forwarded (what dense stepping would have run
+    /// minus what this engine did); always zero in dense mode.
+    #[must_use]
+    pub fn substeps_skipped(&self) -> u64 {
+        self.clock * self.rack_count() as u64 - self.executed
+    }
+
+    /// End-of-batch offered-load replay writes since construction, summed
+    /// over shards: exactly one write per sleeping rack per schedule, which
+    /// is the same write set the dense pass's final sub-step would have
+    /// produced for them.
+    #[must_use]
+    pub fn offered_replays(&self) -> u64 {
+        self.replayed
+    }
+
+    /// Per-shard `(executed, skipped)` sub-step accounting. Each pair
+    /// satisfies `executed + skipped == substeps × shard_len` exactly.
+    #[must_use]
+    pub fn per_shard_substeps(&self) -> Vec<(u64, u64)> {
+        self.shards
+            .iter()
+            .map(|state| {
+                let dense = self.clock * state.shard.len() as u64;
+                (state.executed_total, dense - state.executed_total)
+            })
+            .collect()
+    }
+
+    /// Broadcasts the schedule's power edges into every shard's queue at
+    /// batch start (rule 4 in `event.rs`); returns whether any edge lands in
+    /// the batch.
+    fn broadcast_edges(&mut self, input_power: &[bool]) -> bool {
+        let mut has_edge = false;
+        for (i, &p) in input_power.iter().enumerate() {
+            if p != self.power {
+                for state in &mut self.shards {
+                    state
+                        .queue
+                        .schedule(self.clock + i as u64, ShardEvent::PowerEdge);
+                }
+                has_edge = true;
+                self.power = p;
+            }
+        }
+        has_edge
+    }
+
+    /// Sums the shards' batch counts and journals their wake records, on the
+    /// calling thread, after the batch.
+    fn finish_batch(&mut self, n: usize) {
+        let mut counts = BatchCounts::default();
+        for state in &mut self.shards {
+            counts.executed += state.batch.executed;
+            counts.fired += state.batch.fired;
+            counts.replays += state.batch.replays;
+            let ShardState { shard, wakes, .. } = state;
+            for record in wakes.drain(..) {
+                flight(
+                    FlightKind::FastForward,
+                    ReasonCode::Observed,
+                    shard.rack_at(record.slot).index(),
+                    shard.priority_at(record.slot).rank(),
+                    NO_BUCKET,
+                    record.skipped,
+                    record.now,
+                );
+            }
+        }
+        self.executed += counts.executed;
+        self.replayed += counts.replays;
+        if self.mode == Mode::Event {
+            let dense = n as u64 * self.rack_count() as u64;
+            tcounter!("sim.rack_substeps").add(counts.executed);
+            tcounter!("sim.ticks_skipped").add(dense - counts.executed);
+            tcounter!("sim.events_fired").add(counts.fired);
+            tcounter!("sim.offered_replays").add(counts.replays);
+        }
+    }
+
+    /// Applies a command to the owning shard's arrays and, if the target is
+    /// sleeping, queues its wake at the next sub-step so the command's effect
+    /// is stepped densely (rule 2 in `event.rs`).
+    fn command(&mut self, rack: RackId, apply: impl FnOnce(&mut SoaShard, usize)) {
+        let Some(&(s, slot)) = self.index.get(&rack) else {
+            return;
+        };
+        let state = &mut self.shards[s];
+        apply(&mut state.shard, slot);
+        if state.lane.is_sleeping(slot) {
+            state.queue.schedule(self.clock, ShardEvent::Wake(slot));
+            state
+                .woken
+                .push(u32::try_from(slot).expect("slot fits u32"));
+        }
     }
 }
 
 impl FleetBackend for SoaBackend {
     fn name(&self) -> &'static str {
-        if self.threaded {
-            "soa-sharded"
-        } else {
-            "soa"
+        match (self.mode, self.workers.is_some()) {
+            (Mode::Dense, false) => "soa",
+            (Mode::Dense, true) => "soa-sharded",
+            (Mode::Event, false) => "event",
+            (Mode::Event, true) => "event-sharded",
         }
     }
 
@@ -569,38 +821,34 @@ impl FleetBackend for SoaBackend {
         input_power: &[bool],
         load_of: &dyn Fn(RackId, usize) -> Watts,
     ) {
-        let _span = tspan!("fleet.soa_step", "fleet");
-        if !self.threaded || self.shards.len() <= 1 {
-            for (i, &power) in input_power.iter().enumerate() {
-                for shard in &mut self.shards {
-                    for slot in 0..shard.len() {
-                        let load = load_of(shard.racks[slot], i);
-                        shard.substep(slot, load, power, dt);
-                    }
-                }
-            }
+        let _span = tspan!("fleet.step", "fleet");
+        let n = input_power.len();
+        if n == 0 || self.shards.is_empty() {
             return;
         }
-
-        // `load_of` is not Sync, so materialize each shard's loads up front
-        // (substep-major, matching `run_schedule`), then fan the schedule out
-        // once — the batched submission model, minus any channels.
-        let loads: Vec<Vec<Watts>> = self
-            .shards
-            .iter()
-            .map(|shard| {
-                let mut v = Vec::with_capacity(shard.len() * input_power.len());
-                for i in 0..input_power.len() {
-                    v.extend(shard.racks.iter().map(|&rack| load_of(rack, i)));
+        let has_edge = self.mode == Mode::Event && self.broadcast_edges(input_power);
+        let batch = Batch {
+            mode: self.mode,
+            base: self.clock,
+            dt,
+            input_power,
+        };
+        match &mut self.workers {
+            Some(workers) => workers.run(&mut self.shards, &batch, has_edge, load_of),
+            // Inline, the runner calls `load_of` directly: no frame, and
+            // loads are evaluated only for the slots that execute.
+            None => {
+                for state in &mut self.shards {
+                    state.run_batch(
+                        &batch,
+                        |i, _, rack| load_of(rack, i),
+                        |_, rack| load_of(rack, n - 1),
+                    );
                 }
-                v
-            })
-            .collect();
-        std::thread::scope(|scope| {
-            for (shard, shard_loads) in self.shards.iter_mut().zip(&loads) {
-                scope.spawn(move || shard.run_schedule(dt, input_power, shard_loads));
             }
-        });
+        }
+        self.clock += n as u64;
+        self.finish_batch(n);
     }
 
     fn readings(&self) -> Vec<PowerReading> {
@@ -618,13 +866,13 @@ impl AgentBus for SoaBackend {
     fn racks(&self) -> Vec<RackId> {
         self.order
             .iter()
-            .map(|&(s, slot)| self.shards[s].racks[slot])
+            .map(|&(s, slot)| self.shards[s].shard.rack_at(slot))
             .collect()
     }
 
     fn read(&self, rack: RackId) -> Option<PowerReading> {
         let &(s, slot) = self.index.get(&rack)?;
-        Some(self.shards[s].read(slot))
+        Some(self.shards[s].shard.read(slot))
     }
 
     fn read_all(&self, out: &mut Vec<PowerReading>) {
@@ -633,47 +881,42 @@ impl AgentBus for SoaBackend {
         out.extend(
             self.order
                 .iter()
-                .map(|&(s, slot)| self.shards[s].read(slot)),
+                .map(|&(s, slot)| self.shards[s].shard.read(slot)),
         );
     }
 
     fn set_charge_override(&mut self, rack: RackId, current: Amperes) {
-        if let Some(&(s, slot)) = self.index.get(&rack) {
-            self.shards[s].set_override_slot(slot, current);
-        }
+        self.command(rack, |shard, slot| shard.set_override_slot(slot, current));
     }
 
     fn clear_charge_override(&mut self, rack: RackId) {
-        if let Some(&(s, slot)) = self.index.get(&rack) {
-            self.shards[s].clear_override_slot(slot);
-        }
+        self.command(rack, SoaShard::clear_override_slot);
     }
 
     fn set_charge_postponed(&mut self, rack: RackId, postponed: bool) {
-        if let Some(&(s, slot)) = self.index.get(&rack) {
-            self.shards[s].set_postponed_slot(slot, postponed);
-        }
+        self.command(rack, |shard, slot| {
+            shard.set_postponed_slot(slot, postponed);
+        });
     }
 
     fn cap_servers(&mut self, rack: RackId, limit: Watts) {
-        if let Some(&(s, slot)) = self.index.get(&rack) {
-            self.shards[s].cap_slot(slot, limit);
-        }
+        self.command(rack, |shard, slot| shard.cap_slot(slot, limit));
     }
 
     fn uncap_servers(&mut self, rack: RackId) {
-        if let Some(&(s, slot)) = self.index.get(&rack) {
-            self.shards[s].uncap_slot(slot);
-        }
+        self.command(rack, SoaShard::uncap_slot);
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::backend::{FleetBackendKind, SerialBackend};
+    use crate::bus::InMemoryBus;
+    use crate::controller::{Controller, ControllerConfig, Strategy};
+    use recharge_units::{DeviceId, SimTime};
 
-    fn agents(n: u32) -> Vec<SimRackAgent> {
+    pub(crate) fn agents(n: u32) -> Vec<SimRackAgent> {
         (0..n)
             .map(|i| {
                 SimRackAgent::builder(RackId::new(i), Priority::ALL[(i % 3) as usize])
@@ -699,18 +942,19 @@ mod tests {
             .collect()
     }
 
-    /// Steps both backends through the same mixed schedule with the same
-    /// command stream, asserting bit-identical readings at every boundary.
-    fn assert_lockstep(
+    /// Steps the serial reference and every engine through the same mixed
+    /// schedule with the same command stream, asserting bit-identical
+    /// readings at every boundary.
+    pub(crate) fn assert_lockstep(
         fleet: impl Fn() -> Vec<SimRackAgent>,
-        mut soa: Box<dyn FleetBackend>,
+        engines: &mut [SoaBackend],
         rounds: usize,
     ) {
         let mut reference = SerialBackend::new(fleet());
         for round in 0..rounds {
             // Commands vary per round to exercise every flag transition.
-            for backend in [&mut reference as &mut dyn FleetBackend, soa.as_mut()] {
-                let bus = backend.bus_mut();
+            let buses = engines.iter_mut().map(|e| e as &mut dyn AgentBus);
+            for bus in std::iter::once(reference.bus_mut()).chain(buses) {
                 match round % 5 {
                     0 => bus.set_charge_override(RackId::new(2), Amperes::new(1.5)),
                     1 => {
@@ -730,52 +974,51 @@ mod tests {
                 Watts::from_kilowatts(5.0 + 0.3 * f64::from(rack.index()) + 0.1 * i as f64)
             };
             reference.step_schedule(Seconds::new(1.0), &schedule, &load);
-            soa.step_schedule(Seconds::new(1.0), &schedule, &load);
-            assert_eq!(
-                reference.readings(),
-                soa.readings(),
-                "round {round} diverged"
-            );
-            for rack in reference.bus_mut().racks() {
+            for engine in engines.iter_mut() {
+                engine.step_schedule(Seconds::new(1.0), &schedule, &load);
                 assert_eq!(
-                    reference.bus_mut().read(rack),
-                    soa.bus_mut().read(rack),
-                    "round {round} rack {rack:?}"
+                    reference.readings(),
+                    FleetBackend::readings(engine),
+                    "round {round}: {} diverged",
+                    engine.name()
                 );
+                for rack in reference.bus_mut().racks() {
+                    assert_eq!(
+                        reference.bus_mut().read(rack),
+                        AgentBus::read(engine, rack),
+                        "round {round} rack {rack:?}"
+                    );
+                }
             }
         }
     }
 
     #[test]
     fn soa_serial_matches_object_path_bit_for_bit() {
-        assert_lockstep(|| agents(7), Box::new(SoaBackend::new(agents(7))), 12);
+        assert_lockstep(|| agents(7), &mut [SoaBackend::new(agents(7))], 12);
     }
 
     #[test]
     fn soa_sharded_matches_object_path_bit_for_bit() {
-        assert_lockstep(
-            || agents(7),
-            Box::new(SoaBackend::sharded(agents(7), 3)),
-            12,
-        );
+        assert_lockstep(|| agents(7), &mut [SoaBackend::sharded(agents(7), 3)], 12);
     }
 
     #[test]
     fn heterogeneous_soa_matches_object_path_bit_for_bit() {
-        assert_lockstep(
-            || mixed_agents(7),
-            Box::new(SoaBackend::new(mixed_agents(7))),
-            12,
-        );
+        let mut engines = [
+            SoaBackend::new(mixed_agents(7)),
+            SoaBackend::event(mixed_agents(7)),
+        ];
+        assert_lockstep(|| mixed_agents(7), &mut engines, 12);
     }
 
     #[test]
     fn heterogeneous_sharded_soa_matches_object_path_bit_for_bit() {
-        assert_lockstep(
-            || mixed_agents(7),
-            Box::new(SoaBackend::sharded(mixed_agents(7), 3)),
-            12,
-        );
+        let mut engines = [
+            SoaBackend::sharded(mixed_agents(7), 3),
+            SoaBackend::event_sharded(mixed_agents(7), 3),
+        ];
+        assert_lockstep(|| mixed_agents(7), &mut engines, 12);
     }
 
     #[test]
@@ -795,18 +1038,178 @@ mod tests {
     }
 
     #[test]
+    fn batched_steps_match_per_tick_steps() {
+        // A schedule submitted as one batch must equal the same sub-steps
+        // submitted one batch each, per-sub-step load and power included.
+        let load = |rack: RackId, i: usize| {
+            Watts::from_kilowatts(5.0 + 0.25 * f64::from(rack.index()) + 0.1 * i as f64)
+        };
+        for (mut batched, mut per_tick) in [
+            (
+                SoaBackend::sharded(agents(9), 4),
+                SoaBackend::new(agents(9)),
+            ),
+            (
+                SoaBackend::event_sharded(agents(9), 4),
+                SoaBackend::event(agents(9)),
+            ),
+        ] {
+            for round in 0..3 {
+                let power: Vec<bool> = (0..10).map(|i| (i + round) % 7 != 3).collect();
+                batched.step_schedule(Seconds::new(1.0), &power, &load);
+                for (i, &p) in power.iter().enumerate() {
+                    per_tick.step_schedule(Seconds::new(1.0), &[p], &|rack, _| load(rack, i));
+                }
+            }
+            assert_eq!(
+                FleetBackend::readings(&batched),
+                FleetBackend::readings(&per_tick),
+                "{}",
+                batched.name()
+            );
+        }
+    }
+
+    #[test]
+    fn controller_runs_unchanged_over_threads() {
+        let mut fleet = SoaBackend::sharded(agents(6), 2);
+        let mut controller = Controller::new(
+            ControllerConfig::new(DeviceId::new(0), Watts::from_kilowatts(190.0)),
+            Strategy::PriorityAware,
+        );
+        let load = |_: RackId, _: usize| Watts::from_kilowatts(6.0);
+        // Open transition, then coordinate.
+        fleet.step_schedule(Seconds::new(60.0), &[false], &load);
+        fleet.step_schedule(Seconds::new(1.0), &[true], &load);
+        let report = controller.tick(SimTime::from_secs(61.0), &mut fleet);
+        assert!(report.overrides_sent > 0);
+        // The overrides landed in the worker-stepped arrays.
+        fleet.step_schedule(Seconds::new(1.0), &[true], &load);
+        let commanded = controller.commanded_currents();
+        for reading in FleetBackend::readings(&fleet) {
+            let state = &fleet.shards[fleet.index[&reading.rack].0];
+            let slot = fleet.index[&reading.rack].1;
+            assert_eq!(
+                state.shard.setpoint(slot),
+                commanded[&reading.rack],
+                "rack {}",
+                reading.rack
+            );
+        }
+    }
+
+    #[test]
     fn shard_counts_clamp() {
         assert_eq!(SoaBackend::sharded(agents(4), 99).shard_count(), 4);
         assert_eq!(SoaBackend::sharded(agents(4), 0).shard_count(), 1);
+        assert_eq!(SoaBackend::event_sharded(agents(4), 99).shard_count(), 4);
         assert_eq!(SoaBackend::new(agents(4)).rack_count(), 4);
     }
 
     #[test]
+    fn degenerate_shard_counts_clamp() {
+        // Zero shards clamps up to one worker; an excess clamps down to one
+        // shard per rack — both still step and read correctly.
+        for requested in [0, 99] {
+            let mut fleet = SoaBackend::sharded(agents(2), requested);
+            fleet.step_schedule(Seconds::new(1.0), &[true], &|_, _| {
+                Watts::from_kilowatts(6.0)
+            });
+            assert!(AgentBus::read(&fleet, RackId::new(1)).is_some());
+            assert_eq!(fleet.rack_count(), 2);
+        }
+        // No agents at all still yields a working (empty) fleet.
+        let fleet = SoaBackend::sharded(Vec::new(), 4);
+        assert!(AgentBus::racks(&fleet).is_empty());
+    }
+
+    #[test]
+    fn threaded_fleet_matches_in_memory_bus() {
+        // Drive identical command/step sequences through the worker-threaded
+        // engine and through agents stepped one by one, and compare every
+        // reading.
+        let mut threaded = SoaBackend::sharded(agents(7), 3);
+        let mut local = InMemoryBus::new(agents(7));
+        let kw6 = |_: RackId, _: usize| Watts::from_kilowatts(6.0);
+
+        for (secs, power) in [(30.0, true), (45.0, false), (1.0, true), (60.0, true)] {
+            threaded.step_schedule(Seconds::new(secs), &[power], &kw6);
+            for a in local.agents_mut() {
+                a.set_offered_load(Watts::from_kilowatts(6.0));
+                a.set_input_power(power);
+                a.step(Seconds::new(secs));
+            }
+        }
+        threaded.set_charge_override(RackId::new(2), Amperes::new(1.5));
+        local.set_charge_override(RackId::new(2), Amperes::new(1.5));
+        threaded.step_schedule(Seconds::new(10.0), &[true], &kw6);
+        for a in local.agents_mut() {
+            a.step(Seconds::new(10.0));
+        }
+
+        for i in 0..7 {
+            let rack = RackId::new(i);
+            let t = AgentBus::read(&threaded, rack).expect("threaded reading");
+            let l = local.read(rack).expect("local reading");
+            assert_eq!(t.bbu_state, l.bbu_state, "rack {rack}");
+            assert!(
+                (t.recharge_power - l.recharge_power).abs() < Watts::new(1e-6),
+                "rack {rack}: {} vs {}",
+                t.recharge_power,
+                l.recharge_power
+            );
+            assert_eq!(t.event_dod, l.event_dod, "rack {rack}");
+        }
+        assert_eq!(threaded.rack_count(), 7);
+    }
+
+    #[test]
     fn empty_fleet_is_inert() {
-        let mut fleet = SoaBackend::new(Vec::new());
-        fleet.step_schedule(Seconds::new(1.0), &[true], &|_, _| Watts::ZERO);
-        assert!(fleet.readings().is_empty());
-        assert!(fleet.bus_mut().read(RackId::new(0)).is_none());
+        for mut fleet in [
+            SoaBackend::new(Vec::new()),
+            SoaBackend::sharded(Vec::new(), 4),
+            SoaBackend::event(Vec::new()),
+            SoaBackend::event_sharded(Vec::new(), 4),
+        ] {
+            fleet.step_schedule(Seconds::new(1.0), &[true; 3], &|_, _| Watts::ZERO);
+            assert!(fleet.readings().is_empty());
+            assert!(AgentBus::racks(&fleet).is_empty());
+            assert!(fleet.bus_mut().read(RackId::new(0)).is_none());
+            assert_eq!(fleet.substeps_executed(), 0);
+        }
+    }
+
+    #[test]
+    fn empty_batch_is_a_no_op() {
+        for mut fleet in [
+            SoaBackend::sharded(agents(2), 2),
+            SoaBackend::event(agents(2)),
+        ] {
+            let before = FleetBackend::readings(&fleet);
+            fleet.step_schedule(Seconds::new(1.0), &[], &|_, _| Watts::ZERO);
+            assert_eq!(FleetBackend::readings(&fleet), before);
+            assert_eq!(fleet.substeps_executed(), 0);
+        }
+    }
+
+    #[test]
+    fn reads_are_available_before_first_step() {
+        let fleet = SoaBackend::event_sharded(agents(3), 2);
+        assert_eq!(AgentBus::racks(&fleet).len(), 3);
+        let reading = AgentBus::read(&fleet, RackId::new(0)).expect("built from the agent");
+        assert!(reading.input_power_present);
+        drop(fleet); // Drop joins the workers cleanly.
+    }
+
+    #[test]
+    fn unknown_rack_reads_none_and_commands_are_ignored() {
+        let mut fleet = SoaBackend::event_sharded(agents(2), 2);
+        assert!(AgentBus::read(&fleet, RackId::new(9)).is_none());
+        fleet.cap_servers(RackId::new(9), Watts::ZERO);
+        fleet.step_schedule(Seconds::new(1.0), &[true], &|_, _| {
+            Watts::from_kilowatts(6.0)
+        });
+        assert_eq!(FleetBackend::readings(&fleet).len(), 2);
     }
 
     #[test]

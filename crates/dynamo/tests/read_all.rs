@@ -3,8 +3,7 @@
 
 use recharge_battery::ChargePolicy;
 use recharge_dynamo::{
-    AgentBus, EventDrivenBackend, EventShardedBackend, FleetBackend, InMemoryBus, PowerReading,
-    RackAgent, SimRackAgent, SoaBackend,
+    AgentBus, FleetBackend, InMemoryBus, PowerReading, RackAgent, SimRackAgent, SoaBackend,
 };
 use recharge_units::{Priority, RackId, Seconds, Watts};
 
@@ -81,34 +80,39 @@ fn heterogeneous_soa_reads_in_fleet_order() {
     assert_eq!(readings.iter().map(|r| r.rack).collect::<Vec<_>>(), racks);
 }
 
-/// Runs an event backend until every rack sleeps, then wakes one with a
+/// Runs an event-mode engine until every rack sleeps, then wakes one with a
 /// command, checking the contract at each stage.
-fn check_event_backend<B: FleetBackend + AgentBus>(backend: &mut B, executed: impl Fn(&B) -> u64) {
+fn check_event_backend(backend: &mut SoaBackend) {
     let quiet = [&[false][..], &[true; 2_000][..]].concat();
     backend.step_schedule(Seconds::new(30.0), &quiet, &load);
-    let before = executed(backend);
+    let before = backend.substeps_executed();
     backend.step_schedule(Seconds::new(30.0), &[true; 5], &load);
-    assert_eq!(executed(backend), before, "every rack should be asleep");
+    assert_eq!(
+        backend.substeps_executed(),
+        before,
+        "every rack should be asleep"
+    );
     assert_contract(backend);
 
     // Rack 4 wakes; the rest keep sleeping.
     backend.set_charge_postponed(RackId::new(4), true);
     backend.step_schedule(Seconds::new(30.0), &[true; 3], &load);
-    assert!(executed(backend) > before, "the command must wake its rack");
+    assert!(
+        backend.substeps_executed() > before,
+        "the command must wake its rack"
+    );
     let readings = assert_contract(backend);
     assert_eq!(readings, FleetBackend::readings(backend));
 }
 
 #[test]
 fn event_backend_reads_sleeping_racks() {
-    let mut backend = EventDrivenBackend::new(fleet(9));
-    check_event_backend(&mut backend, EventDrivenBackend::substeps_executed);
+    check_event_backend(&mut SoaBackend::event(fleet(9)));
 }
 
 #[test]
 fn sharded_event_backend_reads_sleeping_racks() {
     for shards in [1, 2, 4] {
-        let mut backend = EventShardedBackend::new(fleet(9), shards);
-        check_event_backend(&mut backend, EventShardedBackend::substeps_executed);
+        check_event_backend(&mut SoaBackend::event_sharded(fleet(9), shards));
     }
 }

@@ -19,7 +19,7 @@ use std::io;
 use std::sync::Arc;
 use std::time::Duration;
 
-use recharge_dynamo::{AgentBus, FleetBackend, PowerReading, RackAgent, SimRackAgent};
+use recharge_dynamo::{step_agents, AgentBus, FleetBackend, PowerReading, SimRackAgent};
 use recharge_units::{RackId, Seconds, Watts};
 
 use crate::client::{RetryPolicy, RpcBus, RpcBusConfig};
@@ -307,17 +307,10 @@ impl FleetBackend for RpcFleetBackend {
         input_power: &[bool],
         load_of: &dyn Fn(RackId, usize) -> Watts,
     ) {
-        // Identical per-agent order to SerialBackend: sub-step outer, rack
-        // inner — the bit-identical guarantee depends on it.
-        self.host.with_agents(|agents| {
-            for (i, &power) in input_power.iter().enumerate() {
-                for agent in agents.iter_mut() {
-                    agent.set_offered_load(load_of(agent.rack(), i));
-                    agent.set_input_power(power);
-                    agent.step(dt);
-                }
-            }
-        });
+        // The serial step loop, so the per-agent order is SerialBackend's —
+        // the bit-identical guarantee depends on it.
+        self.host
+            .with_agents(|agents| step_agents(agents, dt, input_power, load_of));
         // Advance the shared tick clock (partition windows) and sweep leases
         // *after* physics, *before* the controller's next look — the same
         // boundary where command effects become observable.

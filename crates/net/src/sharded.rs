@@ -44,8 +44,8 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use recharge_dynamo::{
-    AgentBus, Controller, ControllerConfig, FleetBackend, HostedControlReport, PowerReading,
-    RackAgent, SimRackAgent, Strategy,
+    step_agents, AgentBus, Controller, ControllerConfig, FleetBackend, HostedControlReport,
+    PowerReading, RackAgent, SimRackAgent, Strategy,
 };
 use recharge_units::{Amperes, DeviceId, RackId, Seconds, SimTime, Watts};
 
@@ -519,19 +519,11 @@ impl FleetBackend for ShardedRpcFleetBackend {
         // observable. This is the bit-identity linchpin.
         self.bus.flush_commands();
 
-        // Physics: shard outer, sub-step inner. Agents are independent
-        // across shards, and within a shard the per-agent operation sequence
-        // matches SerialBackend exactly.
+        // Physics: shard outer, the serial step loop inner. Agents are
+        // independent across shards, and within a shard the per-agent
+        // operation sequence matches SerialBackend exactly.
         for host in &self.hosts {
-            host.with_agents(|agents| {
-                for (i, &power) in input_power.iter().enumerate() {
-                    for agent in agents.iter_mut() {
-                        agent.set_offered_load(load_of(agent.rack(), i));
-                        agent.set_input_power(power);
-                        agent.step(dt);
-                    }
-                }
-            });
+            host.with_agents(|agents| step_agents(agents, dt, input_power, load_of));
         }
 
         // One clock shared by all shards: advance once, then sweep each

@@ -159,34 +159,6 @@ impl Scenario {
         self
     }
 
-    /// Runs rack agents on `n` worker threads (a [`ThreadedFleet`] backend)
-    /// instead of stepping them in-process, submitting one channel round-trip
-    /// per tick. Agent physics and controller decisions are identical either
-    /// way — sharding only changes who steps the agents — so metrics match
-    /// the in-memory backend exactly.
-    ///
-    /// `n` is clamped to `[1, rack_count]` when the fleet is built: zero
-    /// shards and more shards than racks both degenerate (an idle coordinator
-    /// or empty workers), so neither is ever spawned.
-    ///
-    /// [`ThreadedFleet`]: recharge_dynamo::ThreadedFleet
-    #[must_use]
-    pub fn shards(mut self, n: usize) -> Self {
-        self.backend = FleetBackendKind::Sharded { shards: n };
-        self
-    }
-
-    /// Like [`shards`](Self::shards), but every schedule of sub-steps between
-    /// controller interventions travels as a single batched round-trip per
-    /// shard. Bit-identical to the per-tick submission; pair with
-    /// [`control_every`](Self::control_every) to make batches longer than one
-    /// sub-step.
-    #[must_use]
-    pub fn shards_batched(mut self, n: usize) -> Self {
-        self.backend = FleetBackendKind::ShardedBatched { shards: n };
-        self
-    }
-
     /// Runs the fleet on the struct-of-arrays physics kernel
     /// ([`SoaBackend`]): one contiguous array pass per sub-step instead of
     /// per-rack object dispatch. Bit-identical to the object backends; the
@@ -200,19 +172,21 @@ impl Scenario {
     }
 
     /// Like [`soa`](Self::soa), but the arrays are split into `n` contiguous
-    /// shards stepped on scoped threads, one fan-out per schedule.
+    /// shards, each stepped on its own persistent worker thread, one
+    /// round-trip per schedule. `n` is clamped to `[1, rack_count]` when the
+    /// fleet is built. Metrics match the in-memory backend exactly.
     #[must_use]
     pub fn soa_sharded(mut self, n: usize) -> Self {
         self.backend = FleetBackendKind::SoaSharded { shards: n };
         self
     }
 
-    /// Runs the fleet on the event-driven backend
-    /// ([`EventDrivenBackend`]): quiescent racks fast-forward between
-    /// events instead of stepping every tick. Bit-identical to the dense
-    /// backends; the cheap choice for long, mostly-idle horizons.
+    /// Runs the fleet on the SoA engine in event mode
+    /// ([`SoaBackend::event`]): quiescent racks fast-forward between events
+    /// instead of stepping every tick. Bit-identical to the dense backends;
+    /// the cheap choice for long, mostly-idle horizons.
     ///
-    /// [`EventDrivenBackend`]: recharge_dynamo::EventDrivenBackend
+    /// [`SoaBackend::event`]: recharge_dynamo::SoaBackend::event
     #[must_use]
     pub fn event_driven(mut self) -> Self {
         self.backend = FleetBackendKind::Event;
@@ -220,12 +194,11 @@ impl Scenario {
     }
 
     /// Like [`event_driven`](Self::event_driven), but the shards step on `n`
-    /// persistent worker threads behind a merged wake queue
-    /// ([`EventShardedBackend`]). Bit-identical to every other backend; the
-    /// choice when the horizon is mostly idle *and* the fleet is
-    /// campus-scale.
+    /// persistent worker threads ([`SoaBackend::event_sharded`]).
+    /// Bit-identical to every other backend; the choice when the horizon is
+    /// mostly idle *and* the fleet is campus-scale.
     ///
-    /// [`EventShardedBackend`]: recharge_dynamo::EventShardedBackend
+    /// [`SoaBackend::event_sharded`]: recharge_dynamo::SoaBackend::event_sharded
     #[must_use]
     pub fn event_sharded(mut self, n: usize) -> Self {
         self.backend = FleetBackendKind::EventSharded { shards: n };

@@ -34,7 +34,7 @@ struct ChargeTrack {
 /// What the simulation's own event queue carries. The control-tick cadence
 /// is a scheduled event rather than a hardcoded loop so that, like the
 /// fleet backends, the run's timeline flows through one deterministic
-/// next-event scheduler (DESIGN.md §16). Each tick reschedules the next;
+/// next-event scheduler (DESIGN.md §11). Each tick reschedules the next;
 /// the per-sub-step times still come from the same repeated-addition
 /// recurrence, so the float sequence is unchanged.
 enum SimEvent {
@@ -522,12 +522,12 @@ mod tests {
 
     #[test]
     fn sharded_backend_matches_in_memory() {
-        // `shards(n)` only moves agent stepping onto worker threads; the
+        // `soa_sharded(n)` only moves stepping onto worker threads; the
         // physics, controller decisions, and bookkeeping must be identical.
         let base = small(Strategy::PriorityAware, 190.0);
         let serial = base.clone().build().run();
         for shards in [1, 3] {
-            let sharded = base.clone().shards(shards).build().run();
+            let sharded = base.clone().soa_sharded(shards).build().run();
             assert_eq!(sharded, serial, "diverged with {shards} shards");
         }
     }
@@ -548,13 +548,13 @@ mod tests {
 
     #[test]
     fn degenerate_shard_counts_clamp_to_the_fleet() {
-        // `shards(0)` and `shards(99)` (more shards than the 7 racks) must
-        // clamp to [1, rack_count] at build and run identically to serial —
-        // no panic, no idle-worker divergence.
+        // `soa_sharded(0)` and `soa_sharded(99)` (more shards than the 7
+        // racks) must clamp to [1, rack_count] at build and run identically
+        // to serial — no panic, no idle-worker divergence.
         let base = small(Strategy::PriorityAware, 190.0);
         let serial = base.clone().build().run();
         for shards in [0, 99] {
-            let clamped = base.clone().shards(shards).build().run();
+            let clamped = base.clone().soa_sharded(shards).build().run();
             assert_eq!(clamped, serial, "diverged with {shards} requested shards");
         }
     }

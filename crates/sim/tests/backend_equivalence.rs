@@ -1,10 +1,8 @@
 //! Every fleet backend must produce bit-identical [`RunMetrics`].
 //!
-//! The matrix covers {serial, sharded per-tick, sharded batched,
-//! struct-of-arrays serial, struct-of-arrays sharded, event-driven,
-//! event-sharded, RPC mesh
-//! over loopback TCP, sharded RPC mesh at 1/2/4 shards} × {telemetry off,
-//! telemetry on} ×
+//! The matrix covers {serial, struct-of-arrays serial, struct-of-arrays
+//! sharded, event-driven, event-sharded, RPC mesh over loopback TCP, sharded
+//! RPC mesh at 1/2/4 shards} × {telemetry off, telemetry on} ×
 //! {controller every tick, controller every 5 ticks}, plus a flight-recorder
 //! on/off leg: the recorder journals every decision but must never feed back
 //! into the result.
@@ -73,8 +71,6 @@ fn run_metrics_are_bit_identical_across_backends() {
     let shards = test_shards();
     let backends = [
         FleetBackendKind::Serial,
-        FleetBackendKind::Sharded { shards },
-        FleetBackendKind::ShardedBatched { shards },
         FleetBackendKind::Soa,
         FleetBackendKind::SoaSharded { shards },
         FleetBackendKind::Event,
@@ -140,8 +136,8 @@ fn run_metrics_are_bit_identical_across_backends() {
     recharge_telemetry::set_recorder_enabled(false);
     for backend in [
         FleetBackendKind::Serial,
-        FleetBackendKind::ShardedBatched { shards },
         FleetBackendKind::Soa,
+        FleetBackendKind::SoaSharded { shards },
         FleetBackendKind::Event,
         FleetBackendKind::EventSharded { shards },
     ] {

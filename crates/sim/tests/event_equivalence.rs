@@ -13,9 +13,7 @@
 
 use proptest::prelude::*;
 
-use recharge_dynamo::{
-    EventDrivenBackend, EventShardedBackend, FleetBackend, SerialBackend, SimRackAgent,
-};
+use recharge_dynamo::{FleetBackend, SerialBackend, SimRackAgent, SoaBackend};
 use recharge_sim::{DischargeLevel, Scenario};
 use recharge_units::{Amperes, Priority, RackId, Seconds, Watts};
 
@@ -23,7 +21,7 @@ const FLEET: u32 = 6;
 
 /// Shard counts the sharded event backend is exercised at: `[1, 2, 4]` by
 /// default, or a single pinned count from `RECHARGE_TEST_SHARDS` (the CI
-/// `event-sharded-smoke` job pins 4).
+/// `engine-sharded` matrix pins 1 and 4).
 fn shard_counts() -> Vec<usize> {
     match std::env::var("RECHARGE_TEST_SHARDS")
         .ok()
@@ -80,8 +78,8 @@ proptest! {
         let counts = shard_counts();
         let shards = counts[shard_sel % counts.len()];
         let mut reference = SerialBackend::new(agents());
-        let mut event = EventDrivenBackend::new(agents());
-        let mut sharded = EventShardedBackend::new(agents(), shards);
+        let mut event = SoaBackend::event(agents());
+        let mut sharded = SoaBackend::event_sharded(agents(), shards);
         for (round, (op, rack, magnitude, schedule, base_kw)) in
             rounds.iter().enumerate()
         {

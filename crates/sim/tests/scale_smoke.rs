@@ -3,7 +3,7 @@
 //! practical to run routinely.
 //!
 //! The small matrix below runs on every `cargo test`; the 10k-rack case is
-//! `#[ignore]`d and executed by the `scale-smoke` CI job with
+//! `#[ignore]`d and executed by the `engine-sharded` CI job with
 //! `--release -- --ignored`.
 
 use recharge_sim::{DischargeLevel, RunMetrics, Scenario};
@@ -38,7 +38,7 @@ fn soa_backends_match_serial_at_row_scale() {
 }
 
 #[test]
-#[ignore = "campus-scale; run by the scale-smoke CI job with --release -- --ignored"]
+#[ignore = "campus-scale; run by the engine-sharded CI job with --release -- --ignored"]
 fn soa_backends_match_serial_at_campus_scale() {
     let reference: RunMetrics = campus_scenario().build().run();
     let soa = campus_scenario().soa().build().run();

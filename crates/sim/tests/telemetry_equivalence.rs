@@ -23,7 +23,7 @@ fn run_metrics_are_bit_identical_with_telemetry_on_or_off() {
     // Baseline: telemetry off.
     recharge_telemetry::set_enabled(false);
     let off_serial = scenario().build().run();
-    let off_sharded = scenario().shards(2).build().run();
+    let off_sharded = scenario().soa_sharded(2).build().run();
 
     // Instrumented: telemetry on. Spans only read clocks, so every metric —
     // series samples, SLA outcomes, float power maxima — must match exactly.
@@ -31,7 +31,7 @@ fn run_metrics_are_bit_identical_with_telemetry_on_or_off() {
     recharge_telemetry::reset_metrics();
     let _ = recharge_telemetry::take_records();
     let on_serial = scenario().build().run();
-    let on_sharded = scenario().shards(2).build().run();
+    let on_sharded = scenario().soa_sharded(2).build().run();
     let records = recharge_telemetry::take_records();
     let snapshot = recharge_telemetry::snapshot();
     recharge_telemetry::set_enabled(false);
@@ -51,9 +51,9 @@ fn run_metrics_are_bit_identical_with_telemetry_on_or_off() {
         "controller.tick",
         "controller.gather",
         "controller.assign",
-        "fleet.step_all",
+        "fleet.step",
+        "fleet.barrier_wait",
         "shard.step",
-        "shard.cache_refresh",
     ] {
         assert!(
             span_names.contains(expected),

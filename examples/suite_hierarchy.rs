@@ -1,13 +1,13 @@
 //! Suite-scale hierarchy: leaf controllers per RPP and upper monitors per
-//! SB/MSB, driving a threaded agent fleet — the deployed two-level shape of
-//! §IV-C, with a constraint injected at SB level where only an upper monitor
-//! can see it.
+//! SB/MSB, driving the struct-of-arrays fleet engine — the deployed two-level
+//! shape of §IV-C, with a constraint injected at SB level where only an upper
+//! monitor can see it.
 //!
 //! ```text
 //! cargo run --release --example suite_hierarchy
 //! ```
 
-use recharge::dynamo::{AgentBus, HierarchicalControl, SimRackAgent, Strategy, ThreadedFleet};
+use recharge::dynamo::{FleetBackend, HierarchicalControl, SimRackAgent, SoaBackend, Strategy};
 use recharge::power::facebook;
 use recharge::prelude::*;
 
@@ -24,8 +24,8 @@ fn main() {
         })
         .collect();
 
-    // Agents live on four worker threads behind a telemetry snapshot.
-    let mut fleet = ThreadedFleet::spawn(agents, 4);
+    // Agents live in the engine's contiguous per-rack arrays.
+    let mut fleet = SoaBackend::new(agents);
     let mut control = HierarchicalControl::from_topology(&plan.topology, Strategy::PriorityAware);
     println!(
         "control tree: {} leaf controllers (RPPs), {} upper monitors (SBs + MSB)",
@@ -33,32 +33,25 @@ fn main() {
         control.upper_count()
     );
 
+    let load = |_: RackId, _: usize| Watts::from_kilowatts(6.2);
     // A 90-second open transition over the whole MSB.
-    fleet.step_all(Seconds::new(90.0), |_| Watts::from_kilowatts(6.2), false);
-    fleet.step_all(Seconds::new(1.0), |_| Watts::from_kilowatts(6.2), true);
+    fleet.step_schedule(Seconds::new(90.0), &[false], &load);
+    fleet.step_schedule(Seconds::new(1.0), &[true], &load);
 
     let mut total_capped = Watts::ZERO;
     for s in 0..3_600u32 {
         total_capped += control.tick(SimTime::from_secs(f64::from(s)), &mut fleet);
-        fleet.step_all(Seconds::new(1.0), |_| Watts::from_kilowatts(6.2), true);
+        fleet.step_schedule(Seconds::new(1.0), &[true], &load);
+        let readings = fleet.readings();
         if s % 600 == 0 {
-            let recharge: Watts = fleet
-                .racks()
-                .iter()
-                .filter_map(|&r| fleet.read(r))
-                .map(|reading| reading.recharge_power)
-                .sum();
+            let recharge: Watts = readings.iter().map(|r| r.recharge_power).sum();
             println!(
                 "t+{:>2} min  fleet recharge power {:>7.1} kW",
                 s / 60,
                 recharge.as_kilowatts()
             );
         }
-        let all_done = fleet
-            .racks()
-            .iter()
-            .filter_map(|&r| fleet.read(r))
-            .all(|reading| !reading.is_charging());
+        let all_done = readings.iter().all(|reading| !reading.is_charging());
         if all_done && s > 10 {
             println!(
                 "all batteries recharged after {:.0} min",
@@ -80,5 +73,4 @@ fn main() {
         "racks still under coordination at exit: {}",
         commanded.len()
     );
-    let _agents = fleet.into_agents(); // clean worker shutdown
 }

@@ -28,8 +28,9 @@ fn main() {
         }
     };
 
-    // A small but fully featured run: sharded backend (so shard.step and
-    // shard.cache_refresh spans appear) under the priority-aware controller.
+    // A small but fully featured run: the event engine on two shard workers
+    // (so the workers' shard.step spans appear) under the priority-aware
+    // controller.
     // FleetSimulation::run sees RECHARGE_TRACE, enables telemetry, and writes
     // the Chrome trace on completion.
     let metrics = Scenario::row(3, 2, 2, 7)
@@ -38,7 +39,7 @@ fn main() {
         .discharge(DischargeLevel::Low)
         .tick(Seconds::new(1.0))
         .max_horizon(Seconds::from_hours(2.5))
-        .shards(2)
+        .event_sharded(2)
         .build()
         .run();
 

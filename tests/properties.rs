@@ -320,10 +320,10 @@ proptest! {
     fn backend_kind_survives_string_round_trip(kind_pick in 0u8..5, shards in 0usize..100) {
         let kind = match kind_pick {
             0 => FleetBackendKind::Serial,
-            1 => FleetBackendKind::Sharded { shards },
-            2 => FleetBackendKind::ShardedBatched { shards },
-            3 => FleetBackendKind::Soa,
-            _ => FleetBackendKind::SoaSharded { shards },
+            1 => FleetBackendKind::Soa,
+            2 => FleetBackendKind::SoaSharded { shards },
+            3 => FleetBackendKind::Event,
+            _ => FleetBackendKind::EventSharded { shards },
         };
         let text = kind.to_string();
         prop_assert_eq!(text.parse::<FleetBackendKind>(), Ok(kind), "via {:?}", text);
