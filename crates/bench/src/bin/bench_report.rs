@@ -377,140 +377,41 @@ impl ObsProbe {
     }
 }
 
-/// The mesh probe: the same scenario over the in-process serial backend and
-/// over the RPC mesh on loopback TCP, clean link and chaos profile.
+/// The mesh probe: one scenario with `control_every(5)` over the serial
+/// backend, over the mesh at 1, 2 and 4 shards on a clean loopback link, and
+/// over the default (1-shard) mesh under the chaos profile.
 ///
-/// Gates on the clean-link run being bit-identical to serial — the mesh's
-/// headline guarantee — and on the chaos run (10 % drops, tail delays, one
-/// 60-tick partition) keeping the breaker closed. The per-tick overhead and
-/// retry counts are informational.
-struct NetProbe {
-    serial_secs: f64,
-    rpc_secs: f64,
-    chaos_secs: f64,
-    ticks: u64,
-    rpc_calls: u64,
-    chaos_retries: u64,
-    identical: bool,
-    chaos_ok: bool,
-}
-
-fn net_probe() -> NetProbe {
-    use recharge_net::{FaultPlan, Partition, RpcMeshConfig};
-
-    let base = || {
-        Scenario::row(3, 2, 2, 7)
-            .power_limit(Watts::from_kilowatts(190.0))
-            .strategy(Strategy::PriorityAware)
-            .discharge(DischargeLevel::Low)
-            .tick(Seconds::new(1.0))
-            .max_horizon(Seconds::from_hours(2.5))
-    };
-
-    // Counters gate on the global enable flag; keep it on for all three runs
-    // so serial and mesh pay the same (sub-2 %) instrumentation cost.
-    recharge_telemetry::set_enabled(true);
-    let ticks_counter = recharge_telemetry::counter("sim.ticks");
-    let calls = recharge_telemetry::counter("net.rpc_calls");
-    let retries = recharge_telemetry::counter("net.rpc_retries");
-
-    let ticks_before = ticks_counter.value();
-    let (serial, serial_secs) = time(|| base().build().run());
-    let ticks = ticks_counter.value() - ticks_before;
-
-    let calls_before = calls.value();
-    let (rpc, rpc_secs) = time(|| base().rpc(RpcMeshConfig::default()).build().run());
-    let rpc_calls = calls.value() - calls_before;
-
-    let retries_before = retries.value();
-    let chaos_plan = FaultPlan::chaos(0x000C_4A05, 0.10, vec![Partition::all(600, 660)]);
-    let (chaos, chaos_secs) = time(|| {
-        base()
-            .rpc(RpcMeshConfig::with_fault(chaos_plan))
-            .build()
-            .run()
-    });
-    let chaos_retries = retries.value() - retries_before;
-    recharge_telemetry::set_enabled(false);
-
-    NetProbe {
-        serial_secs,
-        rpc_secs,
-        chaos_secs,
-        ticks,
-        rpc_calls,
-        chaos_retries,
-        identical: rpc == serial,
-        chaos_ok: !chaos.breaker_tripped,
-    }
-}
-
-impl NetProbe {
-    fn emit(&self, out_dir: &Path, cores: usize) -> std::io::Result<()> {
-        let ticks = self.ticks.max(1) as f64;
-        let overhead_us = (self.rpc_secs - self.serial_secs) * 1e6 / ticks;
-        let mut json = String::new();
-        let _ = writeln!(json, "{{");
-        let _ = writeln!(json, "  \"benchmark\": \"net\",");
-        let _ = writeln!(json, "  \"serial_secs\": {:.6},", self.serial_secs);
-        let _ = writeln!(json, "  \"rpc_secs\": {:.6},", self.rpc_secs);
-        let _ = writeln!(json, "  \"chaos_secs\": {:.6},", self.chaos_secs);
-        let _ = writeln!(json, "  \"ticks\": {},", self.ticks);
-        let _ = writeln!(json, "  \"rpc_overhead_us_per_tick\": {overhead_us:.3},");
-        let _ = writeln!(json, "  \"rpc_calls\": {},", self.rpc_calls);
-        let _ = writeln!(json, "  \"chaos_retries\": {},", self.chaos_retries);
-        let _ = writeln!(json, "  \"identical\": {},", self.identical);
-        let _ = writeln!(json, "  \"chaos_breaker_held\": {},", self.chaos_ok);
-        let _ = writeln!(json, "  \"cores\": {cores}");
-        let _ = writeln!(json, "}}");
-        let path = out_dir.join("BENCH_net.json");
-        std::fs::write(&path, json)?;
-        println!(
-            "net: serial {:.3}s, rpc {:.3}s ({overhead_us:.1} µs/tick over {} calls), \
-             chaos {:.3}s ({} retries), identical: {}, chaos breaker held: {}",
-            self.serial_secs,
-            self.rpc_secs,
-            self.rpc_calls,
-            self.chaos_secs,
-            self.chaos_retries,
-            self.identical,
-            self.chaos_ok
-        );
-        Ok(())
-    }
-}
-
-/// The sharded-mesh probe: the same scenario over serial, the single-server
-/// mesh, and the sharded mesh at 1/2/4 shards, all with `control_every(5)`.
-///
-/// Gates on every mesh run being bit-identical to serial and on the batched
-/// wire ops actually collapsing traffic: at most 3 RPCs per shard per
-/// control tick (the implementation spends 2 — one `ReadAllReadings`, one
-/// `ApplyCommandBatch`). The fan-out timing comparison is informational: on
-/// a single-core host the concurrent shard threads measure coordination
-/// overhead, not latency hiding.
-struct ShardedNetRow {
+/// Gates: every clean-link row is bit-identical to serial (`identical`); the
+/// batched wire ops keep traffic at most 3 RPCs per shard per control tick
+/// (`rpc_economy_ok`; the implementation spends one `ReadAllReadings` plus
+/// one `ApplyCommandBatch` when commands are pending); and the chaos run
+/// (10 % drops, tail delays, one 60-tick partition) keeps the breaker closed
+/// (`chaos_breaker_held`). Timings and the fan-out comparison are
+/// informational: on a single-core host the concurrent shard threads
+/// measure coordination overhead, not latency hiding.
+struct NetRow {
     shards: usize,
     secs: f64,
     rpc_calls: u64,
     identical: bool,
 }
 
-struct ShardedNetProbe {
+struct NetProbe {
     serial_secs: f64,
-    single_secs: f64,
-    single_calls: u64,
     control_ticks: u64,
     control_every: usize,
-    rows: Vec<ShardedNetRow>,
+    rows: Vec<NetRow>,
+    chaos_secs: f64,
+    chaos_retries: u64,
     identical: bool,
     rpc_economy_ok: bool,
+    chaos_ok: bool,
 }
 
-const SHARDED_NET_RPC_GATE: f64 = 3.0;
+const NET_RPC_GATE: f64 = 3.0;
 
-fn sharded_net_probe() -> ShardedNetProbe {
-    use recharge_net::RpcMeshConfig;
+fn net_probe() -> NetProbe {
+    use recharge_net::{FaultPlan, Partition, RpcMeshConfig};
 
     let control_every = 5;
     let base = || {
@@ -523,66 +424,84 @@ fn sharded_net_probe() -> ShardedNetProbe {
             .control_every(control_every)
     };
 
+    // Counters gate on the global enable flag; keep it on for every run so
+    // serial and mesh pay the same (sub-2 %) instrumentation cost.
     recharge_telemetry::set_enabled(true);
     let ticks_counter = recharge_telemetry::counter("sim.ticks");
     let calls = recharge_telemetry::counter("net.rpc_calls");
+    let retries = recharge_telemetry::counter("net.rpc_retries");
 
     let ticks_before = ticks_counter.value();
     let (serial, serial_secs) = time(|| base().build().run());
     let control_ticks = (ticks_counter.value() - ticks_before) / control_every as u64;
 
-    let calls_before = calls.value();
-    let (single, single_secs) = time(|| base().rpc(RpcMeshConfig::default()).build().run());
-    let single_calls = calls.value() - calls_before;
-
     let mut rows = Vec::new();
     for shards in [1usize, 2, 4] {
         let calls_before = calls.value();
         let (metrics, secs) = time(|| base().rpc(RpcMeshConfig::shard_count(shards)).build().run());
-        rows.push(ShardedNetRow {
+        rows.push(NetRow {
             shards,
             secs,
             rpc_calls: calls.value() - calls_before,
             identical: metrics == serial,
         });
     }
+
+    let retries_before = retries.value();
+    let chaos_plan = FaultPlan::chaos(0x000C_4A05, 0.10, vec![Partition::all(600, 660)]);
+    let (chaos, chaos_secs) = time(|| {
+        base()
+            .rpc(RpcMeshConfig::with_fault(chaos_plan))
+            .build()
+            .run()
+    });
+    let chaos_retries = retries.value() - retries_before;
     recharge_telemetry::set_enabled(false);
 
-    let identical = single == serial && rows.iter().all(|r| r.identical);
+    let identical = rows.iter().all(|r| r.identical);
     let rpc_economy_ok = rows.iter().all(|r| {
-        r.rpc_calls as f64 <= SHARDED_NET_RPC_GATE * (r.shards as u64 * control_ticks.max(1)) as f64
+        r.rpc_calls as f64 <= NET_RPC_GATE * (r.shards as u64 * control_ticks.max(1)) as f64
     });
-    ShardedNetProbe {
+    NetProbe {
         serial_secs,
-        single_secs,
-        single_calls,
         control_ticks,
         control_every,
         rows,
+        chaos_secs,
+        chaos_retries,
         identical,
         rpc_economy_ok,
+        chaos_ok: !chaos.breaker_tripped,
     }
 }
 
-impl ShardedNetProbe {
+impl NetProbe {
+    fn ok(&self) -> bool {
+        self.identical && self.rpc_economy_ok && self.chaos_ok
+    }
+
+    fn rpcs_per_shard_per_control_tick(&self, row: &NetRow) -> f64 {
+        row.rpc_calls as f64 / (row.shards as f64 * self.control_ticks.max(1) as f64)
+    }
+
+    fn secs_at(&self, shards: usize) -> f64 {
+        self.rows
+            .iter()
+            .find(|r| r.shards == shards)
+            .map_or(f64::NAN, |r| r.secs)
+    }
+
     fn emit(&self, out_dir: &Path, cores: usize) -> std::io::Result<()> {
         let control_ticks = self.control_ticks.max(1) as f64;
-        let four_shard_secs = self
-            .rows
-            .iter()
-            .find(|r| r.shards == 4)
-            .map_or(self.single_secs, |r| r.secs);
         let mut json = String::new();
         let _ = writeln!(json, "{{");
-        let _ = writeln!(json, "  \"benchmark\": \"net_sharded\",");
+        let _ = writeln!(json, "  \"benchmark\": \"net\",");
         let _ = writeln!(json, "  \"serial_secs\": {:.6},", self.serial_secs);
-        let _ = writeln!(json, "  \"single_rpc_secs\": {:.6},", self.single_secs);
-        let _ = writeln!(json, "  \"single_rpc_calls\": {},", self.single_calls);
         let _ = writeln!(json, "  \"control_ticks\": {},", self.control_ticks);
         let _ = writeln!(json, "  \"control_every\": {},", self.control_every);
         let _ = writeln!(json, "  \"shards\": [");
         for (i, row) in self.rows.iter().enumerate() {
-            let per_shard_tick = row.rpc_calls as f64 / (row.shards as f64 * control_ticks);
+            let per_shard_tick = self.rpcs_per_shard_per_control_tick(row);
             let overhead_us = (row.secs - self.serial_secs) * 1e6 / control_ticks;
             let comma = if i + 1 == self.rows.len() { "" } else { "," };
             let _ = writeln!(
@@ -597,27 +516,31 @@ impl ShardedNetProbe {
         let _ = writeln!(json, "  ],");
         let _ = writeln!(
             json,
-            "  \"rpc_gate_per_shard_per_control_tick\": {SHARDED_NET_RPC_GATE},"
+            "  \"rpc_gate_per_shard_per_control_tick\": {NET_RPC_GATE},"
         );
         let _ = writeln!(json, "  \"rpc_economy_ok\": {},", self.rpc_economy_ok);
         let _ = writeln!(
             json,
             "  \"fanout_no_worse_than_single\": {},",
-            four_shard_secs <= self.single_secs
+            self.secs_at(4) <= self.secs_at(1)
         );
         let _ = writeln!(json, "  \"identical\": {},", self.identical);
+        let _ = writeln!(json, "  \"chaos_secs\": {:.6},", self.chaos_secs);
+        let _ = writeln!(json, "  \"chaos_retries\": {},", self.chaos_retries);
+        let _ = writeln!(json, "  \"chaos_breaker_held\": {},", self.chaos_ok);
         let _ = writeln!(json, "  \"cores\": {cores}");
         let _ = writeln!(json, "}}");
-        let path = out_dir.join("BENCH_net_sharded.json");
+        let path = out_dir.join("BENCH_net.json");
         std::fs::write(&path, json)?;
         println!(
-            "net_sharded: serial {:.3}s, single-rpc {:.3}s ({} calls); identical: {}, \
-             rpc economy ok: {}",
+            "net: serial {:.3}s; identical: {}, rpc economy ok: {}; chaos {:.3}s \
+             ({} retries), breaker held: {}",
             self.serial_secs,
-            self.single_secs,
-            self.single_calls,
             self.identical,
-            self.rpc_economy_ok
+            self.rpc_economy_ok,
+            self.chaos_secs,
+            self.chaos_retries,
+            self.chaos_ok
         );
         for row in &self.rows {
             println!(
@@ -625,7 +548,7 @@ impl ShardedNetProbe {
                 row.shards,
                 row.secs,
                 row.rpc_calls,
-                row.rpc_calls as f64 / (row.shards as f64 * control_ticks)
+                self.rpcs_per_shard_per_control_tick(row)
             );
         }
         Ok(())
@@ -1314,32 +1237,15 @@ fn main() -> ExitCode {
         eprintln!("failed to write BENCH_net.json: {e}");
         ok = false;
     }
-    ok &= net.identical && net.chaos_ok;
+    ok &= net.ok();
     summary.push(
         "net",
-        net.identical && net.chaos_ok,
-        format!(
-            "\"rpc_overhead_us_per_tick\": {:.3}",
-            (net.rpc_secs - net.serial_secs) * 1e6 / net.ticks.max(1) as f64
-        ),
-    );
-
-    let sharded_net = sharded_net_probe();
-    if let Err(e) = sharded_net.emit(&out_dir, cores) {
-        eprintln!("failed to write BENCH_net_sharded.json: {e}");
-        ok = false;
-    }
-    ok &= sharded_net.identical && sharded_net.rpc_economy_ok;
-    summary.push(
-        "net_sharded",
-        sharded_net.identical && sharded_net.rpc_economy_ok,
+        net.ok(),
         format!(
             "\"max_rpcs_per_shard_per_control_tick\": {:.3}",
-            sharded_net
-                .rows
+            net.rows
                 .iter()
-                .map(|r| r.rpc_calls as f64
-                    / (r.shards as f64 * sharded_net.control_ticks.max(1) as f64))
+                .map(|r| net.rpcs_per_shard_per_control_tick(r))
                 .fold(0.0, f64::max)
         ),
     );

@@ -1,31 +1,23 @@
-//! Running a whole fleet behind the mesh: [`RpcFleetBackend`].
-//!
-//! The backend hosts the rack agents in an [`AgentHost`] served over a real
-//! socket (loopback TCP by default, Unix-domain on request) and gives the
-//! simulation loop an [`RpcBus`] as its controller-facing bus — every
-//! controller read and command crosses the wire, exactly as in production.
-//! Physics stepping stays local (the host *is* the rack; only coordination
-//! is remote), replicating [`SerialBackend`]'s per-agent order so a
-//! clean-link run is bit-identical to the in-memory backends.
+//! Running a whole fleet behind the mesh: [`RpcMeshConfig`] and
+//! [`spawn_mesh`].
 //!
 //! [`RpcMeshConfig`] is the scenario-carried selector, playing the same role
 //! [`FleetBackendKind`](recharge_dynamo::FleetBackendKind) plays for the
 //! in-process backends: a plain value describing transport, lease, deadlines,
-//! retry budget, and (optionally) a seeded [`FaultPlan`] for chaos runs.
-//!
-//! [`SerialBackend`]: recharge_dynamo::SerialBackend
+//! retry budget, shard plan, and (optionally) a seeded [`FaultPlan`] for
+//! chaos runs. [`spawn_mesh`] turns it into a [`ShardedRpcFleetBackend`] —
+//! one agent server by default, one per shard when the plan asks for more.
 
 use std::io;
-use std::sync::Arc;
 use std::time::Duration;
 
-use recharge_dynamo::{step_agents, AgentBus, FleetBackend, PowerReading, SimRackAgent};
-use recharge_units::{RackId, Seconds, Watts};
+use recharge_dynamo::{FleetBackend, SimRackAgent};
+use recharge_units::RackId;
 
-use crate::client::{RetryPolicy, RpcBus, RpcBusConfig};
+use crate::client::RetryPolicy;
 use crate::endpoint::Endpoint;
-use crate::fault::{FaultClock, FaultPlan};
-use crate::server::{AgentHost, AgentServer, DEFAULT_LEASE_TICKS};
+use crate::fault::FaultPlan;
+use crate::server::DEFAULT_LEASE_TICKS;
 use crate::sharded::{LeafControlSpec, ShardedRpcFleetBackend};
 use crate::wire::MAX_FRAME_LEN;
 
@@ -40,11 +32,8 @@ pub enum RpcTransport {
 }
 
 /// How the fleet is partitioned into agent servers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ShardPlan {
-    /// One server hosts the whole fleet (the original mesh).
-    #[default]
-    Single,
     /// `n` servers over contiguous fleet chunks of near-equal size.
     Count(usize),
     /// One server per RPP row: contiguous chunks of `racks_per_rpp` racks,
@@ -66,18 +55,16 @@ impl ShardPlan {
         if len == 0 {
             return vec![Vec::new()];
         }
-        let shards = match *self {
-            ShardPlan::Single => 1,
-            ShardPlan::Count(n) => n.clamp(1, len),
-            ShardPlan::ByRpp { racks_per_rpp } => len.div_ceil(racks_per_rpp.max(1)),
-        };
         match *self {
+            ShardPlan::Count(n) => {
+                let shards = n.clamp(1, len);
+                (0..shards)
+                    .map(|i| racks[i * len / shards..(i + 1) * len / shards].to_vec())
+                    .collect()
+            }
             ShardPlan::ByRpp { racks_per_rpp } => racks
                 .chunks(racks_per_rpp.max(1))
                 .map(<[RackId]>::to_vec)
-                .collect(),
-            _ => (0..shards)
-                .map(|i| racks[i * len / shards..(i + 1) * len / shards].to_vec())
                 .collect(),
         }
     }
@@ -100,7 +87,8 @@ pub struct RpcMeshConfig {
     pub fault: Option<FaultPlan>,
     /// Seed for client backoff jitter.
     pub seed: u64,
-    /// Fleet partitioning: one server, `n` servers, or one per RPP row.
+    /// Fleet partitioning: `n` servers or one per RPP row (default: one
+    /// server for the whole fleet).
     pub shards: ShardPlan,
     /// Frame cap both sides enforce (batched reading frames for very large
     /// fleets can need more than the 1 MiB default).
@@ -120,7 +108,7 @@ impl Default for RpcMeshConfig {
             retry: RetryPolicy::default(),
             fault: None,
             seed: 0x0b5e_55ed,
-            shards: ShardPlan::Single,
+            shards: ShardPlan::Count(1),
             max_frame_len: MAX_FRAME_LEN,
             leaf_control: false,
         }
@@ -165,8 +153,8 @@ impl RpcMeshConfig {
         }
     }
 
-    /// Attaches a fault plan to this config (sharded meshes project it per
-    /// shard via [`FaultPlan::for_shard`]).
+    /// Attaches a fault plan to this config (each shard's link gets its
+    /// projection via [`FaultPlan::for_shard`]).
     #[must_use]
     pub fn faulted(mut self, fault: FaultPlan) -> Self {
         self.fault = Some(fault);
@@ -210,11 +198,9 @@ impl RpcMeshConfig {
     }
 }
 
-/// Spawns the backend a mesh config describes: a single-server
-/// [`RpcFleetBackend`] for [`ShardPlan::Single`], a
-/// [`ShardedRpcFleetBackend`] otherwise. `leaf` supplies the control
-/// parameters for in-server leaf ticks; it is required when
-/// `config.leaf_control` is set and ignored otherwise.
+/// Spawns the [`ShardedRpcFleetBackend`] a mesh config describes. `leaf`
+/// supplies the control parameters for in-server leaf ticks; it is required
+/// when `config.leaf_control` is set and ignored otherwise.
 pub fn spawn_mesh(
     agents: Vec<SimRackAgent>,
     config: &RpcMeshConfig,
@@ -226,112 +212,17 @@ pub fn spawn_mesh(
             "leaf_control requires a LeafControlSpec",
         ));
     }
-    match config.shards {
-        ShardPlan::Single if !config.leaf_control => {
-            Ok(Box::new(RpcFleetBackend::spawn(agents, config)?))
-        }
-        _ => Ok(Box::new(ShardedRpcFleetBackend::spawn(
-            agents,
-            config,
-            if config.leaf_control { leaf } else { None },
-        )?)),
-    }
-}
-
-/// A [`FleetBackend`] whose controller bus crosses a real socket.
-pub struct RpcFleetBackend {
-    host: Arc<AgentHost<SimRackAgent>>,
-    // Dropped after `bus`, stopping the server threads; field order is load-
-    // bearing only for prompt shutdown, not correctness.
-    _server: AgentServer<SimRackAgent>,
-    bus: RpcBus,
-    name: &'static str,
-}
-
-impl RpcFleetBackend {
-    /// Hosts `agents` behind a freshly bound server and connects the bus.
-    pub fn spawn(agents: Vec<SimRackAgent>, config: &RpcMeshConfig) -> io::Result<Self> {
-        let endpoint = config.fresh_endpoint()?;
-        let clock = FaultClock::new();
-        let host = Arc::new(
-            AgentHost::new(agents, config.lease_ticks, clock.clone())
-                .with_max_frame_len(config.max_frame_len),
-        );
-        let server = AgentServer::serve(Arc::clone(&host), &endpoint)?;
-        let bus = RpcBus::connect(
-            server.endpoint(),
-            RpcBusConfig {
-                deadline: config.deadline,
-                connect_timeout: Duration::from_secs(2),
-                retry: config.retry,
-                seed: config.seed,
-                fault: config.fault.clone(),
-                max_frame_len: config.max_frame_len,
-                shard_label: None,
-            },
-            clock,
-        )?;
-        let name = match config.transport {
-            RpcTransport::TcpLoopback => "rpc-tcp",
-            RpcTransport::UnixSocket => "rpc-unix",
-        };
-        Ok(RpcFleetBackend {
-            host,
-            _server: server,
-            bus,
-            name,
-        })
-    }
-
-    /// The hosted racks and lease state (inspection for tests and reports).
-    #[must_use]
-    pub fn host(&self) -> &Arc<AgentHost<SimRackAgent>> {
-        &self.host
-    }
-
-    /// The client bus (inspection; the simulation gets it via `bus_mut`).
-    #[must_use]
-    pub fn bus(&self) -> &RpcBus {
-        &self.bus
-    }
-}
-
-impl FleetBackend for RpcFleetBackend {
-    fn name(&self) -> &'static str {
-        self.name
-    }
-
-    fn step_schedule(
-        &mut self,
-        dt: Seconds,
-        input_power: &[bool],
-        load_of: &dyn Fn(RackId, usize) -> Watts,
-    ) {
-        // The serial step loop, so the per-agent order is SerialBackend's —
-        // the bit-identical guarantee depends on it.
-        self.host
-            .with_agents(|agents| step_agents(agents, dt, input_power, load_of));
-        // Advance the shared tick clock (partition windows) and sweep leases
-        // *after* physics, *before* the controller's next look — the same
-        // boundary where command effects become observable.
-        self.host.advance(input_power.len() as u64);
-    }
-
-    fn readings(&self) -> Vec<PowerReading> {
-        // Omniscient simulator bookkeeping reads locally; only the
-        // *controller's* view crosses the wire.
-        self.host.readings()
-    }
-
-    fn bus_mut(&mut self) -> &mut dyn AgentBus {
-        &mut self.bus
-    }
+    Ok(Box::new(ShardedRpcFleetBackend::spawn(
+        agents,
+        config,
+        if config.leaf_control { leaf } else { None },
+    )?))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use recharge_units::Priority;
+    use recharge_units::{Priority, Seconds, Watts};
 
     fn agents(n: u32) -> Vec<SimRackAgent> {
         (0..n)
@@ -351,7 +242,7 @@ mod tests {
             Watts::from_kilowatts(5.5 + 0.2 * f64::from(rack.index()) + 0.05 * i as f64)
         };
         let mut serial = FleetBackendKind::Serial.build(agents(4));
-        let mut rpc = RpcFleetBackend::spawn(agents(4), &RpcMeshConfig::default()).expect("spawn");
+        let mut rpc = spawn_mesh(agents(4), &RpcMeshConfig::default(), None).expect("spawn");
         serial.step_schedule(Seconds::new(1.0), &schedule, &load);
         rpc.step_schedule(Seconds::new(1.0), &schedule, &load);
         assert_eq!(serial.readings(), rpc.readings());
@@ -359,12 +250,16 @@ mod tests {
 
     #[test]
     fn controller_commands_cross_the_wire() {
-        let mut rpc = RpcFleetBackend::spawn(agents(2), &RpcMeshConfig::default()).expect("spawn");
-        assert_eq!(rpc.name(), "rpc-tcp");
+        let mut rpc = spawn_mesh(agents(2), &RpcMeshConfig::default(), None).expect("spawn");
+        assert_eq!(rpc.name(), "rpc-sharded");
         let racks = rpc.bus_mut().racks();
         assert_eq!(racks, vec![RackId::new(0), RackId::new(1)]);
         rpc.bus_mut()
             .cap_servers(RackId::new(0), Watts::from_kilowatts(3.0));
+        // The batch lands at the next schedule boundary.
+        rpc.step_schedule(Seconds::new(1.0), &[true], &|_, _| {
+            Watts::from_kilowatts(6.0)
+        });
         let reading = rpc.bus_mut().read(RackId::new(0)).expect("read");
         assert_eq!(reading.it_load, Watts::from_kilowatts(3.0));
         // The simulator-side (local) view agrees: same host state.
@@ -374,18 +269,19 @@ mod tests {
     #[cfg(unix)]
     #[test]
     fn unix_transport_works() {
-        let mut rpc = RpcFleetBackend::spawn(agents(1), &RpcMeshConfig::unix()).expect("spawn");
-        assert_eq!(rpc.name(), "rpc-unix");
+        let mut rpc = spawn_mesh(agents(1), &RpcMeshConfig::unix(), None).expect("spawn");
         assert!(rpc.bus_mut().read(RackId::new(0)).is_some());
     }
 
     #[test]
     fn ticks_advance_with_schedules() {
-        let mut rpc = RpcFleetBackend::spawn(agents(1), &RpcMeshConfig::default()).expect("spawn");
-        assert_eq!(rpc.host().clock().tick(), 0);
+        let mut rpc = ShardedRpcFleetBackend::spawn(agents(1), &RpcMeshConfig::default(), None)
+            .expect("spawn");
+        assert_eq!(rpc.shard_count(), 1);
+        assert_eq!(rpc.host(0).clock().tick(), 0);
         rpc.step_schedule(Seconds::new(1.0), &[true; 5], &|_, _| {
             Watts::from_kilowatts(6.0)
         });
-        assert_eq!(rpc.host().clock().tick(), 5);
+        assert_eq!(rpc.host(0).clock().tick(), 5);
     }
 }

@@ -1,14 +1,14 @@
-//! The controller side of the mesh: [`RpcBus`], an [`AgentBus`] over a
+//! The controller side of the mesh: [`RpcBus`], one shard's client over a
 //! framed socket connection.
 //!
 //! Every call carries a per-call deadline, a bounded retry budget with
 //! exponential backoff and deterministic jitter, and reconnects lazily when
 //! the connection is lost. A call that exhausts its budget degrades exactly
-//! the way the controller already tolerates: reads return `None` (the rack
-//! looks unreachable, as with [`InMemoryBus::disconnect`]) and commands are
-//! dropped — the agent's own lease machinery (see
-//! [`server`](crate::server)) guarantees a rack that stops hearing commands
-//! falls back to safe standalone behaviour.
+//! the way the controller already tolerates: a batched read returns `None`
+//! (every rack on the shard looks unreachable, as with
+//! [`InMemoryBus::disconnect`]) and a lost command batch is dropped — the
+//! agent's own lease machinery (see [`server`](crate::server)) guarantees a
+//! rack that stops hearing commands falls back to safe standalone behaviour.
 //!
 //! The rack list is discovered once at connect time and cached: a bus whose
 //! link later degrades still *scopes* the same racks (matching
@@ -29,12 +29,12 @@ use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use rand::splitmix64;
-use recharge_dynamo::{AgentBus, PowerReading};
+use recharge_dynamo::PowerReading;
 use recharge_telemetry::{
     flight, histogram, histogram_named, tcounter, tspan, FlightKind, Histogram, ReasonCode,
     NO_BUCKET, NO_RACK,
 };
-use recharge_units::{Amperes, RackId, SimTime, Watts};
+use recharge_units::{RackId, SimTime, Watts};
 
 use crate::endpoint::{recv_frame, send_frame, Endpoint, FrameBuffer, FrameRead, NetStream};
 use crate::fault::{FaultClock, FaultPlan, LinkFaults};
@@ -103,10 +103,10 @@ pub struct RpcBusConfig {
     pub fault: Option<FaultPlan>,
     /// Frame cap this side enforces on both sent and received frames.
     pub max_frame_len: u32,
-    /// Shard index this bus serves within a sharded mesh; labels the
-    /// per-shard RPC latency histogram (`net.rpc_latency_us.shardNNN`) in
-    /// addition to the aggregate series. `None` for a lone bus.
-    pub shard_label: Option<u32>,
+    /// Shard index this bus serves within the mesh; labels the per-shard
+    /// RPC latency histogram (`net.rpc_latency_us.shardNNN`) next to the
+    /// aggregate series.
+    pub shard_label: u32,
 }
 
 impl Default for RpcBusConfig {
@@ -118,7 +118,7 @@ impl Default for RpcBusConfig {
             seed: 0x0b5e_55ed,
             fault: None,
             max_frame_len: MAX_FRAME_LEN,
-            shard_label: None,
+            shard_label: 0,
         }
     }
 }
@@ -134,12 +134,13 @@ struct ClientInner {
     was_partitioned: bool,
 }
 
-/// An [`AgentBus`] speaking the framed wire protocol to an
+/// One shard's client: batched reads and commands, leaf ticks, health, and
+/// the HA fenced/snapshot calls, spoken over the framed wire protocol to an
 /// [`AgentServer`](crate::server::AgentServer).
 ///
-/// Interior mutability (one mutex around the connection) lets `read` keep
-/// the trait's `&self` signature; the controller is single-threaded per bus,
-/// so the lock is uncontended in practice.
+/// Interior mutability (one mutex around the connection) keeps every call
+/// `&self`; each shard's bus is owned by one client thread, so the lock is
+/// uncontended in practice.
 pub struct RpcBus {
     endpoint: Endpoint,
     config: RpcBusConfig,
@@ -147,8 +148,8 @@ pub struct RpcBus {
     inner: Mutex<ClientInner>,
     /// Aggregate call-latency histogram (`net.rpc_latency_us`).
     latency: Histogram,
-    /// Per-shard call-latency histogram, when the config names a shard.
-    shard_latency: Option<Histogram>,
+    /// This shard's call-latency histogram.
+    shard_latency: Histogram,
 }
 
 impl RpcBus {
@@ -164,12 +165,10 @@ impl RpcBus {
     ) -> io::Result<Self> {
         let faults = LinkFaults::new(config.fault.clone().unwrap_or_default(), clock);
         // Zero-padded shard labels keep the sorted snapshot order numeric.
-        let shard_latency = config.shard_label.map(|s| {
-            histogram_named(
-                format!("net.rpc_latency_us.shard{s:03}"),
-                &LATENCY_BOUNDS_US,
-            )
-        });
+        let shard_latency = histogram_named(
+            format!("net.rpc_latency_us.shard{:03}", config.shard_label),
+            &LATENCY_BOUNDS_US,
+        );
         let mut bus = RpcBus {
             endpoint: endpoint.clone(),
             racks: Vec::new(),
@@ -206,6 +205,12 @@ impl RpcBus {
         &self.endpoint
     }
 
+    /// The racks discovered at connect time, in the server's fleet order.
+    #[must_use]
+    pub fn racks(&self) -> &[RackId] {
+        &self.racks
+    }
+
     /// Issues one request with the full deadline/retry budget.
     ///
     /// `None` means the budget was exhausted: the caller sees the same
@@ -218,9 +223,7 @@ impl RpcBus {
         let started = recharge_telemetry::enabled().then(Instant::now);
         let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
         let inner = &mut *inner;
-        let rack = request.rack();
-        let rack_idx = rack.map_or(NO_RACK, RackId::index);
-        let shard = u64::from(self.config.shard_label.unwrap_or(0));
+        let shard = u64::from(self.config.shard_label);
 
         for attempt in 1..=self.config.retry.max_attempts.max(1) {
             if attempt > 1 {
@@ -228,7 +231,7 @@ impl RpcBus {
                 flight(
                     FlightKind::RpcRetry,
                     ReasonCode::RpcDeadline,
-                    rack_idx,
+                    NO_RACK,
                     0,
                     NO_BUCKET,
                     u64::from(attempt),
@@ -241,13 +244,13 @@ impl RpcBus {
             // An active partition fails the call fast: partitions persist for
             // whole simulation ticks, so burning wall-clock deadlines against
             // one would only slow the run without changing the outcome.
-            let partitioned = inner.faults.partitioned(rack);
+            let partitioned = inner.faults.partitioned();
             if partitioned != inner.was_partitioned {
                 inner.was_partitioned = partitioned;
                 flight(
                     FlightKind::PartitionEdge,
                     ReasonCode::RpcPartitioned,
-                    rack_idx,
+                    NO_RACK,
                     0,
                     NO_BUCKET,
                     u64::from(partitioned),
@@ -360,21 +363,12 @@ impl RpcBus {
     }
 
     /// Records one call's wall-clock latency (microseconds) into the
-    /// aggregate and, when configured, per-shard histograms.
+    /// aggregate and per-shard histograms.
     fn record_latency(&self, started: Option<Instant>) {
         if let Some(started) = started {
             let us = started.elapsed().as_secs_f64() * 1e6;
             self.latency.record(us);
-            if let Some(shard) = &self.shard_latency {
-                shard.record(us);
-            }
-        }
-    }
-
-    /// Issues a command, dropping it (with a counter) if the budget runs out.
-    fn command(&self, request: &Request) {
-        if self.call(request).is_none() {
-            tcounter!("net.rpc_lost_commands").inc();
+            self.shard_latency.record(us);
         }
     }
 
@@ -389,7 +383,7 @@ impl RpcBus {
     }
 
     /// Applies a command batch in one round trip, returning how many commands
-    /// landed; `None` when the batch was lost (counted like a lost command).
+    /// landed; `None` when the batch was lost (counted as a lost command).
     pub fn apply_batch(&self, commands: Vec<AgentCommand>) -> Option<u32> {
         match self.call(&Request::ApplyCommandBatch(commands)) {
             Some(Response::BatchAck(applied)) => Some(applied),
@@ -473,46 +467,13 @@ fn uniform(state: &mut u64) -> f64 {
     (splitmix64(state) >> 11) as f64 / (1u64 << 53) as f64
 }
 
-impl AgentBus for RpcBus {
-    fn racks(&self) -> Vec<RackId> {
-        self.racks.clone()
-    }
-
-    fn read(&self, rack: RackId) -> Option<PowerReading> {
-        match self.call(&Request::Read(rack)) {
-            Some(Response::Reading(reading)) => reading,
-            _ => None,
-        }
-    }
-
-    fn set_charge_override(&mut self, rack: RackId, current: Amperes) {
-        self.command(&Request::SetChargeOverride(rack, current));
-    }
-
-    fn clear_charge_override(&mut self, rack: RackId) {
-        self.command(&Request::ClearChargeOverride(rack));
-    }
-
-    fn set_charge_postponed(&mut self, rack: RackId, postponed: bool) {
-        self.command(&Request::SetChargePostponed(rack, postponed));
-    }
-
-    fn cap_servers(&mut self, rack: RackId, limit: Watts) {
-        self.command(&Request::CapServers(rack, limit));
-    }
-
-    fn uncap_servers(&mut self, rack: RackId) {
-        self.command(&Request::UncapServers(rack));
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::fault::Partition;
     use crate::server::{AgentHost, AgentServer, DEFAULT_LEASE_TICKS};
     use recharge_dynamo::SimRackAgent;
-    use recharge_units::Priority;
+    use recharge_units::{Amperes, Priority};
     use std::sync::Arc;
 
     fn spawn_server(
@@ -527,36 +488,32 @@ mod tests {
         (server, host)
     }
 
+    fn override_of(host: &AgentHost<SimRackAgent>, i: usize) -> Option<Amperes> {
+        host.with_agents(|agents| agents[i].battery().bbu().charger().override_current())
+    }
+
     #[test]
     fn bus_discovers_reads_and_commands() {
         let clock = FaultClock::new();
         let (server, host) = spawn_server(3, &clock);
-        let mut bus =
+        let bus =
             RpcBus::connect(server.endpoint(), RpcBusConfig::default(), clock).expect("connect");
         assert_eq!(
             bus.racks(),
-            vec![RackId::new(0), RackId::new(1), RackId::new(2)]
+            [RackId::new(0), RackId::new(1), RackId::new(2)]
         );
-        let reading = bus.read(RackId::new(2)).expect("read");
-        assert_eq!(reading.rack, RackId::new(2));
-        assert!(bus.read(RackId::new(9)).is_none(), "unknown rack");
+        let readings = bus.read_all().expect("read_all");
+        assert_eq!(readings[2].rack, RackId::new(2));
 
-        bus.set_charge_override(RackId::new(1), Amperes::MIN_CHARGE);
-        host.with_agents(|agents| {
-            assert_eq!(
-                agents[1].battery().bbu().charger().override_current(),
-                Some(Amperes::MIN_CHARGE)
-            );
-        });
-        bus.clear_charge_override(RackId::new(1));
-        host.with_agents(|agents| {
-            assert!(agents[1]
-                .battery()
-                .bbu()
-                .charger()
-                .override_current()
-                .is_none());
-        });
+        let set = vec![AgentCommand::SetChargeOverride(
+            RackId::new(1),
+            Amperes::MIN_CHARGE,
+        )];
+        assert_eq!(bus.apply_batch(set), Some(1));
+        assert_eq!(override_of(&host, 1), Some(Amperes::MIN_CHARGE));
+        let clear = vec![AgentCommand::ClearChargeOverride(RackId::new(1))];
+        assert_eq!(bus.apply_batch(clear), Some(1));
+        assert_eq!(override_of(&host, 1), None);
     }
 
     #[test]
@@ -570,9 +527,9 @@ mod tests {
         assert_eq!(readings.len(), 3);
         for (i, reading) in readings.iter().enumerate() {
             assert_eq!(reading.rack, RackId::new(i as u32));
-            // Batched reads must be bit-identical to per-rack reads.
-            assert_eq!(*reading, bus.read(reading.rack).expect("read"));
         }
+        // Remote readings are bit-identical to the host's local view.
+        assert_eq!(readings, host.readings());
 
         let applied = bus
             .apply_batch(vec![
@@ -582,16 +539,8 @@ mod tests {
             ])
             .expect("apply_batch");
         assert_eq!(applied, 2);
-        host.with_agents(|agents| {
-            assert_eq!(
-                agents[0].battery().bbu().charger().override_current(),
-                Some(Amperes::MAX_CHARGE)
-            );
-            assert_eq!(
-                agents[2].battery().bbu().charger().override_current(),
-                Some(Amperes::MIN_CHARGE)
-            );
-        });
+        assert_eq!(override_of(&host, 0), Some(Amperes::MAX_CHARGE));
+        assert_eq!(override_of(&host, 2), Some(Amperes::MIN_CHARGE));
 
         // No leaf installed: the tick reports a monitoring aggregate.
         let aggregate = bus
@@ -628,7 +577,7 @@ mod tests {
         // 3 readings × 47 bytes ≫ 64: the reply trips the typed cap.
         assert!(bus.read_all().is_none());
         // The bus reconnects and keeps working for frames under the cap.
-        assert!(bus.read(RackId::new(0)).is_some());
+        assert_eq!(bus.apply_batch(Vec::new()), Some(0));
     }
 
     #[test]
@@ -659,19 +608,19 @@ mod tests {
             ..RpcBusConfig::default()
         };
         let bus = RpcBus::connect(server.endpoint(), config, clock.clone()).expect("connect");
-        assert!(bus.read(RackId::new(0)).is_some(), "before partition");
+        assert!(bus.read_all().is_some(), "before partition");
         clock.advance(5);
         let start = Instant::now();
-        assert!(bus.read(RackId::new(0)).is_none(), "during partition");
+        assert!(bus.read_all().is_none(), "during partition");
         assert!(
             start.elapsed() < Duration::from_millis(200),
             "partitioned calls must fail fast, took {:?}",
             start.elapsed()
         );
         // Scoping is unaffected: the cached rack list persists.
-        assert_eq!(bus.racks(), vec![RackId::new(0)]);
+        assert_eq!(bus.racks(), [RackId::new(0)]);
         clock.advance(5);
-        assert!(bus.read(RackId::new(0)).is_some(), "after heal");
+        assert!(bus.read_all().is_some(), "after heal");
     }
 
     #[test]
@@ -696,7 +645,7 @@ mod tests {
         };
         let bus = RpcBus::connect(server.endpoint(), config, clock).expect("connect");
         for _ in 0..50 {
-            assert!(bus.read(RackId::new(0)).is_some());
+            assert!(bus.read_all().is_some());
         }
     }
 
@@ -718,17 +667,15 @@ mod tests {
             },
             ..RpcBusConfig::default()
         };
-        let mut bus = RpcBus::connect(server.endpoint(), config, clock).expect("connect");
+        let bus = RpcBus::connect(server.endpoint(), config, clock).expect("connect");
         for _ in 0..20 {
-            bus.set_charge_override(RackId::new(0), Amperes::MAX_CHARGE);
-            assert!(bus.read(RackId::new(0)).is_some());
+            bus.apply_batch(vec![AgentCommand::SetChargeOverride(
+                RackId::new(0),
+                Amperes::MAX_CHARGE,
+            )]);
+            assert!(bus.read_all().is_some());
         }
-        host.with_agents(|agents| {
-            assert_eq!(
-                agents[0].battery().bbu().charger().override_current(),
-                Some(Amperes::MAX_CHARGE)
-            );
-        });
+        assert_eq!(override_of(&host, 0), Some(Amperes::MAX_CHARGE));
     }
 
     #[test]
@@ -748,10 +695,10 @@ mod tests {
             ..RpcBusConfig::default()
         };
         let bus = RpcBus::connect(&endpoint, config, clock.clone()).expect("connect");
-        assert!(bus.read(RackId::new(0)).is_some());
+        assert!(bus.read_all().is_some());
         drop(server);
         // The controller keeps polling; reads fail while the server is down.
-        assert!(bus.read(RackId::new(0)).is_none());
+        assert!(bus.read_all().is_none());
 
         // Restart on the same endpoint (loopback TCP port may be reused only
         // if we bind the exact address — do so explicitly).
@@ -764,7 +711,7 @@ mod tests {
         // A few attempts may be needed while the listener comes up.
         let healed = (0..50).any(|_| {
             std::thread::sleep(Duration::from_millis(10));
-            bus.read(RackId::new(0)).is_some()
+            bus.read_all().is_some()
         });
         assert!(healed, "bus must reconnect after server restart");
     }
@@ -774,20 +721,20 @@ mod tests {
         let clock = FaultClock::new();
         let (server, _host) = spawn_server(2, &clock);
         let config = RpcBusConfig {
-            shard_label: Some(5),
+            shard_label: 5,
             ..RpcBusConfig::default()
         };
         let bus = RpcBus::connect(server.endpoint(), config, clock).expect("connect");
         let health = bus.read_health().expect("health");
-        assert_eq!(health.shard, 0, "lone host defaults to shard 0");
+        assert_eq!(health.shard, 0, "an untagged host reports shard 0");
         assert_eq!(health.racks, 2);
         // Neither discovery nor the health read is controller contact.
         assert_eq!(health.coordinated, 0);
 
-        // A real read joins the rack; the next scrape sees it.
-        assert!(bus.read(RackId::new(1)).is_some());
+        // A real read joins the racks; the next scrape sees them.
+        assert!(bus.read_all().is_some());
         let health = bus.read_health().expect("health");
-        assert_eq!(health.coordinated, 1);
+        assert_eq!(health.coordinated, 2);
     }
 
     #[test]
@@ -835,12 +782,7 @@ mod tests {
             )
             .expect("reachable");
         assert_eq!(ack, (false, 2, 0));
-        host.with_agents(|agents| {
-            assert_eq!(
-                agents[0].battery().bbu().charger().override_current(),
-                Some(Amperes::MIN_CHARGE)
-            );
-        });
+        assert_eq!(override_of(&host, 0), Some(Amperes::MIN_CHARGE));
     }
 
     #[test]

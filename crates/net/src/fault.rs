@@ -55,8 +55,10 @@ pub enum PartitionScope {
     /// The whole link: every rack behind it is unreachable.
     #[default]
     All,
-    /// Only the listed racks are unreachable (plus rack-less calls such as
-    /// discovery, which always fail under any active partition).
+    /// Only the shard links hosting one of the listed racks are cut:
+    /// [`FaultPlan::for_shard`] turns this into a whole-link cut on every
+    /// shard it intersects and drops it from the rest. A link carries no
+    /// rack address, so on an unprojected link it cuts everything.
     Racks(Vec<RackId>),
 }
 
@@ -92,18 +94,8 @@ impl Partition {
         }
     }
 
-    fn cuts(&self, tick: u64, rack: Option<RackId>) -> bool {
-        if tick < self.from_tick || tick >= self.to_tick {
-            return false;
-        }
-        match (&self.scope, rack) {
-            (PartitionScope::All, _) => true,
-            // Rack-less calls (discovery, ping) fail under any active
-            // partition: the controller cannot tell a scoped cut from a full
-            // one until it addresses a rack.
-            (PartitionScope::Racks(_), None) => true,
-            (PartitionScope::Racks(racks), Some(rack)) => racks.contains(&rack),
-        }
+    fn cuts(&self, tick: u64) -> bool {
+        (self.from_tick..self.to_tick).contains(&tick)
     }
 }
 
@@ -322,11 +314,11 @@ impl LinkFaults {
         x < p
     }
 
-    /// Whether an active partition cuts calls addressed to `rack` right now.
+    /// Whether an active partition cuts this link right now.
     #[must_use]
-    pub fn partitioned(&self, rack: Option<RackId>) -> bool {
+    pub fn partitioned(&self) -> bool {
         let tick = self.clock.tick();
-        self.plan.partitions.iter().any(|p| p.cuts(tick, rack))
+        self.plan.partitions.iter().any(|p| p.cuts(tick))
     }
 
     /// Draws the fault decision for one attempt. Consumes a fixed number of
@@ -388,7 +380,7 @@ mod tests {
         let mut faults = LinkFaults::new(FaultPlan::default(), FaultClock::new());
         for _ in 0..100 {
             assert_eq!(faults.decide(), FaultDecision::NONE);
-            assert!(!faults.partitioned(None));
+            assert!(!faults.partitioned());
         }
     }
 
@@ -399,34 +391,30 @@ mod tests {
             FaultPlan::partitions_only(vec![Partition::all(10, 20)]),
             clock.clone(),
         );
-        assert!(!faults.partitioned(None));
+        assert!(!faults.partitioned());
         clock.advance(10);
-        assert!(faults.partitioned(None));
-        assert!(faults.partitioned(Some(RackId::new(3))));
+        assert!(faults.partitioned());
         clock.advance(9); // tick 19: last cut tick
-        assert!(faults.partitioned(None));
+        assert!(faults.partitioned());
         clock.advance(1); // tick 20: healed
-        assert!(!faults.partitioned(None));
+        assert!(!faults.partitioned());
     }
 
     #[test]
     fn scoped_partition_cuts_only_listed_racks() {
+        // Scoping works at shard granularity: the window cuts the link of the
+        // shard hosting rack 1 and leaves the other shard's link up.
         let clock = FaultClock::new();
-        let faults = LinkFaults::new(
-            FaultPlan::partitions_only(vec![Partition::racks(
-                0,
-                5,
-                vec![RackId::new(1), RackId::new(2)],
-            )]),
-            clock.clone(),
-        );
-        assert!(faults.partitioned(Some(RackId::new(1))));
-        assert!(faults.partitioned(Some(RackId::new(2))));
-        assert!(!faults.partitioned(Some(RackId::new(0))));
-        // Rack-less calls fail under any active partition.
-        assert!(faults.partitioned(None));
+        let plan = FaultPlan::partitions_only(vec![Partition::racks(0, 5, vec![RackId::new(1)])]);
+        let link = |shard: usize, racks: &[RackId]| {
+            LinkFaults::new(plan.for_shard(shard, racks), clock.clone())
+        };
+        let hit = link(0, &[RackId::new(0), RackId::new(1)]);
+        let spared = link(1, &[RackId::new(2), RackId::new(3)]);
+        assert!(hit.partitioned());
+        assert!(!spared.partitioned());
         clock.advance(5);
-        assert!(!faults.partitioned(Some(RackId::new(1))));
+        assert!(!hit.partitioned());
     }
 
     #[test]

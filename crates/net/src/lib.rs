@@ -9,34 +9,35 @@
 //!
 //! - [`wire`] — a length-prefixed framed binary protocol for the
 //!   `messages.rs` types, `f64`-bit-exact so remote readings equal local
-//!   ones.
+//!   ones. Every rack-facing op is batched per server.
 //! - [`endpoint`] — TCP and Unix-domain transports behind one façade, with
 //!   short-read- and timeout-safe frame I/O.
 //! - [`server`] — [`AgentHost`]/[`AgentServer`]: racks behind a listener,
 //!   with the lease-based degraded-mode state machine (coordinated →
 //!   standalone → rejoin) from the paper's §III-B standalone variable
 //!   charger.
-//! - [`client`] — [`RpcBus`]: an [`AgentBus`](recharge_dynamo::AgentBus)
-//!   with per-call deadlines, bounded retry (exponential backoff + seeded
-//!   jitter), and transparent reconnect. Exhausted budgets look exactly like
-//!   today's unreachable racks: `read` returns `None`.
+//! - [`client`] — [`RpcBus`]: one shard's client with per-call deadlines,
+//!   bounded retry (exponential backoff + seeded jitter), and transparent
+//!   reconnect. An exhausted budget makes the whole shard read as
+//!   unreachable, the signal the controller already handles.
 //! - [`fault`] — deterministic seeded link faults (drop / delay / duplicate /
 //!   partition schedules in simulation ticks) for reproducible chaos runs.
-//! - [`backend`] — [`RpcFleetBackend`]: a
+//! - [`backend`] — [`RpcMeshConfig`], the per-scenario mesh selector, and
+//!   [`spawn_mesh`], which builds the backend it describes.
+//! - [`sharded`] — [`ShardedRpcFleetBackend`], the one mesh backend: a
 //!   [`FleetBackend`](recharge_dynamo::FleetBackend) whose controller bus
-//!   crosses a real socket, selected per scenario via [`RpcMeshConfig`].
-//! - [`sharded`] — [`ShardedRpcFleetBackend`]: the fleet partitioned into
-//!   one server per RPP/row ([`ShardPlan`]), batched wire ops
-//!   (`ReadAllReadings` / `ApplyCommandBatch`: O(servers) RPCs per control
-//!   tick instead of O(racks)), concurrent per-shard client threads joined
-//!   on a latch, and optional in-server leaf control (`TickLeaf`) where only
-//!   per-group aggregates and budgets cross the wire.
+//!   crosses real sockets. The fleet is partitioned into one server per
+//!   shard ([`ShardPlan`]; one shard by default), reads and commands travel
+//!   as batched wire ops (`ReadAllReadings` / `ApplyCommandBatch`:
+//!   O(servers) RPCs per control tick), per-shard client threads run
+//!   concurrently, and optional in-server leaf control (`TickLeaf`) sends
+//!   only per-group aggregates and budgets over the wire.
 //!
 //! Telemetry: every RPC path records `net.rpc_*` counters (calls, retries,
 //! timeouts, reconnects, stale replies, lost commands), `net.rpc_call` /
 //! `net.rpc_serve` spans, and call-latency histograms — the aggregate
 //! `net.rpc_latency_us` plus a zero-padded per-shard series
-//! (`net.rpc_latency_us.shardNNN`) when the bus carries a shard label.
+//! (`net.rpc_latency_us.shardNNN`).
 //! Fallback and rejoin transitions emit `net.standalone_fallback` /
 //! `net.rejoin` events with rack and tick, and the flight recorder journals
 //! lease grants/expiries, RPC retries, and partition edges. The live health
@@ -46,8 +47,8 @@
 //!
 //! The headline correctness property, pinned by
 //! `crates/sim/tests/backend_equivalence.rs`: with a clean link, a full
-//! simulation over [`RpcFleetBackend`] produces **bit-identical**
-//! `RunMetrics` to the in-memory backends.
+//! simulation over [`ShardedRpcFleetBackend`] at 1, 2 or 4 shards produces
+//! **bit-identical** `RunMetrics` to the in-memory backends.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -60,7 +61,7 @@ pub mod server;
 pub mod sharded;
 pub mod wire;
 
-pub use backend::{spawn_mesh, RpcFleetBackend, RpcMeshConfig, RpcTransport, ShardPlan};
+pub use backend::{spawn_mesh, RpcMeshConfig, RpcTransport, ShardPlan};
 pub use client::{RetryPolicy, RpcBus, RpcBusConfig};
 pub use endpoint::{as_frame_too_large, Endpoint, NetListener, NetStream};
 pub use fault::{FaultClock, FaultPlan, LinkFaults, Partition, PartitionScope, ProcessFault};

@@ -192,8 +192,8 @@ impl<A: RackAgent> AgentHost<A> {
         self
     }
 
-    /// Tags this host with its shard index within a sharded mesh; reported
-    /// back through [`Request::ReadHealth`] so scrapes identify the server.
+    /// Tags this host with its shard index within the mesh; reported back
+    /// through [`Request::ReadHealth`] so scrapes identify the server.
     #[must_use]
     pub fn with_shard(mut self, shard: u32) -> Self {
         self.shard = shard;
@@ -257,16 +257,9 @@ impl<A: RackAgent> AgentHost<A> {
             .is_some_and(|&i| state.leases[i].coordinated)
     }
 
-    /// Advances the shared tick clock and sweeps leases.
-    pub fn advance(&self, ticks: u64) {
-        self.clock.advance(ticks);
-        self.sweep_leases();
-    }
-
     /// Sweeps leases at the current clock: any coordinated rack whose lease
-    /// expired falls back to standalone. Split from [`advance`](Self::advance)
-    /// for hosts sharing one clock — a sharded backend advances the clock
-    /// once, then sweeps every host.
+    /// expired falls back to standalone. Hosts share one clock, so the
+    /// backend advances it once and then sweeps every host.
     pub fn sweep_leases(&self) {
         let now = self.clock.tick();
         let mut state = self.lock();
@@ -325,13 +318,37 @@ impl<A: RackAgent> AgentHost<A> {
         }
     }
 
+    /// Applies `commands` in order to the hosted agents, skipping racks not
+    /// hosted here, and returns how many landed.
+    fn apply_commands(&self, state: &mut HostState<A>, commands: &[AgentCommand]) -> u32 {
+        let mut applied = 0u32;
+        for command in commands {
+            let Some(&i) = self.index_of.get(&command.rack()) else {
+                continue;
+            };
+            let agent = &mut state.agents[i];
+            match *command {
+                AgentCommand::SetChargeOverride(_, current) => agent.set_charge_override(current),
+                AgentCommand::ClearChargeOverride(_) => agent.clear_charge_override(),
+                AgentCommand::SetChargePostponed(_, postponed) => {
+                    agent.set_charge_postponed(postponed);
+                }
+                AgentCommand::CapServers(_, limit) => agent.cap_servers(limit),
+                AgentCommand::UncapServers(_) => agent.uncap_servers(),
+            }
+            applied += 1;
+        }
+        applied
+    }
+
     /// Executes one controller request.
     ///
-    /// Lease renewal mirrors the per-rack protocol exactly: a rack-addressed
-    /// request renews that rack; `ReadAllReadings` and `TickLeaf` renew every
+    /// Lease renewal, per op: `ReadAllReadings` and `TickLeaf` renew every
     /// hosted rack (the controller reads every scoped rack each control
-    /// tick, so the batched read is the same contact the per-rack reads
-    /// were); `ApplyCommandBatch` renews each addressed rack.
+    /// tick); `ApplyCommandBatch` renews each addressed rack;
+    /// `ApplyFencedBatch` does the same only when its term is current.
+    /// `ListRacks`, `ReadHealth`, `InstallSnapshot` and `FetchSnapshot` are
+    /// lease-neutral.
     pub fn handle(&self, request: &Request) -> Response {
         let _span = tspan!("net.rpc_serve", "net");
         tcounter!("net.rpc_server_requests").inc();
@@ -350,8 +367,7 @@ impl<A: RackAgent> AgentHost<A> {
                     }
                 }
             }
-            // A fenced batch renews leases only when its term is current: a
-            // stale leader's contact must not keep its coordination alive.
+            // A stale leader's contact must not keep its coordination alive.
             Request::ApplyFencedBatch { term, commands, .. } if *term >= state.ha_term => {
                 for command in commands {
                     if let Some(&i) = self.index_of.get(&command.rack()) {
@@ -359,75 +375,15 @@ impl<A: RackAgent> AgentHost<A> {
                     }
                 }
             }
-            _ => {
-                if let Some(rack) = request.rack() {
-                    if let Some(&i) = self.index_of.get(&rack) {
-                        self.renew_lease(&mut state, i, now);
-                    }
-                }
-            }
+            _ => {}
         }
         match request {
             Request::ListRacks => Response::Racks(self.racks.clone()),
-            Request::Ping => Response::Pong,
-            Request::Read(rack) => {
-                let reading = self.index_of.get(rack).map(|&i| state.agents[i].read());
-                Response::Reading(reading)
-            }
-            Request::SetChargeOverride(rack, current) => {
-                if let Some(&i) = self.index_of.get(rack) {
-                    state.agents[i].set_charge_override(*current);
-                }
-                Response::Ack
-            }
-            Request::ClearChargeOverride(rack) => {
-                if let Some(&i) = self.index_of.get(rack) {
-                    state.agents[i].clear_charge_override();
-                }
-                Response::Ack
-            }
-            Request::SetChargePostponed(rack, postponed) => {
-                if let Some(&i) = self.index_of.get(rack) {
-                    state.agents[i].set_charge_postponed(*postponed);
-                }
-                Response::Ack
-            }
-            Request::CapServers(rack, limit) => {
-                if let Some(&i) = self.index_of.get(rack) {
-                    state.agents[i].cap_servers(*limit);
-                }
-                Response::Ack
-            }
-            Request::UncapServers(rack) => {
-                if let Some(&i) = self.index_of.get(rack) {
-                    state.agents[i].uncap_servers();
-                }
-                Response::Ack
-            }
             Request::ReadAllReadings => {
                 Response::Readings(state.agents.iter().map(RackAgent::read).collect())
             }
             Request::ApplyCommandBatch(commands) => {
-                let mut applied = 0u32;
-                for command in commands {
-                    let Some(&i) = self.index_of.get(&command.rack()) else {
-                        continue;
-                    };
-                    let agent = &mut state.agents[i];
-                    match *command {
-                        AgentCommand::SetChargeOverride(_, current) => {
-                            agent.set_charge_override(current);
-                        }
-                        AgentCommand::ClearChargeOverride(_) => agent.clear_charge_override(),
-                        AgentCommand::SetChargePostponed(_, postponed) => {
-                            agent.set_charge_postponed(postponed);
-                        }
-                        AgentCommand::CapServers(_, limit) => agent.cap_servers(limit),
-                        AgentCommand::UncapServers(_) => agent.uncap_servers(),
-                    }
-                    applied += 1;
-                }
-                Response::BatchAck(applied)
+                Response::BatchAck(self.apply_commands(&mut state, commands))
             }
             Request::TickLeaf { now, budget } => {
                 let HostState { agents, leaf, .. } = &mut *state;
@@ -496,25 +452,7 @@ impl<A: RackAgent> AgentHost<A> {
                 }
                 state.ha_term = *term;
                 state.ha_leader = *leader;
-                let mut applied = 0u32;
-                for command in commands {
-                    let Some(&i) = self.index_of.get(&command.rack()) else {
-                        continue;
-                    };
-                    let agent = &mut state.agents[i];
-                    match *command {
-                        AgentCommand::SetChargeOverride(_, current) => {
-                            agent.set_charge_override(current);
-                        }
-                        AgentCommand::ClearChargeOverride(_) => agent.clear_charge_override(),
-                        AgentCommand::SetChargePostponed(_, postponed) => {
-                            agent.set_charge_postponed(postponed);
-                        }
-                        AgentCommand::CapServers(_, limit) => agent.cap_servers(limit),
-                        AgentCommand::UncapServers(_) => agent.uncap_servers(),
-                    }
-                    applied += 1;
-                }
+                let applied = self.apply_commands(&mut state, commands);
                 Response::FencedAck {
                     accepted: true,
                     term: state.ha_term,
@@ -700,11 +638,23 @@ mod tests {
         AgentHost::new(agents, lease, FaultClock::new())
     }
 
+    /// Advances the host's clock the way a backend does after a step.
+    fn advance(host: &AgentHost<SimRackAgent>, ticks: u64) {
+        host.clock().advance(ticks);
+        host.sweep_leases();
+    }
+
+    fn batch(commands: Vec<AgentCommand>) -> Request {
+        Request::ApplyCommandBatch(commands)
+    }
+
     #[test]
     fn racks_start_standalone_and_join_on_contact() {
         let host = host(2, 10);
+        // Discovery is not controller contact.
+        host.handle(&Request::ListRacks);
         assert!(!host.is_coordinated(RackId::new(0)));
-        host.handle(&Request::Read(RackId::new(0)));
+        host.handle(&batch(vec![AgentCommand::UncapServers(RackId::new(0))]));
         assert!(host.is_coordinated(RackId::new(0)));
         assert!(!host.is_coordinated(RackId::new(1)));
     }
@@ -713,19 +663,21 @@ mod tests {
     fn lease_expiry_falls_back_and_clears_overrides() {
         let host = host(1, 5);
         let rack = RackId::new(0);
-        host.handle(&Request::SetChargeOverride(rack, Amperes::MIN_CHARGE));
-        host.handle(&Request::SetChargePostponed(rack, true));
+        host.handle(&batch(vec![
+            AgentCommand::SetChargeOverride(rack, Amperes::MIN_CHARGE),
+            AgentCommand::SetChargePostponed(rack, true),
+        ]));
         assert!(host.is_coordinated(rack));
         host.with_agents(|agents| {
             assert!(agents[0].battery().is_postponed());
         });
 
         // Within the lease: still coordinated, override intact.
-        host.advance(5);
+        advance(&host, 5);
         assert!(host.is_coordinated(rack));
 
         // One past the lease: standalone, override cleared, charging resumed.
-        host.advance(1);
+        advance(&host, 1);
         assert!(!host.is_coordinated(rack));
         host.with_agents(|agents| {
             assert!(!agents[0].battery().is_postponed());
@@ -742,10 +694,10 @@ mod tests {
     fn contact_renews_the_lease() {
         let host = host(1, 5);
         let rack = RackId::new(0);
-        host.handle(&Request::Read(rack));
+        host.handle(&Request::ReadAllReadings);
         for _ in 0..10 {
-            host.advance(3);
-            host.handle(&Request::Read(rack));
+            advance(&host, 3);
+            host.handle(&Request::ReadAllReadings);
         }
         assert!(host.is_coordinated(rack), "renewed lease must not expire");
     }
@@ -754,8 +706,11 @@ mod tests {
     fn caps_survive_fallback() {
         let host = host(1, 2);
         let rack = RackId::new(0);
-        host.handle(&Request::CapServers(rack, Watts::from_kilowatts(4.0)));
-        host.advance(3); // lease expires
+        host.handle(&batch(vec![AgentCommand::CapServers(
+            rack,
+            Watts::from_kilowatts(4.0),
+        )]));
+        advance(&host, 3); // lease expires
         assert!(!host.is_coordinated(rack));
         let reading = &host.readings()[0];
         assert!(
@@ -768,11 +723,16 @@ mod tests {
     fn unknown_rack_reads_none_and_acks_commands() {
         let host = host(1, 5);
         let ghost = RackId::new(99);
-        assert_eq!(host.handle(&Request::Read(ghost)), Response::Reading(None));
+        let Response::Readings(readings) = host.handle(&Request::ReadAllReadings) else {
+            panic!("expected readings");
+        };
+        assert!(readings.iter().all(|r| r.rack != ghost));
+        // The batch is acknowledged, but nothing landed and nobody joined.
         assert_eq!(
-            host.handle(&Request::ClearChargeOverride(ghost)),
-            Response::Ack
+            host.handle(&batch(vec![AgentCommand::ClearChargeOverride(ghost)])),
+            Response::BatchAck(0)
         );
+        assert!(!host.is_coordinated(ghost));
     }
 
     #[test]
@@ -812,17 +772,19 @@ mod tests {
             panic!("expected racks");
         };
         assert_eq!(racks, vec![RackId::new(0), RackId::new(1), RackId::new(2)]);
-        let Response::Reading(Some(reading)) = call(2, &Request::Read(RackId::new(1))) else {
-            panic!("expected reading");
+        let Response::Readings(readings) = call(2, &Request::ReadAllReadings) else {
+            panic!("expected readings");
         };
-        assert_eq!(reading.rack, RackId::new(1));
-        assert_eq!(call(3, &Request::Ping), Response::Pong);
+        assert_eq!(readings[1].rack, RackId::new(1));
         assert_eq!(
             call(
-                4,
-                &Request::SetChargeOverride(RackId::new(0), Amperes::MAX_CHARGE)
+                3,
+                &batch(vec![AgentCommand::SetChargeOverride(
+                    RackId::new(0),
+                    Amperes::MAX_CHARGE
+                )])
             ),
-            Response::Ack
+            Response::BatchAck(1)
         );
         // The command took effect on the hosted agent.
         host.with_agents(|agents| {
@@ -838,7 +800,7 @@ mod tests {
     fn batched_ops_mirror_per_rack_semantics() {
         let host = host(3, 5);
         // A batched read returns every hosted rack in fleet order and joins
-        // all of them, exactly as per-rack reads would have.
+        // all of them.
         let Response::Readings(readings) = host.handle(&Request::ReadAllReadings) else {
             panic!("expected readings");
         };
@@ -850,7 +812,7 @@ mod tests {
 
         // A batch applies each hosted command and counts only those; the
         // ghost rack is skipped without disturbing anything.
-        let response = host.handle(&Request::ApplyCommandBatch(vec![
+        let response = host.handle(&batch(vec![
             AgentCommand::SetChargeOverride(RackId::new(0), Amperes::MAX_CHARGE),
             AgentCommand::CapServers(RackId::new(1), Watts::from_kilowatts(4.0)),
             AgentCommand::SetChargeOverride(RackId::new(99), Amperes::MAX_CHARGE),
@@ -864,9 +826,9 @@ mod tests {
         });
         assert!(host.readings()[1].capped_power > Watts::ZERO);
 
-        // Batched contact renews leases like per-rack contact does.
+        // Repeated batched reads keep every lease alive.
         for _ in 0..10 {
-            host.advance(3);
+            advance(&host, 3);
             host.handle(&Request::ReadAllReadings);
         }
         for i in 0..3 {
@@ -954,7 +916,7 @@ mod tests {
         // Scraping health is not controller contact: nobody joined.
         assert!(!host.is_coordinated(RackId::new(0)));
 
-        host.handle(&Request::Read(RackId::new(0)));
+        host.handle(&batch(vec![AgentCommand::UncapServers(RackId::new(0))]));
         let Response::Health(health) = host.handle(&Request::ReadHealth) else {
             panic!("expected health");
         };
@@ -1074,10 +1036,10 @@ mod tests {
             agents[0].set_input_power(true);
             agents[0].step(Seconds::new(1.0));
         });
-        let Response::Reading(Some(reading)) = host.handle(&Request::Read(RackId::new(0))) else {
-            panic!("expected reading");
+        let Response::Readings(readings) = host.handle(&Request::ReadAllReadings) else {
+            panic!("expected readings");
         };
-        assert!(reading.is_charging());
-        assert_eq!(host.readings()[0], reading);
+        assert!(readings[0].is_charging());
+        assert_eq!(host.readings(), readings);
     }
 }

@@ -1,14 +1,13 @@
-//! The sharded mesh: one [`AgentServer`] per RPP/row, batched wire ops, and
-//! a concurrent controller fan-out.
+//! The mesh: one [`AgentServer`] per shard, batched wire ops, and a
+//! concurrent controller fan-out.
 //!
-//! The single-server mesh costs one RPC per rack per control tick — linear
-//! in fleet size, serial on the wire. Here the fleet is partitioned by a
-//! [`ShardPlan`] into per-shard [`AgentHost`]s, each behind its own server,
-//! and the controller talks to all of them through a [`ShardedRpcBus`]:
+//! The fleet is partitioned by a [`ShardPlan`] (one shard by default) into
+//! per-shard [`AgentHost`]s, each behind its own server, and the controller
+//! talks to all of them through a [`ShardedRpcBus`]:
 //!
-//! * **Batched ops** — one `ReadAllReadings` per shard replaces N `Read`s;
-//!   buffered commands flush as one `ApplyCommandBatch` per shard. A control
-//!   tick costs O(servers) RPCs instead of O(racks).
+//! * **Batched ops** — one `ReadAllReadings` per shard reads all of its
+//!   racks; buffered commands flush as one `ApplyCommandBatch` per shard. A
+//!   control tick costs O(servers) RPCs, not O(racks).
 //! * **Concurrent fan-out** — each shard has a persistent client thread
 //!   owning its [`RpcBus`]; the bus hands every worker its job, then joins
 //!   on the reply channels. Per-tick network latency is max-over-shards,
@@ -28,9 +27,8 @@
 //! Clean-link equivalence: command buffering defers application from the
 //! controller tick to the start of the next `step_schedule` — before any
 //! physics and before the clock advances. Nothing reads agent state in that
-//! window and the flush renews leases at the same tick the per-rack commands
-//! would have, so `RunMetrics` stay bit-identical to [`InMemoryBus`] and the
-//! single-server mesh.
+//! window and the flush renews leases at the tick the controller issued the
+//! commands, so `RunMetrics` stay bit-identical to [`InMemoryBus`].
 //!
 //! [`ShardPlan`]: crate::backend::ShardPlan
 //! [`RpcMeshConfig::leaf_control`]: crate::backend::RpcMeshConfig
@@ -100,7 +98,7 @@ impl ShardWorker {
             .spawn(move || {
                 let bus = match RpcBus::connect(&endpoint, config, clock) {
                     Ok(bus) => {
-                        let _ = ready_tx.send(Ok(bus.racks()));
+                        let _ = ready_tx.send(Ok(bus.racks().to_vec()));
                         bus
                     }
                     Err(e) => {
@@ -407,7 +405,7 @@ impl ShardedRpcFleetBackend {
                     .wrapping_add(0x9e37_79b9_7f4a_7c15u64.wrapping_mul(shard as u64 + 1)),
                 fault: config.fault.as_ref().map(|f| f.for_shard(shard, group)),
                 max_frame_len: config.max_frame_len,
-                shard_label: Some(shard as u32),
+                shard_label: shard as u32,
             };
             let (worker, ready) =
                 ShardWorker::spawn(server.endpoint().clone(), bus_config, clock.clone())?;
@@ -514,9 +512,9 @@ impl FleetBackend for ShardedRpcFleetBackend {
         load_of: &dyn Fn(RackId, usize) -> Watts,
     ) {
         // Buffered controller commands land first — before any physics and
-        // before the clock advances, i.e. at the exact boundary where the
-        // single-server mesh's immediately-applied commands became
-        // observable. This is the bit-identity linchpin.
+        // before the clock advances, i.e. at the exact boundary where
+        // in-memory commands become observable. This is the bit-identity
+        // linchpin.
         self.bus.flush_commands();
 
         // Physics: shard outer, the serial step loop inner. Agents are
@@ -589,7 +587,7 @@ impl FleetBackend for ShardedRpcFleetBackend {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::{RpcFleetBackend, ShardPlan};
+    use crate::backend::ShardPlan;
     use recharge_dynamo::FleetBackendKind;
     use recharge_units::Priority;
 
@@ -621,8 +619,9 @@ mod tests {
 
     #[test]
     fn sharded_bus_reads_match_single_server() {
-        let mut single =
-            RpcFleetBackend::spawn(agents(6), &RpcMeshConfig::default()).expect("spawn");
+        let mut single = ShardedRpcFleetBackend::spawn(agents(6), &RpcMeshConfig::default(), None)
+            .expect("spawn");
+        assert_eq!(single.shard_count(), 1);
         let mut sharded =
             ShardedRpcFleetBackend::spawn(agents(6), &RpcMeshConfig::shard_count(2), None)
                 .expect("spawn");
@@ -774,7 +773,7 @@ mod tests {
     fn shard_plan_partitions_preserve_order_and_cover() {
         let racks: Vec<RackId> = (0..29).map(RackId::new).collect();
         for plan in [
-            ShardPlan::Single,
+            ShardPlan::Count(0),
             ShardPlan::Count(1),
             ShardPlan::Count(4),
             ShardPlan::Count(64),

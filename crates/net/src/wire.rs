@@ -4,8 +4,13 @@
 //! followed by the payload. A payload is
 //!
 //! ```text
-//! [ version: u8 = 1 ][ request id: u64 LE ][ opcode: u8 ][ body ... ]
+//! [ version: u8 = 2 ][ request id: u64 LE ][ opcode: u8 ][ body ... ]
 //! ```
+//!
+//! Every rack-facing op is batched: one frame reads or commands all of a
+//! server's racks. Version 1 also carried per-rack ops (requests
+//! `0x02`–`0x08`, replies `0x82`–`0x84`); those opcode bytes are retired and
+//! decode as [`WireError::BadOpcode`].
 //!
 //! The request id is chosen by the client and echoed verbatim in the reply,
 //! so a client that retried after a timeout (or whose link duplicated a
@@ -25,7 +30,7 @@ use recharge_dynamo::PowerReading;
 use recharge_units::{Amperes, Dod, Priority, RackId, SimTime, Watts};
 
 /// Protocol version carried in every payload; peers reject mismatches.
-pub const PROTOCOL_VERSION: u8 = 1;
+pub const PROTOCOL_VERSION: u8 = 2;
 
 /// Default upper bound on a frame payload; anything larger is treated as a
 /// corrupt stream and the connection is dropped. Batched reading frames for
@@ -36,7 +41,8 @@ pub const MAX_FRAME_LEN: u32 = 1 << 20;
 /// One controller command inside a [`Request::ApplyCommandBatch`] frame.
 ///
 /// Exactly the mutating half of the [`AgentBus`](recharge_dynamo::AgentBus)
-/// surface, so a batch replays per-rack calls verbatim on the server side.
+/// surface, so a batch replays the controller's calls verbatim on the server
+/// side.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum AgentCommand {
     /// Force a rack's BBU charging current.
@@ -118,20 +124,6 @@ pub struct StoredSnapshot {
 pub enum Request {
     /// The racks hosted behind this server, in stable order.
     ListRacks,
-    /// Read a rack's telemetry.
-    Read(RackId),
-    /// Force a rack's BBU charging current.
-    SetChargeOverride(RackId, Amperes),
-    /// Return a rack's charger to automatic current selection.
-    ClearChargeOverride(RackId),
-    /// Suspend or resume a rack's battery charging.
-    SetChargePostponed(RackId, bool),
-    /// Cap a rack's server power.
-    CapServers(RackId, Watts),
-    /// Remove a rack's server power cap.
-    UncapServers(RackId),
-    /// Liveness probe.
-    Ping,
     /// Read every hosted rack in one round trip (fleet order); renews every
     /// hosted rack's coordination lease.
     ReadAllReadings,
@@ -173,42 +165,11 @@ pub enum Request {
     FetchSnapshot,
 }
 
-impl Request {
-    /// The rack a request addresses, if any (`ListRacks`/`Ping` and the
-    /// batched/leaf ops address the server itself).
-    #[must_use]
-    pub fn rack(&self) -> Option<RackId> {
-        match self {
-            Request::ListRacks
-            | Request::Ping
-            | Request::ReadAllReadings
-            | Request::ApplyCommandBatch(_)
-            | Request::TickLeaf { .. }
-            | Request::ReadHealth
-            | Request::ApplyFencedBatch { .. }
-            | Request::InstallSnapshot(_)
-            | Request::FetchSnapshot => None,
-            Request::Read(rack)
-            | Request::SetChargeOverride(rack, _)
-            | Request::ClearChargeOverride(rack)
-            | Request::SetChargePostponed(rack, _)
-            | Request::CapServers(rack, _)
-            | Request::UncapServers(rack) => Some(*rack),
-        }
-    }
-}
-
 /// An agent-server → controller reply.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Response {
     /// Reply to [`Request::ListRacks`].
     Racks(Vec<RackId>),
-    /// Reply to [`Request::Read`]: `None` when the rack is not hosted here.
-    Reading(Option<PowerReading>),
-    /// Reply to a command.
-    Ack,
-    /// Reply to [`Request::Ping`].
-    Pong,
     /// Reply to [`Request::ReadAllReadings`]: every hosted rack, fleet order.
     Readings(Vec<PowerReading>),
     /// Reply to [`Request::ApplyCommandBatch`]: commands applied (addressed
@@ -284,15 +245,9 @@ impl core::fmt::Display for WireError {
 
 impl std::error::Error for WireError {}
 
-// Request opcodes.
+// Request opcodes. 0x02–0x08 are retired (version 1's per-rack ops) and are
+// never reassigned, so a stray old frame cannot decode as a different op.
 const OP_LIST_RACKS: u8 = 0x01;
-const OP_READ: u8 = 0x02;
-const OP_SET_OVERRIDE: u8 = 0x03;
-const OP_CLEAR_OVERRIDE: u8 = 0x04;
-const OP_SET_POSTPONED: u8 = 0x05;
-const OP_CAP: u8 = 0x06;
-const OP_UNCAP: u8 = 0x07;
-const OP_PING: u8 = 0x08;
 const OP_READ_ALL: u8 = 0x09;
 const OP_APPLY_BATCH: u8 = 0x0A;
 const OP_TICK_LEAF: u8 = 0x0B;
@@ -300,11 +255,8 @@ const OP_READ_HEALTH: u8 = 0x0C;
 const OP_APPLY_FENCED_BATCH: u8 = 0x0D;
 const OP_INSTALL_SNAPSHOT: u8 = 0x0E;
 const OP_FETCH_SNAPSHOT: u8 = 0x0F;
-// Response opcodes (high bit set).
+// Response opcodes (high bit set); 0x82–0x84 are retired likewise.
 const OP_RACKS: u8 = 0x81;
-const OP_READING: u8 = 0x82;
-const OP_ACK: u8 = 0x83;
-const OP_PONG: u8 = 0x84;
 const OP_READINGS: u8 = 0x85;
 const OP_BATCH_ACK: u8 = 0x86;
 const OP_GROUP_AGGREGATE: u8 = 0x87;
@@ -614,34 +566,6 @@ pub fn encode_request(id: u64, request: &Request) -> Vec<u8> {
     let mut w = Writer::new();
     match request {
         Request::ListRacks => header(&mut w, id, OP_LIST_RACKS),
-        Request::Read(rack) => {
-            header(&mut w, id, OP_READ);
-            w.rack(*rack);
-        }
-        Request::SetChargeOverride(rack, current) => {
-            header(&mut w, id, OP_SET_OVERRIDE);
-            w.rack(*rack);
-            w.f64(current.as_amps());
-        }
-        Request::ClearChargeOverride(rack) => {
-            header(&mut w, id, OP_CLEAR_OVERRIDE);
-            w.rack(*rack);
-        }
-        Request::SetChargePostponed(rack, postponed) => {
-            header(&mut w, id, OP_SET_POSTPONED);
-            w.rack(*rack);
-            w.u8(u8::from(*postponed));
-        }
-        Request::CapServers(rack, limit) => {
-            header(&mut w, id, OP_CAP);
-            w.rack(*rack);
-            w.f64(limit.as_watts());
-        }
-        Request::UncapServers(rack) => {
-            header(&mut w, id, OP_UNCAP);
-            w.rack(*rack);
-        }
-        Request::Ping => header(&mut w, id, OP_PING),
         Request::ReadAllReadings => header(&mut w, id, OP_READ_ALL),
         Request::ApplyCommandBatch(commands) => {
             header(&mut w, id, OP_APPLY_BATCH);
@@ -690,19 +614,6 @@ pub fn decode_request(payload: &[u8]) -> Result<(u64, Request), WireError> {
     let (id, opcode) = read_header(&mut r)?;
     let request = match opcode {
         OP_LIST_RACKS => Request::ListRacks,
-        OP_READ => Request::Read(r.rack()?),
-        OP_SET_OVERRIDE => Request::SetChargeOverride(r.rack()?, Amperes::new(r.f64()?)),
-        OP_CLEAR_OVERRIDE => Request::ClearChargeOverride(r.rack()?),
-        OP_SET_POSTPONED => {
-            let rack = r.rack()?;
-            Request::SetChargePostponed(rack, r.bool()?)
-        }
-        OP_CAP => {
-            let rack = r.rack()?;
-            Request::CapServers(rack, Watts::new(r.f64()?))
-        }
-        OP_UNCAP => Request::UncapServers(r.rack()?),
-        OP_PING => Request::Ping,
         OP_READ_ALL => Request::ReadAllReadings,
         OP_APPLY_BATCH => {
             let count = r.u32()? as usize;
@@ -763,18 +674,6 @@ pub fn encode_response(id: u64, response: &Response) -> Vec<u8> {
                 w.rack(rack);
             }
         }
-        Response::Reading(reading) => {
-            header(&mut w, id, OP_READING);
-            match reading {
-                Some(reading) => {
-                    w.u8(1);
-                    put_reading(&mut w, reading);
-                }
-                None => w.u8(0),
-            }
-        }
-        Response::Ack => header(&mut w, id, OP_ACK),
-        Response::Pong => header(&mut w, id, OP_PONG),
         Response::Readings(readings) => {
             header(&mut w, id, OP_READINGS);
             w.u32(readings.len() as u32);
@@ -840,13 +739,6 @@ pub fn decode_response(payload: &[u8]) -> Result<(u64, Response), WireError> {
             }
             Response::Racks(racks)
         }
-        OP_READING => match r.u8()? {
-            0 => Response::Reading(None),
-            1 => Response::Reading(Some(get_reading(&mut r)?)),
-            v => return Err(WireError::BadEnum("option", v)),
-        },
-        OP_ACK => Response::Ack,
-        OP_PONG => Response::Pong,
         OP_READINGS => {
             let count = r.u32()? as usize;
             if count > r.remaining() / READING_WIRE_BYTES {
@@ -909,13 +801,6 @@ mod tests {
     fn requests_round_trip() {
         let requests = [
             Request::ListRacks,
-            Request::Read(RackId::new(7)),
-            Request::SetChargeOverride(RackId::new(1), Amperes::new(2.345_678_9)),
-            Request::ClearChargeOverride(RackId::new(2)),
-            Request::SetChargePostponed(RackId::new(3), true),
-            Request::CapServers(RackId::new(4), Watts::from_kilowatts(4.2)),
-            Request::UncapServers(RackId::new(5)),
-            Request::Ping,
             Request::ReadAllReadings,
             Request::ApplyCommandBatch(Vec::new()),
             Request::ApplyCommandBatch(vec![
@@ -973,10 +858,6 @@ mod tests {
         let responses = [
             Response::Racks(vec![RackId::new(0), RackId::new(9)]),
             Response::Racks(Vec::new()),
-            Response::Reading(Some(reading())),
-            Response::Reading(None),
-            Response::Ack,
-            Response::Pong,
             Response::Readings(vec![reading(), reading()]),
             Response::Readings(Vec::new()),
             Response::BatchAck(7),
@@ -1031,48 +912,102 @@ mod tests {
     #[test]
     fn readings_survive_bit_exactly() {
         // The equivalence guarantee rests on f64 fields crossing the wire as
-        // raw bit patterns — no text formatting, no rounding.
-        let original = reading();
-        let payload = encode_response(1, &Response::Reading(Some(original)));
+        // raw bit patterns — no text formatting, no rounding. Values that
+        // compare equal to a neighbour (-0.0 == 0.0) must keep their bits too.
+        let original = PowerReading {
+            it_load: Watts::new(-0.0),
+            recharge_power: Watts::new(f64::MIN_POSITIVE / 2.0),
+            capped_power: Watts::new(f64::MAX),
+            ..reading()
+        };
+        let payload = encode_response(1, &Response::Readings(vec![original]));
         let (_, decoded) = decode_response(&payload).expect("decodes");
-        let Response::Reading(Some(decoded)) = decoded else {
+        let Response::Readings(decoded) = decoded else {
             panic!("wrong variant");
         };
-        assert_eq!(
-            decoded.it_load.as_watts().to_bits(),
-            original.it_load.as_watts().to_bits()
-        );
-        assert_eq!(
-            decoded.event_dod.value().to_bits(),
-            original.event_dod.value().to_bits()
-        );
+        let [decoded] = decoded[..] else {
+            panic!("expected one reading, got {}", decoded.len());
+        };
+        let bits = |r: &PowerReading| {
+            [
+                r.it_load.as_watts().to_bits(),
+                r.recharge_power.as_watts().to_bits(),
+                r.event_dod.value().to_bits(),
+                r.dod.value().to_bits(),
+                r.capped_power.as_watts().to_bits(),
+            ]
+        };
+        assert_eq!(bits(&decoded), bits(&original));
         assert_eq!(decoded, original);
+    }
+
+    #[test]
+    fn retired_opcodes_are_rejected_without_panicking() {
+        // Version 1's per-rack ops must never decode again, whatever body
+        // follows the opcode: a stray frame is a typed error, not a panic.
+        let frame = |op: u8, body_len: usize| {
+            let mut payload = vec![PROTOCOL_VERSION];
+            payload.extend_from_slice(&7u64.to_le_bytes());
+            payload.push(op);
+            payload.extend((0..body_len).map(|i| (i * 37 + 1) as u8));
+            payload
+        };
+        for body_len in [0, 1, 4, 5, 12, 13, 47, 48, 64] {
+            for op in 0x02..=0x08u8 {
+                assert_eq!(
+                    decode_request(&frame(op, body_len)),
+                    Err(WireError::BadOpcode(op)),
+                    "request opcode {op:#04x} with a {body_len}-byte body"
+                );
+            }
+            for op in 0x82..=0x84u8 {
+                assert_eq!(
+                    decode_response(&frame(op, body_len)),
+                    Err(WireError::BadOpcode(op)),
+                    "response opcode {op:#04x} with a {body_len}-byte body"
+                );
+            }
+        }
     }
 
     #[test]
     fn corrupt_payloads_are_rejected() {
         assert_eq!(decode_request(&[]), Err(WireError::Truncated));
-        // Wrong version byte.
-        let mut payload = encode_request(1, &Request::Ping);
-        payload[0] = 99;
-        assert_eq!(decode_request(&payload), Err(WireError::BadVersion(99)));
+        // Wrong version byte, including a peer still speaking version 1.
+        for version in [1, 99] {
+            let mut payload = encode_request(1, &Request::ListRacks);
+            payload[0] = version;
+            assert_eq!(
+                decode_request(&payload),
+                Err(WireError::BadVersion(version))
+            );
+        }
         // Unknown opcode.
-        let mut payload = encode_request(1, &Request::Ping);
+        let mut payload = encode_request(1, &Request::ListRacks);
         payload[9] = 0x7f;
         assert_eq!(decode_request(&payload), Err(WireError::BadOpcode(0x7f)));
         // Truncated body.
-        let payload = encode_request(1, &Request::Read(RackId::new(3)));
+        let payload = encode_request(
+            1,
+            &Request::TickLeaf {
+                now: SimTime::from_secs(3.0),
+                budget: Some(Watts::from_kilowatts(1.0)),
+            },
+        );
         assert_eq!(
             decode_request(&payload[..payload.len() - 1]),
             Err(WireError::Truncated)
         );
         // Trailing garbage.
-        let mut payload = encode_request(1, &Request::Ping);
+        let mut payload = encode_request(1, &Request::ListRacks);
         payload.push(0);
         assert_eq!(decode_request(&payload), Err(WireError::TrailingBytes));
         // Response decoded as request and vice versa.
-        let payload = encode_response(1, &Response::Ack);
-        assert_eq!(decode_request(&payload), Err(WireError::BadOpcode(OP_ACK)));
+        let payload = encode_response(1, &Response::BatchAck(0));
+        assert_eq!(
+            decode_request(&payload),
+            Err(WireError::BadOpcode(OP_BATCH_ACK))
+        );
         // A batch whose claimed count cannot fit the remaining bytes.
         let mut payload = encode_request(1, &Request::ApplyCommandBatch(Vec::new()));
         let count_at = payload.len() - 4;
@@ -1183,37 +1118,16 @@ mod tests {
     }
 
     #[test]
-    fn request_rack_scope() {
-        assert_eq!(Request::ListRacks.rack(), None);
-        assert_eq!(Request::FetchSnapshot.rack(), None);
-        assert_eq!(
-            Request::ApplyFencedBatch {
-                term: 1,
-                leader: 0,
-                commands: Vec::new()
-            }
-            .rack(),
-            None
-        );
-        assert_eq!(Request::Ping.rack(), None);
-        assert_eq!(Request::ReadAllReadings.rack(), None);
-        assert_eq!(Request::ApplyCommandBatch(Vec::new()).rack(), None);
-        assert_eq!(
-            Request::TickLeaf {
-                now: SimTime::from_secs(0.0),
-                budget: None
-            }
-            .rack(),
-            None
-        );
-        assert_eq!(Request::Read(RackId::new(4)).rack(), Some(RackId::new(4)));
-        assert_eq!(
-            Request::CapServers(RackId::new(5), Watts::ZERO).rack(),
-            Some(RackId::new(5))
-        );
-        assert_eq!(
-            AgentCommand::SetChargePostponed(RackId::new(6), false).rack(),
-            RackId::new(6)
-        );
+    fn command_rack_scope() {
+        let rack = RackId::new(6);
+        for command in [
+            AgentCommand::SetChargeOverride(rack, Amperes::MIN_CHARGE),
+            AgentCommand::ClearChargeOverride(rack),
+            AgentCommand::SetChargePostponed(rack, false),
+            AgentCommand::CapServers(rack, Watts::ZERO),
+            AgentCommand::UncapServers(rack),
+        ] {
+            assert_eq!(command.rack(), rack, "{command:?}");
+        }
     }
 }

@@ -219,17 +219,16 @@ impl Scenario {
     /// stays local either way, so a clean-link run is bit-identical to the
     /// in-memory backends.
     ///
-    /// The config picks the mesh shape ([`spawn_mesh`]): a single
-    /// [`RpcFleetBackend`] server by default; with a shard plan
-    /// ([`RpcMeshConfig::shard_count`] / `sharded_by_rpp`) one server per
-    /// shard with batched reads/commands and concurrent fan-out
-    /// ([`ShardedRpcFleetBackend`], still bit-identical under a clean link);
-    /// with `with_leaf_control` the leaf tier additionally runs *inside*
-    /// each shard's server and only per-group aggregates and budgets cross
-    /// the wire.
+    /// [`spawn_mesh`] builds a [`ShardedRpcFleetBackend`] from the config:
+    /// reads and commands cross the wire as one batch per server per control
+    /// tick. The default is one server for the whole fleet; a shard plan
+    /// ([`RpcMeshConfig::shard_count`] / `sharded_by_rpp`) runs one server
+    /// per shard with concurrent fan-out, still bit-identical under a clean
+    /// link; with `with_leaf_control` the leaf tier additionally runs
+    /// *inside* each shard's server and only per-group aggregates and
+    /// budgets cross the wire.
     ///
     /// [`spawn_mesh`]: recharge_net::spawn_mesh
-    /// [`RpcFleetBackend`]: recharge_net::RpcFleetBackend
     /// [`RpcMeshConfig::shard_count`]: recharge_net::RpcMeshConfig::shard_count
     /// [`ShardedRpcFleetBackend`]: recharge_net::ShardedRpcFleetBackend
     #[must_use]

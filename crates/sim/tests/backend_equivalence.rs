@@ -1,31 +1,26 @@
 //! Every fleet backend must produce bit-identical [`RunMetrics`].
 //!
 //! The matrix covers {serial, struct-of-arrays serial, struct-of-arrays
-//! sharded, event-driven, event-sharded, RPC mesh over loopback TCP, sharded
-//! RPC mesh at 1/2/4 shards} × {telemetry off, telemetry on} ×
-//! {controller every tick, controller every 5 ticks}, plus a flight-recorder
-//! on/off leg: the recorder journals every decision but must never feed back
-//! into the result.
+//! sharded, event-driven, event-sharded, RPC mesh over loopback TCP at
+//! 1/2/4 shards} × {telemetry off, telemetry on} × {controller every tick,
+//! controller every 5 ticks}, plus a flight-recorder on/off leg: the
+//! recorder journals every decision but must never feed back into the
+//! result.
 //! Batching, sharding, and the wire may only change who executes the
 //! sub-step schedule and what transport the controller's reads and commands
-//! cross — never a single bit of the result. The sharded mesh additionally
-//! batches reads (`ReadAllReadings` snapshot) and defers commands
-//! (`ApplyCommandBatch` flushed at the next schedule boundary), and must
-//! *still* be bit-identical: nothing observes agent state between a
-//! controller tick and the next schedule's first sub-step.
-//! For the mesh this is the headline clean-link guarantee: the framed codec
-//! carries every `f64` as its exact bit pattern, the lease never expires
-//! under a healthy link, and the controller issues the identical call
-//! sequence, so `RunMetrics` over [`RpcBus`](recharge_net::RpcBus) equals
-//! the in-memory result exactly.
+//! cross — never a single bit of the result. The mesh batches reads
+//! (`ReadAllReadings` snapshot) and defers commands (`ApplyCommandBatch`
+//! flushed at the next schedule boundary), and must *still* be
+//! bit-identical: nothing observes agent state between a controller tick
+//! and the next schedule's first sub-step. This is the mesh's headline
+//! clean-link guarantee: the framed codec carries every `f64` as its exact
+//! bit pattern and the lease never expires under a healthy link.
 //!
 //! This is a single-test integration binary because it toggles the global
 //! telemetry enable flag — state no other concurrently running test may
 //! share. The in-process shard count defaults to 2 and can be raised via the
 //! `RECHARGE_TEST_SHARDS` environment variable (CI runs the matrix at 4 to
-//! exercise real multi-core interleavings); the sharded-mesh loop defaults to
-//! {1, 2, 4} servers and can be pinned to a single count via
-//! `RECHARGE_MESH_SHARDS` (the `net-soak-sharded` CI matrix runs 2 and 4).
+//! exercise real multi-core interleavings).
 
 use recharge_dynamo::{FleetBackendKind, Strategy};
 use recharge_net::RpcMeshConfig;
@@ -46,16 +41,6 @@ fn test_shards() -> usize {
         .ok()
         .and_then(|s| s.parse().ok())
         .unwrap_or(2)
-}
-
-fn mesh_shard_counts() -> Vec<usize> {
-    match std::env::var("RECHARGE_MESH_SHARDS")
-        .ok()
-        .and_then(|s| s.parse().ok())
-    {
-        Some(n) => vec![n],
-        None => vec![1, 2, 4],
-    }
 }
 
 fn run_matrix_row(backend: FleetBackendKind, control_every: usize) -> RunMetrics {
@@ -91,36 +76,18 @@ fn run_metrics_are_bit_identical_across_backends() {
                 );
             }
             // The RPC mesh over a clean loopback link: every controller read
-            // and command crosses a real TCP socket, yet the metrics must be
+            // and command crosses real TCP sockets — one server by default,
+            // then 2 and 4 with concurrent fan-out — yet the metrics must be
             // bit-identical to the in-process run.
-            let rpc = scenario()
-                .rpc(RpcMeshConfig::default())
-                .control_every(control_every)
-                .build()
-                .run();
-            assert_eq!(
-                rpc, reference,
-                "rpc-tcp diverged from serial \
-                 (telemetry={telemetry}, control_every={control_every})"
-            );
-            // The sharded mesh: per-shard servers, batched reads, buffered
-            // command batches, concurrent fan-out — and still bit-identical
-            // to both serial and the single-server mesh.
-            for mesh_shards in mesh_shard_counts() {
-                let sharded_rpc = scenario()
+            for mesh_shards in [1, 2, 4] {
+                let rpc = scenario()
                     .rpc(RpcMeshConfig::shard_count(mesh_shards))
                     .control_every(control_every)
                     .build()
                     .run();
                 assert_eq!(
-                    sharded_rpc, reference,
-                    "rpc-sharded diverged from serial \
-                     (telemetry={telemetry}, control_every={control_every}, \
-                     mesh_shards={mesh_shards})"
-                );
-                assert_eq!(
-                    sharded_rpc, rpc,
-                    "rpc-sharded diverged from single-server rpc \
+                    rpc, reference,
+                    "rpc mesh diverged from serial \
                      (telemetry={telemetry}, control_every={control_every}, \
                      mesh_shards={mesh_shards})"
                 );
@@ -154,7 +121,7 @@ fn run_metrics_are_bit_identical_across_backends() {
         .run();
     assert_eq!(
         rpc, reference,
-        "rpc-tcp diverged with the flight recorder off"
+        "rpc mesh diverged with the flight recorder off"
     );
     recharge_telemetry::set_recorder_enabled(true);
     let _ = recharge_telemetry::take_flight_events();

@@ -1,4 +1,5 @@
-//! Seeded chaos soak over the RPC mesh: the headline degraded-mode claim.
+//! Seeded chaos soak over the RPC mesh (one server by default, two for the
+//! single-shard partition): the headline degraded-mode claim.
 //!
 //! With 10 % request drops, tail delays, duplicated frames, and a 60-tick
 //! total controller partition injected into the link, a full scenario run
@@ -10,7 +11,7 @@
 //! `quick_chaos_soak` (drops and a partition, no injected latency, sparse
 //! control ticks) runs in every test pass; the full profile — per-attempt
 //! delay injection at a 50 ms p99 and per-tick control — is `#[ignore]`d and
-//! run by the `net-soak` CI job.
+//! run by the `mesh` CI job.
 
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
@@ -154,11 +155,10 @@ fn quick_chaos_soak() {
 
 /// The full profile from the issue: 10 % drops, injected delays with a 50 ms
 /// p99, and one 60-tick total partition, under per-tick control traffic.
-/// Minutes of wall clock (the delays are real sleeps) — run via the
-/// `net-soak` CI job or `cargo test -p recharge-sim --test chaos_soak --
-/// --ignored`.
+/// Seconds of wall clock (the delays are real sleeps) — run via the `mesh`
+/// CI job or `cargo test -p recharge-sim --test chaos_soak -- --ignored`.
 #[test]
-#[ignore = "full soak with real injected latency; run by the net-soak CI job"]
+#[ignore = "full soak with real injected latency; run by the mesh CI job"]
 fn full_chaos_soak() {
     let _lock = telemetry_lock();
     soak(

@@ -7,7 +7,7 @@
 //! ```
 
 use recharge::dynamo::{Controller, ControllerConfig, FleetBackend, SimRackAgent, Strategy};
-use recharge::net::{FaultPlan, Partition, RpcFleetBackend, RpcMeshConfig};
+use recharge::net::{FaultPlan, Partition, RpcMeshConfig, ShardedRpcFleetBackend};
 use recharge::prelude::*;
 
 fn main() {
@@ -34,8 +34,13 @@ fn main() {
     // 150 and rejoins at the first contact after 240.
     let mesh =
         RpcMeshConfig::with_fault(FaultPlan::partitions_only(vec![Partition::all(120, 240)]));
-    let mut backend = RpcFleetBackend::spawn(agents, &mesh).expect("spawning the mesh");
-    println!("mesh up on {:?}\n", backend.bus().endpoint());
+    let mut backend = ShardedRpcFleetBackend::spawn(agents, &mesh, None).expect("spawning");
+    let host = std::sync::Arc::clone(backend.host(0));
+    println!(
+        "mesh up: {} server(s), {} racks\n",
+        backend.shard_count(),
+        host.racks().len()
+    );
 
     let mut controller = Controller::new(
         ControllerConfig::new(DeviceId::new(0), Watts::from_kilowatts(190.0)),
@@ -43,30 +48,33 @@ fn main() {
     );
 
     let load = |_: RackId, _: usize| Watts::from_kilowatts(6.0);
-    let mut coordinated_last = usize::MAX;
+    let mut last = None;
     for s in 0..300u32 {
+        // The step applies the commands the controller batched last tick,
+        // so this is the state the agents actually run with at tick `s`.
         backend.step_schedule(Seconds::new(1.0), &[true], &load);
-        controller.tick(SimTime::from_secs(f64::from(s)), backend.bus_mut());
 
         let coordinated = (0..4u32)
-            .filter(|&i| backend.host().is_coordinated(RackId::new(i)))
+            .filter(|&i| host.is_coordinated(RackId::new(i)))
             .count();
-        if coordinated != coordinated_last {
-            let (overridden, standalone_current) = backend.host().with_agents(|agents| {
-                (
-                    agents
-                        .iter()
-                        .filter(|a| a.battery().bbu().charger().override_current().is_some())
-                        .count(),
-                    agents[0].battery().setpoint(),
-                )
-            });
+        let (overridden, setpoint) = host.with_agents(|agents| {
+            (
+                agents
+                    .iter()
+                    .filter(|a| a.battery().bbu().charger().override_current().is_some())
+                    .count(),
+                agents[0].battery().setpoint(),
+            )
+        });
+        if last != Some((coordinated, overridden)) {
             println!(
                 "tick {s:>3}: {coordinated}/4 coordinated, {overridden}/4 overridden, \
-                 rack-0 setpoint {standalone_current}"
+                 rack-0 setpoint {setpoint}"
             );
-            coordinated_last = coordinated;
+            last = Some((coordinated, overridden));
         }
+
+        controller.tick(SimTime::from_secs(f64::from(s)), backend.bus_mut());
     }
 
     println!(

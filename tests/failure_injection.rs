@@ -6,7 +6,7 @@ use recharge::dynamo::{
     AgentBus, Controller, ControllerConfig, FleetBackend, InMemoryBus, RackAgent, SimRackAgent,
     Strategy,
 };
-use recharge::net::{FaultPlan, Partition, RpcFleetBackend, RpcMeshConfig};
+use recharge::net::{FaultPlan, Partition, RpcMeshConfig, ShardedRpcFleetBackend};
 use recharge::prelude::*;
 use recharge::sim::{DischargeLevel, Scenario};
 
@@ -200,7 +200,9 @@ fn controller_partition_during_recharge_falls_back_then_rejoins() {
     // lease (30 ticks) expires mid-recharge.
     let mesh =
         RpcMeshConfig::with_fault(FaultPlan::partitions_only(vec![Partition::all(120, 240)]));
-    let mut backend = RpcFleetBackend::spawn(agents, &mesh).expect("spawning the mesh");
+    let mut backend = ShardedRpcFleetBackend::spawn(agents, &mesh, None).expect("spawning");
+    assert_eq!(backend.shard_count(), 1);
+    let host = std::sync::Arc::clone(backend.host(0));
     let racks: Vec<RackId> = (0..4).map(RackId::new).collect();
     let mut controller = Controller::new(
         ControllerConfig::new(DeviceId::new(0), Watts::from_kilowatts(190.0)),
@@ -217,9 +219,9 @@ fn controller_partition_during_recharge_falls_back_then_rejoins() {
             // explicit override.
             assert_eq!(controller.commanded_currents().len(), 4);
             for &rack in &racks {
-                assert!(backend.host().is_coordinated(rack), "{rack} not joined");
+                assert!(host.is_coordinated(rack), "{rack} not joined");
             }
-            backend.host().with_agents(|agents| {
+            host.with_agents(|agents| {
                 for a in agents {
                     assert!(a.battery().bbu().charger().override_current().is_some());
                 }
@@ -231,11 +233,11 @@ fn controller_partition_during_recharge_falls_back_then_rejoins() {
             // same current the uncoordinated variable charger would pick.
             for &rack in &racks {
                 assert!(
-                    !backend.host().is_coordinated(rack),
+                    !host.is_coordinated(rack),
                     "{rack} still coordinated mid-partition"
                 );
             }
-            backend.host().with_agents(|agents| {
+            host.with_agents(|agents| {
                 for a in agents {
                     let battery = a.battery();
                     assert!(a.battery().bbu().charger().override_current().is_none());
@@ -255,9 +257,9 @@ fn controller_partition_during_recharge_falls_back_then_rejoins() {
     // postponed or stuck.
     assert_eq!(controller.commanded_currents().len(), 4);
     for &rack in &racks {
-        assert!(backend.host().is_coordinated(rack), "{rack} never rejoined");
+        assert!(host.is_coordinated(rack), "{rack} never rejoined");
     }
-    backend.host().with_agents(|agents| {
+    host.with_agents(|agents| {
         for a in agents {
             assert!(
                 !a.battery().is_postponed(),
@@ -279,9 +281,7 @@ fn controller_partition_during_recharge_falls_back_then_rejoins() {
 
 #[test]
 fn single_shard_partition_degrades_only_that_shard() {
-    use recharge::net::ShardedRpcFleetBackend;
-
-    // Same shape as the single-server partition test, but over a two-shard
+    // Same shape as the whole-mesh partition test, but over a two-shard
     // mesh (racks [0,1] on shard 0, [2,3] on shard 1) with the partition
     // scoped to shard 0's racks: only that shard's leases may expire; shard
     // 1 must keep its overrides through the whole window.

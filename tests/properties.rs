@@ -277,7 +277,7 @@ proptest! {
     #[test]
     fn shard_partition_assigns_every_rack_exactly_once(
         rack_count in 1usize..200,
-        plan_pick in 0u8..3,
+        by_rpp in proptest::bool::ANY,
         n in 0usize..40,
     ) {
         // Whatever the plan, partitioning is a permutation-free split: every
@@ -285,10 +285,10 @@ proptest! {
         // empty (so no server ever hosts zero racks while another hosts its
         // racks twice).
         let racks: Vec<RackId> = (0..rack_count as u32).map(RackId::new).collect();
-        let plan = match plan_pick {
-            0 => ShardPlan::Single,
-            1 => ShardPlan::Count(n),
-            _ => ShardPlan::ByRpp { racks_per_rpp: n.max(1) },
+        let plan = if by_rpp {
+            ShardPlan::ByRpp { racks_per_rpp: n.max(1) }
+        } else {
+            ShardPlan::Count(n)
         };
         let groups = plan.partition(&racks);
         let flattened: Vec<RackId> = groups.iter().flatten().copied().collect();
