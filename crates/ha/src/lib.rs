@@ -59,8 +59,8 @@ pub const DEFAULT_LEASE_TICKS: u64 = recharge_net::DEFAULT_LEASE_TICKS;
 /// lease width. A takeover can begin at most one lease after the leader
 /// vanished and always reconciles that window from live agent readings, so
 /// replicating more often than the lease buys no freshness a takeover could
-/// use — it only costs serialization time (`BENCH_ha.json` gates that cost
-/// at ≤ 2 % of a tick).
+/// use — it only costs serialization time (`bench_report`'s
+/// `ha_replication_overhead` gate holds that cost under 2 % of a tick).
 pub const DEFAULT_SNAPSHOT_EVERY: u64 = DEFAULT_LEASE_TICKS;
 
 /// Configuration of a [`ControllerSet`].

@@ -14,7 +14,9 @@
 //! bit-identical: nothing observes agent state between a controller tick
 //! and the next schedule's first sub-step. This is the mesh's headline
 //! clean-link guarantee: the framed codec carries every `f64` as its exact
-//! bit pattern and the lease never expires under a healthy link.
+//! bit pattern and the lease never expires under a healthy link. With
+//! telemetry on, each mesh run is also held to at most 3 RPCs per shard per
+//! control tick (`net.rpc_calls` against `sim.ticks`).
 //!
 //! This is a single-test integration binary because it toggles the global
 //! telemetry enable flag — state no other concurrently running test may
@@ -61,6 +63,9 @@ fn run_metrics_are_bit_identical_across_backends() {
         FleetBackendKind::Event,
         FleetBackendKind::EventSharded { shards },
     ];
+    // Counters move only while telemetry is on.
+    let calls = recharge_telemetry::counter("net.rpc_calls");
+    let ticks = recharge_telemetry::counter("sim.ticks");
 
     for telemetry in [false, true] {
         recharge_telemetry::set_enabled(telemetry);
@@ -80,6 +85,7 @@ fn run_metrics_are_bit_identical_across_backends() {
             // then 2 and 4 with concurrent fan-out — yet the metrics must be
             // bit-identical to the in-process run.
             for mesh_shards in [1, 2, 4] {
+                let before = [calls.value(), ticks.value()];
                 let rpc = scenario()
                     .rpc(RpcMeshConfig::shard_count(mesh_shards))
                     .control_every(control_every)
@@ -91,6 +97,19 @@ fn run_metrics_are_bit_identical_across_backends() {
                      (telemetry={telemetry}, control_every={control_every}, \
                      mesh_shards={mesh_shards})"
                 );
+                // The batched wire ops: one `ReadAllReadings` per shard per
+                // control tick plus one `ApplyCommandBatch` when commands are
+                // pending, so at most 3 RPCs per shard per control tick.
+                if telemetry {
+                    let rpcs = calls.value() - before[0];
+                    let control_ticks = (ticks.value() - before[1]) / control_every as u64;
+                    assert!(
+                        rpcs <= 3 * mesh_shards as u64 * control_ticks,
+                        "{rpcs} RPCs over {control_ticks} control ticks on {mesh_shards} \
+                         shard(s) exceed 3 per shard per control tick \
+                         (control_every={control_every})"
+                    );
+                }
             }
         }
     }

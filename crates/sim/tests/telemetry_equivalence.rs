@@ -42,6 +42,10 @@ fn run_metrics_are_bit_identical_with_telemetry_on_or_off() {
         "telemetry perturbed the sharded run"
     );
     assert_eq!(on_sharded, on_serial, "backends diverged");
+    assert!(
+        !on_serial.breaker_tripped,
+        "the instrumented run tripped the breaker"
+    );
 
     // The instrumented runs actually recorded the end-to-end span set.
     let span_names: std::collections::BTreeSet<&str> = records.iter().map(|r| r.name).collect();

@@ -9,7 +9,7 @@
 //! * **Disabled by default.** Every record path starts with one relaxed
 //!   atomic load of the global `enabled` flag; when off, counters, gauges,
 //!   histograms, spans, and events all return immediately, so the hot loops
-//!   pay well under 2% (see `BENCH_telemetry.json` from `bench_report`).
+//!   pay well under 2% (`bench_report`'s `telemetry_overhead` gate).
 //! * **Atomic fast path when on.** Metric handles are `Arc`s over atomics;
 //!   span records go into per-thread buffers behind uncontended mutexes and
 //!   are only merged when [`take_records`] drains them at export time.

@@ -17,9 +17,9 @@
 //!   window — exactly what a post-mortem needs.
 //! * **Bounded cost.** Recording is one relaxed atomic load when the
 //!   recorder is off, and a thread-local push behind an uncontended mutex
-//!   when on (`BENCH_obs.json` gates the steady-state cost at ≤ 2 % of a
-//!   simulation tick). The recorder is **on by default** — it is the black
-//!   box, not the profiler.
+//!   when on (`bench_report`'s `recorder_overhead` gate holds the
+//!   steady-state cost under 2 % of a simulation tick). The recorder is
+//!   **on by default** — it is the black box, not the profiler.
 //! * **No feedback.** Nothing here reads back into simulation state;
 //!   `backend_equivalence` pins `RunMetrics` bit-identical recorder on/off.
 //! * **Exact floats.** Every `f64` input (currents, headroom, times) is
@@ -647,21 +647,13 @@ pub fn parse_blackbox(doc: &str) -> Result<BlackboxDump, String> {
         .and_then(json::Json::as_str)
         .ok_or("missing trigger")?
         .to_owned();
-    let overwritten = parsed
-        .get("overwritten")
-        .and_then(json::Json::as_num)
-        .ok_or("missing overwritten")? as u64;
+    let overwritten = whole(&parsed, "overwritten")?;
     let raw = parsed
         .get("events")
         .and_then(json::Json::as_arr)
         .ok_or("missing events array")?;
     let mut events = Vec::with_capacity(raw.len());
     for (i, e) in raw.iter().enumerate() {
-        let field = |name: &str| -> Result<f64, String> {
-            e.get(name)
-                .and_then(json::Json::as_num)
-                .ok_or_else(|| format!("event {i}: missing {name}"))
-        };
         let bits = |name: &str| -> Result<u64, String> {
             let hex = e
                 .get(name)
@@ -691,9 +683,9 @@ pub fn parse_blackbox(doc: &str) -> Result<BlackboxDump, String> {
             at_bits: bits("at_bits")?,
             kind,
             reason,
-            priority: field("priority")? as u8,
-            bucket: field("bucket")? as u16,
-            rack: field("rack")? as u32,
+            priority: whole(e, "priority").map_err(|err| format!("event {i}: {err}"))?,
+            bucket: whole(e, "bucket").map_err(|err| format!("event {i}: {err}"))?,
+            rack: whole(e, "rack").map_err(|err| format!("event {i}: {err}"))?,
             v0: bits("v0")?,
             v1: bits("v1")?,
         });
@@ -703,6 +695,20 @@ pub fn parse_blackbox(doc: &str) -> Result<BlackboxDump, String> {
         overwritten,
         events,
     })
+}
+
+/// Reads the whole number `name` of `obj` as a `T`. Negative, fractional and
+/// out-of-range values are errors; an `as` cast would saturate or truncate
+/// them into a plausible-looking wrong value.
+fn whole<T: TryFrom<u64>>(obj: &json::Json, name: &str) -> Result<T, String> {
+    let v = obj
+        .get(name)
+        .and_then(json::Json::as_num)
+        .ok_or_else(|| format!("missing {name}"))?;
+    // 2^64 is the first float past `u64::MAX`.
+    let n = (v >= 0.0 && v.fract() == 0.0 && v < 18_446_744_073_709_551_616.0).then_some(v as u64);
+    n.and_then(|n| T::try_from(n).ok())
+        .ok_or_else(|| format!("{name} {v} is not a {}", std::any::type_name::<T>()))
 }
 
 /// Writes the merged timeline (snapshot, not drained) to `path`.
@@ -893,6 +899,45 @@ mod tests {
         assert_eq!(dump.events[0].v0, awkward.to_bits());
         assert!(dump.events[0].v1_f64().is_nan());
         let _ = take_flight_events();
+    }
+
+    #[test]
+    fn blackbox_rejects_integers_an_as_cast_would_mangle() {
+        let event = ev(1.0, 7, FlightKind::Admit, ReasonCode::AdmitFloor);
+        let doc = blackbox_json("t", &[event]);
+        let overwritten = parse_blackbox(&doc).expect("dump parses").overwritten;
+        for (field, bad) in [
+            ("priority", "300"),
+            ("priority", "-1"),
+            ("priority", "1.5"),
+            ("bucket", "65536"),
+            ("bucket", "1.5"),
+            ("rack", "-1"),
+            ("rack", "4294967296"),
+            ("rack", "0.5"),
+            ("overwritten", "-1"),
+            ("overwritten", "2.5"),
+            ("overwritten", "1e20"),
+        ] {
+            let good = match field {
+                "priority" => format!("\"priority\":{}", event.priority),
+                "bucket" => format!("\"bucket\":{}", event.bucket),
+                "rack" => format!("\"rack\":{}", event.rack),
+                _ => format!("\"overwritten\":{overwritten}"),
+            };
+            assert!(doc.contains(&good), "{good} not in the dump");
+            let edited = doc.replacen(&good, &format!("\"{field}\":{bad}"), 1);
+            let err = parse_blackbox(&edited).expect_err("out-of-range value accepted");
+            let scope = if field == "overwritten" {
+                ""
+            } else {
+                "event 0"
+            };
+            assert!(
+                err.contains(field) && err.contains(scope),
+                "{field} = {bad}: error {err:?} must name the field and the event"
+            );
+        }
     }
 
     #[test]

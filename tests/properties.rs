@@ -13,6 +13,7 @@ use recharge::net::ShardPlan;
 use recharge::power::facebook;
 use recharge::prelude::*;
 use recharge::reliability::{table1, AorSimulation};
+use recharge::telemetry::{self, FlightEvent, FlightKind, ReasonCode};
 
 /// The shrunken counterexample recorded in `properties.proptest-regressions`
 /// for `algorithm1_respects_budget_and_hardware_range`, pinned as a
@@ -430,5 +431,76 @@ proptest! {
         // Wall energy exceeds the stored energy (losses), but not absurdly.
         prop_assert!(wall >= stored, "wall {wall} < stored {stored}");
         prop_assert!(wall <= stored * 2.5, "wall {wall} implausibly above stored {stored}");
+    }
+}
+
+/// Characters that steer the JSON reader into each of its branches; a pick
+/// past the end of this list draws an arbitrary Unicode scalar instead.
+const JSON_CHARS: [char; 24] = [
+    '{', '}', '[', ']', '"', ':', ',', '\\', 'u', '-', '+', '.', 'e', '0', '7', 't', 'r', 'f', 'a',
+    'l', 's', 'n', ' ', '\n',
+];
+
+fn json_char(pick: usize, scalar: u32) -> char {
+    JSON_CHARS
+        .get(pick)
+        .copied()
+        .unwrap_or_else(|| char::from_u32(scalar).unwrap_or(char::REPLACEMENT_CHARACTER))
+}
+
+/// A valid two-event black-box dump for the loader to chew on.
+fn blackbox_dump() -> String {
+    let event = |at: f64, kind, reason, rack| FlightEvent {
+        at_bits: at.to_bits(),
+        kind,
+        reason,
+        priority: 2,
+        bucket: 512,
+        rack,
+        v0: 1.5f64.to_bits(),
+        v1: f64::NAN.to_bits(),
+    };
+    telemetry::blackbox_json(
+        "forced",
+        &[
+            event(3.0, FlightKind::Admit, ReasonCode::AdmitUpgraded, 41),
+            event(4.0, FlightKind::Cap, ReasonCode::CapLastResort, 7),
+        ],
+    )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// Untrusted text never panics or aborts the JSON reader or the
+    /// black-box loader behind `recharge-ops`: every input is `Ok` or `Err`.
+    #[test]
+    fn json_and_blackbox_parsers_never_panic_on_arbitrary_text(
+        picks in proptest::collection::vec((0usize..32, 0u32..0x11_0000), 0..96),
+    ) {
+        let text: String = picks.iter().map(|&(pick, scalar)| json_char(pick, scalar)).collect();
+        let _ = telemetry::json::parse(&text);
+        let _ = telemetry::parse_blackbox(&text);
+    }
+
+    /// A valid dump with a few characters overwritten or inserted, so the
+    /// loader's own field checks see malformed input, not just the reader.
+    #[test]
+    fn blackbox_loader_never_panics_on_edited_dumps(
+        edits in proptest::collection::vec(
+            (0usize..1024, proptest::bool::ANY, 0usize..32, 0u32..0x11_0000),
+            1..6,
+        ),
+    ) {
+        let mut doc: Vec<char> = blackbox_dump().chars().collect();
+        for &(at, insert, pick, scalar) in &edits {
+            let at = at % (doc.len() + 1);
+            if insert || at == doc.len() {
+                doc.insert(at, json_char(pick, scalar));
+            } else {
+                doc[at] = json_char(pick, scalar);
+            }
+        }
+        let _ = telemetry::parse_blackbox(&doc.into_iter().collect::<String>());
     }
 }
