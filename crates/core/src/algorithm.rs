@@ -424,13 +424,6 @@ fn shed_in_order(
             a.current = Amperes::MIN_CHARGE;
             a.sla_met = policy.meets_sla(a.priority, a.dod, a.current);
             recharge_telemetry::tcounter!("core.throttle_demotions").inc();
-            recharge_telemetry::tevent!(
-                "throttle.demote",
-                "core",
-                "rack" => i64::from(a.rack.index()),
-                "priority" => a.priority.rank(),
-                "sla_met" => i64::from(a.sla_met),
-            );
             recharge_telemetry::flight(
                 recharge_telemetry::FlightKind::Throttle,
                 recharge_telemetry::ReasonCode::ThrottleOverload,

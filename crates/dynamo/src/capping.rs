@@ -9,6 +9,10 @@ use recharge_units::{RackId, Watts};
 
 use crate::messages::PowerReading;
 
+/// The largest fraction of a rack's IT load that either controller tier's
+/// server capping may shed: servers are never throttled below 60 % of load.
+pub(crate) const MAX_CAP_FRACTION: f64 = 0.4;
+
 /// One rack's capping decision: limit the rack to `limit`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CapDecision {

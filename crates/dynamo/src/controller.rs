@@ -10,7 +10,7 @@ use recharge_telemetry::{flight, tcounter, tspan, FlightKind, ReasonCode, NO_BUC
 use recharge_units::{Amperes, DeviceId, Dod, Priority, RackId, RackMap, SimTime, Watts};
 
 use crate::bus::AgentBus;
-use crate::capping::{plan_caps, plan_uncaps};
+use crate::capping::{plan_caps, plan_uncaps, MAX_CAP_FRACTION};
 use crate::messages::PowerReading;
 
 /// How the controller coordinates battery charging (§V-B2/3).
@@ -41,13 +41,16 @@ impl core::fmt::Display for Strategy {
     }
 }
 
+/// The planning guard band: charging assignments are planned against
+/// `limit × (1 − PLANNING_MARGIN)` so that trace noise after assignment
+/// cannot push the total over the physical limit.
+const PLANNING_MARGIN: f64 = 0.015;
+
 /// Configuration of a [`Controller`].
 #[derive(Debug, Clone)]
 pub struct ControllerConfig {
     device: DeviceId,
     limit: Watts,
-    max_cap_fraction: f64,
-    planning_margin: f64,
     allow_postponing: bool,
     scope: Option<Vec<RackId>>,
     policy: SlaCurrentPolicy,
@@ -62,59 +65,11 @@ impl ControllerConfig {
         ControllerConfig {
             device,
             limit,
-            max_cap_fraction: 0.4,
-            planning_margin: 0.015,
             allow_postponing: false,
             scope: None,
             policy: SlaCurrentPolicy::production(),
             model: RechargePowerModel::production(),
         }
-    }
-
-    /// Overrides the SLA-current policy.
-    #[must_use]
-    pub fn with_policy(mut self, policy: SlaCurrentPolicy) -> Self {
-        self.policy = policy;
-        self
-    }
-
-    /// Overrides the recharge power model.
-    #[must_use]
-    pub fn with_model(mut self, model: RechargePowerModel) -> Self {
-        self.model = model;
-        self
-    }
-
-    /// Overrides the maximum fraction of a rack's load that capping may shed.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `fraction` is outside `[0, 1]`.
-    #[must_use]
-    pub fn with_max_cap_fraction(mut self, fraction: f64) -> Self {
-        assert!(
-            (0.0..=1.0).contains(&fraction),
-            "cap fraction must be a fraction"
-        );
-        self.max_cap_fraction = fraction;
-        self
-    }
-
-    /// Overrides the planning guard band: charging assignments are planned
-    /// against `limit × (1 − margin)` so that trace noise after assignment
-    /// cannot push the total over the physical limit.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `margin` is outside `[0, 0.5]`.
-    #[must_use]
-    pub fn with_planning_margin(mut self, margin: f64) -> Self {
-        assert!(
-            (0.0..=0.5).contains(&margin),
-            "planning margin must be in [0, 0.5]"
-        );
-        self.planning_margin = margin;
-        self
     }
 
     /// Restricts the controller to a subset of the bus's racks — a leaf
@@ -157,7 +112,7 @@ impl ControllerConfig {
     /// The limit the planner budgets against (guard band applied).
     #[must_use]
     pub fn planning_limit(&self) -> Watts {
-        self.limit * (1.0 - self.planning_margin)
+        self.limit * (1.0 - PLANNING_MARGIN)
     }
 
     /// The protected device.
@@ -503,8 +458,7 @@ impl Controller {
                 residual = outcome.residual_deficit;
             }
             if residual > Watts::ZERO {
-                let (caps, _uncovered) =
-                    plan_caps(&readings, residual, self.config.max_cap_fraction);
+                let (caps, _uncovered) = plan_caps(&readings, residual, MAX_CAP_FRACTION);
                 for cap in &caps {
                     bus.cap_servers(cap.rack, cap.limit);
                     flight(

@@ -16,7 +16,7 @@ use recharge_power::{DeviceKind, Topology};
 use recharge_units::{Amperes, DeviceId, RackId, SimTime, Watts};
 
 use crate::bus::AgentBus;
-use crate::capping::plan_caps;
+use crate::capping::{plan_caps, MAX_CAP_FRACTION};
 use crate::controller::{Controller, ControllerConfig, Strategy};
 use crate::messages::PowerReading;
 
@@ -41,7 +41,6 @@ pub struct UpperMonitor {
     racks: Vec<RackId>,
     forced_minimum: HashSet<RackId>,
     index: ChargeIndex,
-    max_cap_fraction: f64,
 }
 
 impl UpperMonitor {
@@ -54,7 +53,6 @@ impl UpperMonitor {
             racks,
             forced_minimum: HashSet::new(),
             index: ChargeIndex::new(),
-            max_cap_fraction: 0.4,
         }
     }
 
@@ -160,7 +158,7 @@ impl UpperMonitor {
         }
 
         if overload > Watts::ZERO {
-            let (caps, _uncovered) = plan_caps(&readings, overload, self.max_cap_fraction);
+            let (caps, _uncovered) = plan_caps(&readings, overload, MAX_CAP_FRACTION);
             for cap in &caps {
                 bus.cap_servers(cap.rack, cap.limit);
             }

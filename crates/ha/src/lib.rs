@@ -17,10 +17,10 @@
 //!   `(draw, id)` pair wins, so elections are deterministic per seed and
 //!   never split.
 //! - **Monotonic terms as fencing tokens.** Every election increments
-//!   `term`. Commands carry the term on the wire
-//!   (`Request::ApplyFencedBatch` in `recharge-net`), and agents reject
-//!   anything below the highest term they have seen — a frozen ex-leader
-//!   that thaws mid-failover cannot double-override a rack.
+//!   `term`, and only the leader is handed the agent bus, so a frozen
+//!   ex-leader that thaws mid-failover cannot double-override a rack. The
+//!   set fences it in process: it journals the stale and current terms once
+//!   (`StaleLeaderFenced`) and never lets the replica act under its old term.
 //! - **Deterministic snapshot replication.** On a configurable cadence the
 //!   leader serializes its brain ([`Controller::snapshot`] — `ChargeIndex`
 //!   plus parked-charge map, `f64`s as exact bit patterns) and replicates it
@@ -39,11 +39,15 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod fault;
+
+pub use fault::ProcessFault;
+
+use fault::{crashed_at, frozen_at};
 use rand::splitmix64;
 use recharge_dynamo::{
     AgentBus, Controller, ControllerConfig, ControllerReport, ControllerSnapshot, Strategy,
 };
-use recharge_net::{ProcessFault, StoredSnapshot};
 use recharge_telemetry::{flight_at, tcounter, tgauge, FlightKind, ReasonCode, NO_BUCKET, NO_RACK};
 use recharge_units::SimTime;
 
@@ -127,6 +131,21 @@ impl HaConfig {
         self.faults.push(fault);
         self
     }
+}
+
+/// A replicated controller-brain snapshot: the leader's coordinates plus the
+/// encoded brain ([`ControllerSnapshot::to_bytes`]), decoded only when a
+/// takeover restores it.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct StoredSnapshot {
+    /// HA term of the leader that took the snapshot.
+    pub term: u64,
+    /// Replica id of that leader.
+    pub leader: u32,
+    /// Simulation tick the snapshot was taken at.
+    pub tick: u64,
+    /// The serialized controller brain.
+    pub bytes: Vec<u8>,
 }
 
 /// One redundant controller: the brain plus its process-fault state.
@@ -328,8 +347,9 @@ impl ControllerSet {
         }
     }
 
-    /// Journals (once) any thawed ex-leader whose term has been superseded:
-    /// the in-process analogue of the agent-side stale-term rejection.
+    /// Journals (once) any thawed ex-leader whose term has been superseded.
+    /// The bus only ever reaches the current leader, so this is the whole
+    /// fence: the ex-leader's stale term is retired, never replayed.
     fn fence_stale_ex_leaders(&mut self, now: SimTime) {
         let current = self.term;
         let leader = self.leader;
@@ -451,22 +471,6 @@ impl ControllerSet {
                 .map_or(-1.0, |s| tick_now.saturating_sub(s.tick) as f64),
         );
     }
-}
-
-/// Whether `controller` has a crash fault in effect at `tick` (permanent).
-fn crashed_at(faults: &[ProcessFault], controller: u32, tick: u64) -> bool {
-    faults.iter().any(|f| {
-        matches!(f, ProcessFault::CrashController { controller: c, at_tick }
-            if *c == controller && *at_tick <= tick)
-    })
-}
-
-/// Whether `controller` is inside a freeze window (`from <= tick < to`).
-fn frozen_at(faults: &[ProcessFault], controller: u32, tick: u64) -> bool {
-    faults.iter().any(|f| {
-        matches!(f, ProcessFault::FreezeController { controller: c, from_tick, to_tick }
-            if *c == controller && *from_tick <= tick && tick < *to_tick)
-    })
 }
 
 /// Uniform draw in `[0, 1)` from a `splitmix64` stream — the same generator

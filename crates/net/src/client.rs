@@ -40,7 +40,7 @@ use crate::endpoint::{recv_frame, send_frame, Endpoint, FrameBuffer, FrameRead, 
 use crate::fault::{FaultClock, FaultPlan, LinkFaults};
 use crate::wire::{
     decode_response, encode_request, AgentCommand, GroupAggregate, HealthReport, Request, Response,
-    StoredSnapshot, MAX_FRAME_LEN,
+    MAX_FRAME_LEN,
 };
 
 /// Bucket upper bounds (microseconds) for the RPC latency histograms — a
@@ -134,9 +134,8 @@ struct ClientInner {
     was_partitioned: bool,
 }
 
-/// One shard's client: batched reads and commands, leaf ticks, health, and
-/// the HA fenced/snapshot calls, spoken over the framed wire protocol to an
-/// [`AgentServer`](crate::server::AgentServer).
+/// One shard's client: batched reads and commands, leaf ticks and health,
+/// spoken over the framed wire protocol to an [`AgentServer`](crate::server::AgentServer).
 ///
 /// Interior mutability (one mutex around the connection) keeps every call
 /// `&self`; each shard's bus is owned by one client thread, so the lock is
@@ -414,53 +413,6 @@ impl RpcBus {
             _ => None,
         }
     }
-
-    /// Applies a term-fenced command batch: returns `Some((accepted,
-    /// witnessed_term, applied))`, or `None` when the shard is unreachable.
-    /// `accepted == false` means the server has witnessed a higher term and
-    /// fenced this leader — the caller must stop acting on the fleet.
-    pub fn apply_fenced_batch(
-        &self,
-        term: u64,
-        leader: u32,
-        commands: Vec<AgentCommand>,
-    ) -> Option<(bool, u64, u32)> {
-        match self.call(&Request::ApplyFencedBatch {
-            term,
-            leader,
-            commands,
-        }) {
-            Some(Response::FencedAck {
-                accepted,
-                term,
-                applied,
-            }) => Some((accepted, term, applied)),
-            _ => {
-                tcounter!("net.rpc_lost_commands").inc();
-                None
-            }
-        }
-    }
-
-    /// Replicates a controller-brain snapshot to the server: returns
-    /// `Some((accepted, witnessed_term))`, `None` when unreachable.
-    pub fn install_snapshot(&self, snapshot: StoredSnapshot) -> Option<(bool, u64)> {
-        match self.call(&Request::InstallSnapshot(snapshot)) {
-            Some(Response::SnapshotAck { accepted, term }) => Some((accepted, term)),
-            _ => None,
-        }
-    }
-
-    /// Fetches the server's last replicated snapshot (takeover recovery).
-    /// The outer `None` means unreachable; the inner `None` means the server
-    /// holds no snapshot.
-    #[must_use]
-    pub fn fetch_snapshot(&self) -> Option<Option<StoredSnapshot>> {
-        match self.call(&Request::FetchSnapshot) {
-            Some(Response::Snapshot(snapshot)) => Some(snapshot),
-            _ => None,
-        }
-    }
 }
 
 fn uniform(state: &mut u64) -> f64 {
@@ -735,54 +687,6 @@ mod tests {
         assert!(bus.read_all().is_some());
         let health = bus.read_health().expect("health");
         assert_eq!(health.coordinated, 2);
-    }
-
-    #[test]
-    fn fenced_ops_round_trip_over_loopback() {
-        let clock = FaultClock::new();
-        let (server, host) = spawn_server(2, &clock);
-        let bus =
-            RpcBus::connect(server.endpoint(), RpcBusConfig::default(), clock).expect("connect");
-
-        // No snapshot replicated yet.
-        assert_eq!(bus.fetch_snapshot(), Some(None));
-
-        // Term 1 commands land.
-        let ack = bus
-            .apply_fenced_batch(
-                1,
-                0,
-                vec![AgentCommand::SetChargeOverride(
-                    RackId::new(0),
-                    Amperes::MIN_CHARGE,
-                )],
-            )
-            .expect("reachable");
-        assert_eq!(ack, (true, 1, 1));
-
-        // Replicate a snapshot at term 2 and fetch it back bit-exactly.
-        let snapshot = StoredSnapshot {
-            term: 2,
-            leader: 1,
-            tick: 7,
-            bytes: vec![1, 0, 0, 0, 0, 0, 0, 0, 0],
-        };
-        assert_eq!(bus.install_snapshot(snapshot.clone()), Some((true, 2)));
-        assert_eq!(bus.fetch_snapshot(), Some(Some(snapshot)));
-
-        // The deposed term-1 leader is fenced; its command does not land.
-        let ack = bus
-            .apply_fenced_batch(
-                1,
-                0,
-                vec![AgentCommand::SetChargeOverride(
-                    RackId::new(0),
-                    Amperes::MAX_CHARGE,
-                )],
-            )
-            .expect("reachable");
-        assert_eq!(ack, (false, 2, 0));
-        assert_eq!(override_of(&host, 0), Some(Amperes::MIN_CHARGE));
     }
 
     #[test]

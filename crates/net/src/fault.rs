@@ -99,44 +99,6 @@ impl Partition {
     }
 }
 
-/// A process-level fault against one redundant upper controller.
-///
-/// Unlike link faults, which degrade the mesh, process faults kill the
-/// *brain*: the HA layer (`recharge-ha`) polls these windows on the shared
-/// [`FaultClock`] each control tick, so the same plan over the same run
-/// always kills or freezes the same controller at the same tick.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ProcessFault {
-    /// SIGKILL-style: the controller dies at `at_tick` and never returns.
-    CrashController {
-        /// Replica id of the controller to kill.
-        controller: u32,
-        /// Simulation tick at which it dies.
-        at_tick: u64,
-    },
-    /// SIGSTOP/SIGCONT-style: the controller is frozen (holds its lease but
-    /// makes no progress) over `[from_tick, to_tick)`, then resumes.
-    FreezeController {
-        /// Replica id of the controller to freeze.
-        controller: u32,
-        /// First frozen tick (inclusive).
-        from_tick: u64,
-        /// First tick after the freeze (exclusive).
-        to_tick: u64,
-    },
-}
-
-impl ProcessFault {
-    /// The replica id this fault targets.
-    #[must_use]
-    pub fn controller(&self) -> u32 {
-        match self {
-            ProcessFault::CrashController { controller, .. }
-            | ProcessFault::FreezeController { controller, .. } => *controller,
-        }
-    }
-}
-
 /// A reproducible schedule of link faults.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FaultPlan {
@@ -157,8 +119,6 @@ pub struct FaultPlan {
     pub delay_p99: Duration,
     /// Tick windows during which the link is cut.
     pub partitions: Vec<Partition>,
-    /// Tick-scheduled process faults against redundant upper controllers.
-    pub process_faults: Vec<ProcessFault>,
 }
 
 impl Default for FaultPlan {
@@ -172,7 +132,6 @@ impl Default for FaultPlan {
             delay_typical: Duration::from_millis(1),
             delay_p99: Duration::from_millis(50),
             partitions: Vec::new(),
-            process_faults: Vec::new(),
         }
     }
 }
@@ -200,7 +159,6 @@ impl FaultPlan {
             delay_typical: Duration::from_millis(1),
             delay_p99: Duration::from_millis(50),
             partitions,
-            ..FaultPlan::default()
         }
     }
 
@@ -236,32 +194,6 @@ impl FaultPlan {
             partitions,
             ..self.clone()
         }
-    }
-
-    /// Whether `controller` is dead at `tick`: some [`ProcessFault::CrashController`]
-    /// fired at or before it. Crashes are permanent — there is no restart.
-    #[must_use]
-    pub fn controller_crashed(&self, controller: u32, tick: u64) -> bool {
-        self.process_faults.iter().any(|f| {
-            matches!(
-                f,
-                ProcessFault::CrashController { controller: c, at_tick }
-                    if *c == controller && *at_tick <= tick
-            )
-        })
-    }
-
-    /// Whether `controller` is frozen at `tick`: inside some
-    /// [`ProcessFault::FreezeController`] half-open window.
-    #[must_use]
-    pub fn controller_frozen(&self, controller: u32, tick: u64) -> bool {
-        self.process_faults.iter().any(|f| {
-            matches!(
-                f,
-                ProcessFault::FreezeController { controller: c, from_tick, to_tick }
-                    if *c == controller && *from_tick <= tick && tick < *to_tick
-            )
-        })
     }
 }
 
@@ -451,57 +383,6 @@ mod tests {
         // Probabilistic knobs carry over untouched.
         assert_eq!(shard0.drop_request, plan.drop_request);
         assert_eq!(shard0.delay_p99, plan.delay_p99);
-    }
-
-    #[test]
-    fn crash_faults_are_permanent_from_their_tick() {
-        let plan = FaultPlan {
-            process_faults: vec![ProcessFault::CrashController {
-                controller: 1,
-                at_tick: 600,
-            }],
-            ..FaultPlan::default()
-        };
-        assert!(!plan.controller_crashed(1, 0));
-        assert!(!plan.controller_crashed(1, 599));
-        assert!(plan.controller_crashed(1, 600));
-        assert!(plan.controller_crashed(1, 10_000)); // no restart, ever
-        assert!(!plan.controller_crashed(0, 10_000)); // other replicas live on
-        assert!(!plan.controller_frozen(1, 700)); // dead, not frozen
-    }
-
-    #[test]
-    fn freeze_faults_follow_half_open_windows() {
-        let plan = FaultPlan {
-            process_faults: vec![ProcessFault::FreezeController {
-                controller: 2,
-                from_tick: 100,
-                to_tick: 150,
-            }],
-            ..FaultPlan::default()
-        };
-        assert!(!plan.controller_frozen(2, 99));
-        assert!(plan.controller_frozen(2, 100));
-        assert!(plan.controller_frozen(2, 149));
-        assert!(!plan.controller_frozen(2, 150)); // thawed
-        assert!(!plan.controller_frozen(0, 120));
-        assert!(!plan.controller_crashed(2, 120)); // frozen, not dead
-        assert_eq!(plan.process_faults[0].controller(), 2);
-    }
-
-    #[test]
-    fn shard_projection_carries_process_faults() {
-        let plan = FaultPlan {
-            process_faults: vec![ProcessFault::CrashController {
-                controller: 0,
-                at_tick: 42,
-            }],
-            ..FaultPlan::chaos(7, 0.1, Vec::new())
-        };
-        // Process faults target controllers, not links: every shard's
-        // projection sees the same schedule.
-        let shard = plan.for_shard(3, &[RackId::new(9)]);
-        assert_eq!(shard.process_faults, plan.process_faults);
     }
 
     #[test]

@@ -38,9 +38,9 @@
 //! `net.rpc_serve` spans, and call-latency histograms — the aggregate
 //! `net.rpc_latency_us` plus a zero-padded per-shard series
 //! (`net.rpc_latency_us.shardNNN`).
-//! Fallback and rejoin transitions emit `net.standalone_fallback` /
-//! `net.rejoin` events with rack and tick, and the flight recorder journals
-//! lease grants/expiries, RPC retries, and partition edges. The live health
+//! Fallback and rejoin transitions count into `net.standalone_fallbacks` /
+//! `net.rejoins`, and the flight recorder journals lease grants/expiries
+//! (with rack and tick), RPC retries, and partition edges. The live health
 //! plane is [`Request::ReadHealth`]: each server answers with a
 //! [`HealthReport`] (shard identity, hosted/coordinated rack counts, and the
 //! full metrics registry in Prometheus text exposition).
@@ -64,10 +64,9 @@ pub mod wire;
 pub use backend::{spawn_mesh, RpcMeshConfig, RpcTransport, ShardPlan};
 pub use client::{RetryPolicy, RpcBus, RpcBusConfig};
 pub use endpoint::{as_frame_too_large, Endpoint, NetListener, NetStream};
-pub use fault::{FaultClock, FaultPlan, LinkFaults, Partition, PartitionScope, ProcessFault};
+pub use fault::{FaultClock, FaultPlan, LinkFaults, Partition, PartitionScope};
 pub use server::{AgentHost, AgentServer, DEFAULT_LEASE_TICKS};
 pub use sharded::{LeafControlSpec, ShardedRpcBus, ShardedRpcFleetBackend};
 pub use wire::{
-    AgentCommand, GroupAggregate, HealthReport, Request, Response, StoredSnapshot, WireError,
-    PROTOCOL_VERSION,
+    AgentCommand, GroupAggregate, HealthReport, Request, Response, WireError, PROTOCOL_VERSION,
 };

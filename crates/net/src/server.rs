@@ -38,9 +38,7 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use recharge_dynamo::{AgentBus, Controller, PowerReading, RackAgent};
-use recharge_telemetry::{
-    flight_at, tcounter, tevent, tspan, FlightKind, ReasonCode, NO_BUCKET, NO_RACK,
-};
+use recharge_telemetry::{flight_at, tcounter, tspan, FlightKind, ReasonCode, NO_BUCKET};
 use recharge_units::{Amperes, RackId, Watts};
 
 use crate::endpoint::{
@@ -49,7 +47,7 @@ use crate::endpoint::{
 use crate::fault::FaultClock;
 use crate::wire::{
     decode_request, encode_response, AgentCommand, GroupAggregate, HealthReport, Request, Response,
-    StoredSnapshot, MAX_FRAME_LEN,
+    MAX_FRAME_LEN,
 };
 
 /// Default coordination lease, in simulation ticks.
@@ -78,14 +76,6 @@ struct HostState<A> {
     /// A server-hosted leaf controller ([`Request::TickLeaf`]); `None` for
     /// plain agent hosting.
     leaf: Option<Controller>,
-    /// Highest HA election term witnessed on fenced requests. Requests
-    /// carrying a lower term are stale leaders and are rejected wholesale.
-    ha_term: u64,
-    /// Replica id of the leader that set [`HostState::ha_term`].
-    ha_leader: u32,
-    /// Last controller-brain snapshot replicated here, for standbys to fetch
-    /// at failover.
-    ha_snapshot: Option<StoredSnapshot>,
 }
 
 /// [`AgentBus`] over a host's local agent slice — what a hosted leaf
@@ -172,9 +162,6 @@ impl<A: RackAgent> AgentHost<A> {
                 agents,
                 leases,
                 leaf: None,
-                ha_term: 0,
-                ha_leader: 0,
-                ha_snapshot: None,
             }),
             index_of,
             racks,
@@ -272,12 +259,6 @@ impl<A: RackAgent> AgentHost<A> {
                 state.agents[i].clear_charge_override();
                 state.agents[i].set_charge_postponed(false);
                 tcounter!("net.standalone_fallbacks").inc();
-                tevent!(
-                    "net.standalone_fallback",
-                    "net",
-                    "rack" => state.agents[i].rack().index(),
-                    "tick" => now,
-                );
                 flight_at(
                     now as f64,
                     FlightKind::LeaseExpire,
@@ -298,7 +279,6 @@ impl<A: RackAgent> AgentHost<A> {
         if !state.leases[i].coordinated {
             state.leases[i].coordinated = true;
             tcounter!("net.rejoins").inc();
-            tevent!("net.rejoin", "net", "rack" => self.racks[i].index(), "tick" => now);
             let reason = if state.leases[i].ever_coordinated {
                 ReasonCode::LeaseRejoin
             } else {
@@ -345,10 +325,8 @@ impl<A: RackAgent> AgentHost<A> {
     ///
     /// Lease renewal, per op: `ReadAllReadings` and `TickLeaf` renew every
     /// hosted rack (the controller reads every scoped rack each control
-    /// tick); `ApplyCommandBatch` renews each addressed rack;
-    /// `ApplyFencedBatch` does the same only when its term is current.
-    /// `ListRacks`, `ReadHealth`, `InstallSnapshot` and `FetchSnapshot` are
-    /// lease-neutral.
+    /// tick); `ApplyCommandBatch` renews each addressed rack. `ListRacks`
+    /// and `ReadHealth` are lease-neutral.
     pub fn handle(&self, request: &Request) -> Response {
         let _span = tspan!("net.rpc_serve", "net");
         tcounter!("net.rpc_server_requests").inc();
@@ -367,15 +345,7 @@ impl<A: RackAgent> AgentHost<A> {
                     }
                 }
             }
-            // A stale leader's contact must not keep its coordination alive.
-            Request::ApplyFencedBatch { term, commands, .. } if *term >= state.ha_term => {
-                for command in commands {
-                    if let Some(&i) = self.index_of.get(&command.rack()) {
-                        self.renew_lease(&mut state, i, now);
-                    }
-                }
-            }
-            _ => {}
+            Request::ListRacks | Request::ReadHealth => {}
         }
         match request {
             Request::ListRacks => Response::Racks(self.racks.clone()),
@@ -437,69 +407,7 @@ impl<A: RackAgent> AgentHost<A> {
                     text: recharge_telemetry::snapshot().to_prometheus(),
                 })
             }
-            Request::ApplyFencedBatch {
-                term,
-                leader,
-                commands,
-            } => {
-                if *term < state.ha_term {
-                    self.fence_stale(*term, state.ha_term, now);
-                    return Response::FencedAck {
-                        accepted: false,
-                        term: state.ha_term,
-                        applied: 0,
-                    };
-                }
-                state.ha_term = *term;
-                state.ha_leader = *leader;
-                let applied = self.apply_commands(&mut state, commands);
-                Response::FencedAck {
-                    accepted: true,
-                    term: state.ha_term,
-                    applied,
-                }
-            }
-            Request::InstallSnapshot(snapshot) => {
-                if snapshot.term < state.ha_term {
-                    self.fence_stale(snapshot.term, state.ha_term, now);
-                    return Response::SnapshotAck {
-                        accepted: false,
-                        term: state.ha_term,
-                    };
-                }
-                state.ha_term = snapshot.term;
-                state.ha_leader = snapshot.leader;
-                state.ha_snapshot = Some(snapshot.clone());
-                tcounter!("net.ha_snapshots_installed").inc();
-                Response::SnapshotAck {
-                    accepted: true,
-                    term: state.ha_term,
-                }
-            }
-            Request::FetchSnapshot => Response::Snapshot(state.ha_snapshot.clone()),
         }
-    }
-
-    /// Journals and counts a stale-term rejection: a leader deposed before
-    /// this request was sent tried to act on the fleet.
-    fn fence_stale(&self, stale_term: u64, current_term: u64, now: u64) {
-        tcounter!("net.ha_stale_fenced").inc();
-        tevent!(
-            "net.ha_stale_fenced",
-            "net",
-            "stale_term" => stale_term,
-            "current_term" => current_term,
-        );
-        flight_at(
-            now as f64,
-            FlightKind::StaleLeaderFenced,
-            ReasonCode::HaStaleTerm,
-            NO_RACK,
-            0,
-            NO_BUCKET,
-            stale_term,
-            current_term,
-        );
     }
 }
 
@@ -921,109 +829,6 @@ mod tests {
             panic!("expected health");
         };
         assert_eq!(health.coordinated, 1);
-    }
-
-    #[test]
-    fn stale_term_commands_are_fenced_after_takeover() {
-        let host = host(2, DEFAULT_LEASE_TICKS);
-        let rack = RackId::new(0);
-
-        // Term 1: the original leader overrides rack 0.
-        let response = host.handle(&Request::ApplyFencedBatch {
-            term: 1,
-            leader: 0,
-            commands: vec![AgentCommand::SetChargeOverride(rack, Amperes::MIN_CHARGE)],
-        });
-        assert_eq!(
-            response,
-            Response::FencedAck {
-                accepted: true,
-                term: 1,
-                applied: 1,
-            }
-        );
-        assert!(host.is_coordinated(rack));
-
-        // Term 2: a standby took over and re-overrides the rack.
-        let response = host.handle(&Request::ApplyFencedBatch {
-            term: 2,
-            leader: 1,
-            commands: vec![AgentCommand::SetChargeOverride(rack, Amperes::MAX_CHARGE)],
-        });
-        assert_eq!(
-            response,
-            Response::FencedAck {
-                accepted: true,
-                term: 2,
-                applied: 1,
-            }
-        );
-
-        // The deposed leader wakes and replays its term-1 command: rejected
-        // wholesale, nothing applied, the takeover's override untouched.
-        let response = host.handle(&Request::ApplyFencedBatch {
-            term: 1,
-            leader: 0,
-            commands: vec![AgentCommand::SetChargeOverride(rack, Amperes::MIN_CHARGE)],
-        });
-        assert_eq!(
-            response,
-            Response::FencedAck {
-                accepted: false,
-                term: 2,
-                applied: 0,
-            }
-        );
-        host.with_agents(|agents| {
-            assert_eq!(
-                agents[0].battery().bbu().charger().override_current(),
-                Some(Amperes::MAX_CHARGE),
-                "a fenced batch must not disturb the current leader's override"
-            );
-        });
-
-        // A stale snapshot install is fenced the same way.
-        let response = host.handle(&Request::InstallSnapshot(StoredSnapshot {
-            term: 1,
-            leader: 0,
-            tick: 9,
-            bytes: vec![1, 0, 0, 0, 0, 0, 0, 0, 0],
-        }));
-        assert_eq!(
-            response,
-            Response::SnapshotAck {
-                accepted: false,
-                term: 2,
-            }
-        );
-        assert_eq!(
-            host.handle(&Request::FetchSnapshot),
-            Response::Snapshot(None)
-        );
-    }
-
-    #[test]
-    fn snapshots_replicate_and_fetch_without_touching_leases() {
-        let host = host(1, 5);
-        let snapshot = StoredSnapshot {
-            term: 3,
-            leader: 1,
-            tick: 42,
-            bytes: vec![1, 0, 0, 0, 0, 0, 0, 0, 0],
-        };
-        assert_eq!(
-            host.handle(&Request::InstallSnapshot(snapshot.clone())),
-            Response::SnapshotAck {
-                accepted: true,
-                term: 3,
-            }
-        );
-        assert_eq!(
-            host.handle(&Request::FetchSnapshot),
-            Response::Snapshot(Some(snapshot))
-        );
-        // Replication is bookkeeping, not coordination: nobody joined.
-        assert!(!host.is_coordinated(RackId::new(0)));
     }
 
     #[test]

@@ -4,13 +4,15 @@
 //! followed by the payload. A payload is
 //!
 //! ```text
-//! [ version: u8 = 2 ][ request id: u64 LE ][ opcode: u8 ][ body ... ]
+//! [ version: u8 = 3 ][ request id: u64 LE ][ opcode: u8 ][ body ... ]
 //! ```
 //!
 //! Every rack-facing op is batched: one frame reads or commands all of a
 //! server's racks. Version 1 also carried per-rack ops (requests
-//! `0x02`–`0x08`, replies `0x82`–`0x84`); those opcode bytes are retired and
-//! decode as [`WireError::BadOpcode`].
+//! `0x02`–`0x08`, replies `0x82`–`0x84`), and version 2 agent-side
+//! controller fencing and snapshot storage (requests `0x0D`–`0x0F`, replies
+//! `0x89`–`0x8B`); those opcode bytes are retired and decode as
+//! [`WireError::BadOpcode`].
 //!
 //! The request id is chosen by the client and echoed verbatim in the reply,
 //! so a client that retried after a timeout (or whose link duplicated a
@@ -30,7 +32,7 @@ use recharge_dynamo::PowerReading;
 use recharge_units::{Amperes, Dod, Priority, RackId, SimTime, Watts};
 
 /// Protocol version carried in every payload; peers reject mismatches.
-pub const PROTOCOL_VERSION: u8 = 2;
+pub const PROTOCOL_VERSION: u8 = 3;
 
 /// Default upper bound on a frame payload; anything larger is treated as a
 /// corrupt stream and the connection is dropped. Batched reading frames for
@@ -103,22 +105,6 @@ pub struct HealthReport {
     pub text: String,
 }
 
-/// A replicated controller-brain snapshot as stored on an agent server:
-/// the leader's fencing coordinates plus the opaque snapshot bytes
-/// (`ControllerSnapshot::to_bytes` in `recharge-dynamo` — the wire layer
-/// does not interpret them).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct StoredSnapshot {
-    /// HA term of the leader that took the snapshot.
-    pub term: u64,
-    /// Replica id of that leader.
-    pub leader: u32,
-    /// Simulation tick the snapshot was taken at.
-    pub tick: u64,
-    /// The serialized controller brain.
-    pub bytes: Vec<u8>,
-}
-
 /// A controller → agent-server request.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Request {
@@ -144,25 +130,6 @@ pub enum Request {
     /// and hosting summary). Deliberately lease-neutral: scraping health
     /// must never keep a dead controller's coordination alive.
     ReadHealth,
-    /// Apply a command batch fenced by the sender's HA term: the server
-    /// rejects the whole batch (applying nothing) when `term` is below the
-    /// highest term it has witnessed, so a stale leader that wakes after a
-    /// takeover can never double-override a rack.
-    ApplyFencedBatch {
-        /// The sender's HA election term.
-        term: u64,
-        /// The sender's replica id.
-        leader: u32,
-        /// The commands to apply if the term is current.
-        commands: Vec<AgentCommand>,
-    },
-    /// Replicate a controller-brain snapshot to this server so a standby can
-    /// fetch it at failover. Accepted only from the highest term witnessed;
-    /// lease-neutral, like [`Request::ReadHealth`] — replication is
-    /// bookkeeping, not coordination.
-    InstallSnapshot(StoredSnapshot),
-    /// Fetch the last installed snapshot (takeover recovery). Lease-neutral.
-    FetchSnapshot,
 }
 
 /// An agent-server → controller reply.
@@ -179,27 +146,6 @@ pub enum Response {
     GroupAggregate(GroupAggregate),
     /// Reply to [`Request::ReadHealth`].
     Health(HealthReport),
-    /// Reply to [`Request::ApplyFencedBatch`]: whether the term was current
-    /// (and the batch applied), the server's highest witnessed term, and how
-    /// many commands took effect (0 when fenced).
-    FencedAck {
-        /// `true` when the batch's term was accepted and applied.
-        accepted: bool,
-        /// The server's highest witnessed term after this request.
-        term: u64,
-        /// Commands applied (addressed racks actually hosted here).
-        applied: u32,
-    },
-    /// Reply to [`Request::InstallSnapshot`]: whether the snapshot was
-    /// stored, plus the server's highest witnessed term.
-    SnapshotAck {
-        /// `true` when the snapshot's term was accepted and stored.
-        accepted: bool,
-        /// The server's highest witnessed term after this request.
-        term: u64,
-    },
-    /// Reply to [`Request::FetchSnapshot`]: the last stored snapshot, if any.
-    Snapshot(Option<StoredSnapshot>),
 }
 
 /// A malformed payload.
@@ -245,25 +191,21 @@ impl core::fmt::Display for WireError {
 
 impl std::error::Error for WireError {}
 
-// Request opcodes. 0x02–0x08 are retired (version 1's per-rack ops) and are
-// never reassigned, so a stray old frame cannot decode as a different op.
+// Request opcodes. 0x02–0x08 (version 1's per-rack ops) and 0x0D–0x0F
+// (version 2's fenced batch and snapshot store/fetch) are retired and never
+// reassigned, so a stray old frame cannot decode as a different op.
 const OP_LIST_RACKS: u8 = 0x01;
 const OP_READ_ALL: u8 = 0x09;
 const OP_APPLY_BATCH: u8 = 0x0A;
 const OP_TICK_LEAF: u8 = 0x0B;
 const OP_READ_HEALTH: u8 = 0x0C;
-const OP_APPLY_FENCED_BATCH: u8 = 0x0D;
-const OP_INSTALL_SNAPSHOT: u8 = 0x0E;
-const OP_FETCH_SNAPSHOT: u8 = 0x0F;
-// Response opcodes (high bit set); 0x82–0x84 are retired likewise.
+// Response opcodes (high bit set); 0x82–0x84 and 0x89–0x8B are retired
+// likewise.
 const OP_RACKS: u8 = 0x81;
 const OP_READINGS: u8 = 0x85;
 const OP_BATCH_ACK: u8 = 0x86;
 const OP_GROUP_AGGREGATE: u8 = 0x87;
 const OP_HEALTH: u8 = 0x88;
-const OP_FENCED_ACK: u8 = 0x89;
-const OP_SNAPSHOT_ACK: u8 = 0x8A;
-const OP_SNAPSHOT: u8 = 0x8B;
 
 // Command tags inside an `ApplyCommandBatch` body.
 const CMD_SET_OVERRIDE: u8 = 0;
@@ -510,30 +452,6 @@ fn get_health(r: &mut Reader<'_>) -> Result<HealthReport, WireError> {
     })
 }
 
-fn put_stored_snapshot(w: &mut Writer, snapshot: &StoredSnapshot) {
-    w.u64(snapshot.term);
-    w.u32(snapshot.leader);
-    w.u64(snapshot.tick);
-    w.u32(snapshot.bytes.len() as u32);
-    w.0.extend_from_slice(&snapshot.bytes);
-}
-
-fn get_stored_snapshot(r: &mut Reader<'_>) -> Result<StoredSnapshot, WireError> {
-    let term = r.u64()?;
-    let leader = r.u32()?;
-    let tick = r.u64()?;
-    let len = r.u32()? as usize;
-    if len > r.remaining() {
-        return Err(WireError::Truncated);
-    }
-    Ok(StoredSnapshot {
-        term,
-        leader,
-        tick,
-        bytes: r.take(len)?.to_vec(),
-    })
-}
-
 fn get_aggregate(r: &mut Reader<'_>) -> Result<GroupAggregate, WireError> {
     Ok(GroupAggregate {
         it_load: Watts::new(r.f64()?),
@@ -586,24 +504,6 @@ pub fn encode_request(id: u64, request: &Request) -> Vec<u8> {
             }
         }
         Request::ReadHealth => header(&mut w, id, OP_READ_HEALTH),
-        Request::ApplyFencedBatch {
-            term,
-            leader,
-            commands,
-        } => {
-            header(&mut w, id, OP_APPLY_FENCED_BATCH);
-            w.u64(*term);
-            w.u32(*leader);
-            w.u32(commands.len() as u32);
-            for command in commands {
-                put_command(&mut w, command);
-            }
-        }
-        Request::InstallSnapshot(snapshot) => {
-            header(&mut w, id, OP_INSTALL_SNAPSHOT);
-            put_stored_snapshot(&mut w, snapshot);
-        }
-        Request::FetchSnapshot => header(&mut w, id, OP_FETCH_SNAPSHOT),
     }
     w.0
 }
@@ -637,25 +537,6 @@ pub fn decode_request(payload: &[u8]) -> Result<(u64, Request), WireError> {
             Request::TickLeaf { now, budget }
         }
         OP_READ_HEALTH => Request::ReadHealth,
-        OP_APPLY_FENCED_BATCH => {
-            let term = r.u64()?;
-            let leader = r.u32()?;
-            let count = r.u32()? as usize;
-            if count > r.remaining() / COMMAND_WIRE_MIN_BYTES {
-                return Err(WireError::Truncated);
-            }
-            let mut commands = Vec::with_capacity(count);
-            for _ in 0..count {
-                commands.push(get_command(&mut r)?);
-            }
-            Request::ApplyFencedBatch {
-                term,
-                leader,
-                commands,
-            }
-        }
-        OP_INSTALL_SNAPSHOT => Request::InstallSnapshot(get_stored_snapshot(&mut r)?),
-        OP_FETCH_SNAPSHOT => Request::FetchSnapshot,
         op => return Err(WireError::BadOpcode(op)),
     };
     r.finish()?;
@@ -693,31 +574,6 @@ pub fn encode_response(id: u64, response: &Response) -> Vec<u8> {
             header(&mut w, id, OP_HEALTH);
             put_health(&mut w, health);
         }
-        Response::FencedAck {
-            accepted,
-            term,
-            applied,
-        } => {
-            header(&mut w, id, OP_FENCED_ACK);
-            w.u8(u8::from(*accepted));
-            w.u64(*term);
-            w.u32(*applied);
-        }
-        Response::SnapshotAck { accepted, term } => {
-            header(&mut w, id, OP_SNAPSHOT_ACK);
-            w.u8(u8::from(*accepted));
-            w.u64(*term);
-        }
-        Response::Snapshot(snapshot) => {
-            header(&mut w, id, OP_SNAPSHOT);
-            match snapshot {
-                Some(snapshot) => {
-                    w.u8(1);
-                    put_stored_snapshot(&mut w, snapshot);
-                }
-                None => w.u8(0),
-            }
-        }
     }
     w.0
 }
@@ -753,26 +609,6 @@ pub fn decode_response(payload: &[u8]) -> Result<(u64, Response), WireError> {
         OP_BATCH_ACK => Response::BatchAck(r.u32()?),
         OP_GROUP_AGGREGATE => Response::GroupAggregate(get_aggregate(&mut r)?),
         OP_HEALTH => Response::Health(get_health(&mut r)?),
-        OP_FENCED_ACK => {
-            let accepted = r.bool()?;
-            let term = r.u64()?;
-            let applied = r.u32()?;
-            Response::FencedAck {
-                accepted,
-                term,
-                applied,
-            }
-        }
-        OP_SNAPSHOT_ACK => {
-            let accepted = r.bool()?;
-            let term = r.u64()?;
-            Response::SnapshotAck { accepted, term }
-        }
-        OP_SNAPSHOT => match r.u8()? {
-            0 => Response::Snapshot(None),
-            1 => Response::Snapshot(Some(get_stored_snapshot(&mut r)?)),
-            v => return Err(WireError::BadEnum("option", v)),
-        },
         op => return Err(WireError::BadOpcode(op)),
     };
     r.finish()?;
@@ -819,32 +655,6 @@ mod tests {
                 budget: Some(Watts::from_kilowatts(47.5)),
             },
             Request::ReadHealth,
-            Request::ApplyFencedBatch {
-                term: 3,
-                leader: 1,
-                commands: vec![
-                    AgentCommand::SetChargeOverride(RackId::new(0), Amperes::new(16.4)),
-                    AgentCommand::UncapServers(RackId::new(4)),
-                ],
-            },
-            Request::ApplyFencedBatch {
-                term: u64::MAX,
-                leader: 0,
-                commands: Vec::new(),
-            },
-            Request::InstallSnapshot(StoredSnapshot {
-                term: 2,
-                leader: 1,
-                tick: 612,
-                bytes: vec![1, 0, 0, 0, 0, 0, 0, 0, 0],
-            }),
-            Request::InstallSnapshot(StoredSnapshot {
-                term: 0,
-                leader: 0,
-                tick: 0,
-                bytes: Vec::new(),
-            }),
-            Request::FetchSnapshot,
         ];
         for (i, request) in requests.iter().enumerate() {
             let id = 1000 + i as u64;
@@ -880,27 +690,6 @@ mod tests {
                 coordinated: 0,
                 text: String::new(),
             }),
-            Response::FencedAck {
-                accepted: true,
-                term: 4,
-                applied: 12,
-            },
-            Response::FencedAck {
-                accepted: false,
-                term: 9,
-                applied: 0,
-            },
-            Response::SnapshotAck {
-                accepted: true,
-                term: 4,
-            },
-            Response::Snapshot(Some(StoredSnapshot {
-                term: 4,
-                leader: 2,
-                tick: 900,
-                bytes: vec![0xDE, 0xAD, 0xBE, 0xEF],
-            })),
-            Response::Snapshot(None),
         ];
         for (i, response) in responses.iter().enumerate() {
             let id = u64::MAX - i as u64;
@@ -943,8 +732,9 @@ mod tests {
 
     #[test]
     fn retired_opcodes_are_rejected_without_panicking() {
-        // Version 1's per-rack ops must never decode again, whatever body
-        // follows the opcode: a stray frame is a typed error, not a panic.
+        // Version 1's per-rack ops and version 2's fenced-batch and snapshot
+        // ops must never decode again, whatever body follows the opcode: a
+        // stray frame is a typed error, not a panic.
         let frame = |op: u8, body_len: usize| {
             let mut payload = vec![PROTOCOL_VERSION];
             payload.extend_from_slice(&7u64.to_le_bytes());
@@ -953,14 +743,14 @@ mod tests {
             payload
         };
         for body_len in [0, 1, 4, 5, 12, 13, 47, 48, 64] {
-            for op in 0x02..=0x08u8 {
+            for op in (0x02..=0x08u8).chain(0x0D..=0x0F) {
                 assert_eq!(
                     decode_request(&frame(op, body_len)),
                     Err(WireError::BadOpcode(op)),
                     "request opcode {op:#04x} with a {body_len}-byte body"
                 );
             }
-            for op in 0x82..=0x84u8 {
+            for op in (0x82..=0x84u8).chain(0x89..=0x8B) {
                 assert_eq!(
                     decode_response(&frame(op, body_len)),
                     Err(WireError::BadOpcode(op)),
@@ -973,8 +763,8 @@ mod tests {
     #[test]
     fn corrupt_payloads_are_rejected() {
         assert_eq!(decode_request(&[]), Err(WireError::Truncated));
-        // Wrong version byte, including a peer still speaking version 1.
-        for version in [1, 99] {
+        // Wrong version byte, including peers still speaking versions 1 or 2.
+        for version in [1, 2, 99] {
             let mut payload = encode_request(1, &Request::ListRacks);
             payload[0] = version;
             assert_eq!(
@@ -1047,31 +837,6 @@ mod tests {
             decode_response(&payload),
             Err(WireError::BadEnum("utf-8 health text", 0))
         );
-        // A snapshot byte-length that cannot fit the remaining bytes.
-        let mut payload = encode_request(
-            1,
-            &Request::InstallSnapshot(StoredSnapshot {
-                term: 1,
-                leader: 0,
-                tick: 0,
-                bytes: Vec::new(),
-            }),
-        );
-        let len_at = payload.len() - 4;
-        payload[len_at..].copy_from_slice(&u32::MAX.to_le_bytes());
-        assert_eq!(decode_request(&payload), Err(WireError::Truncated));
-        // A fenced batch whose claimed count cannot fit the remaining bytes.
-        let mut payload = encode_request(
-            1,
-            &Request::ApplyFencedBatch {
-                term: 1,
-                leader: 0,
-                commands: Vec::new(),
-            },
-        );
-        let count_at = payload.len() - 4;
-        payload[count_at..].copy_from_slice(&u32::MAX.to_le_bytes());
-        assert_eq!(decode_request(&payload), Err(WireError::Truncated));
         // An unknown command tag inside a batch.
         let mut payload = encode_request(
             1,

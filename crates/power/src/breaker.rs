@@ -169,12 +169,6 @@ impl Breaker {
                 // First trip only: the latch above makes re-entry impossible
                 // until reset(), so the counter counts distinct trips.
                 recharge_telemetry::tcounter!("power.breaker_trips").inc();
-                recharge_telemetry::tevent!(
-                    "breaker.trip",
-                    "power",
-                    "limit_w" => self.limit.as_watts(),
-                    "draw_w" => draw.as_watts(),
-                );
                 recharge_telemetry::flight_at(
                     now.as_secs(),
                     recharge_telemetry::FlightKind::BreakerTrip,

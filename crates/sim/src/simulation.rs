@@ -3,7 +3,9 @@
 use std::collections::HashMap;
 
 use recharge_core::{ChargeIndex, SlaTable};
-use recharge_dynamo::{Controller, ControllerConfig, EventScheduler, FleetBackend, SimRackAgent};
+use recharge_dynamo::{
+    Controller, ControllerConfig, EventScheduler, FleetBackend, PowerReading, SimRackAgent,
+};
 use recharge_power::{Breaker, BreakerStatus};
 use recharge_telemetry::{flight, tcounter, tgauge, tspan, FlightKind, ReasonCode};
 use recharge_trace::{RackPowerTrace, SyntheticFleet};
@@ -70,9 +72,9 @@ impl FleetSimulation {
     ///
     /// When the `RECHARGE_TRACE` environment variable names a file path,
     /// telemetry is enabled for the run and a Chrome-trace JSON of every
-    /// recorded span and event is written there when the outermost traced
-    /// scope ends — including by unwind, so an aborted run still flushes its
-    /// partial per-thread span buffers into a valid trace file. When
+    /// recorded span is written there when the outermost traced scope ends —
+    /// including by unwind, so an aborted run still flushes its partial
+    /// per-thread span buffers into a valid trace file. When
     /// `RECHARGE_BLACKBOX` names a path, a breaker trip, the first SLA miss,
     /// or a panic dumps the flight-recorder journal there. Instrumentation
     /// only reads clocks — the returned [`RunMetrics`] are bit-identical
@@ -216,35 +218,17 @@ impl FleetSimulation {
                         Some(report) => {
                             (report.it_load, report.recharge_power, report.capped_power)
                         }
-                        None => {
-                            // Leaderless gap: nobody may command, so this
-                            // interval degrades to monitoring-only
-                            // aggregation, exactly like an unmitigated tick.
-                            let mut it = Watts::ZERO;
-                            let mut re = Watts::ZERO;
-                            for reading in &readings {
-                                if reading.input_power_present {
-                                    it += reading.it_load;
-                                    re += reading.recharge_power;
-                                }
-                            }
-                            (it, re, Watts::ZERO)
-                        }
+                        // Leaderless gap: nobody may command, so this
+                        // interval degrades to monitoring-only aggregation,
+                        // exactly like an unmitigated tick.
+                        None => monitor_only(&readings),
                     }
                 } else {
                     let report = controller.tick(now, backend.bus_mut());
                     (report.it_load, report.recharge_power, report.capped_power)
                 }
             } else {
-                let mut it = Watts::ZERO;
-                let mut re = Watts::ZERO;
-                for reading in &readings {
-                    if reading.input_power_present {
-                        it += reading.it_load;
-                        re += reading.recharge_power;
-                    }
-                }
-                (it, re, Watts::ZERO)
+                monitor_only(&readings)
             };
             let total = it_load + recharge;
 
@@ -371,6 +355,21 @@ impl FleetSimulation {
             ot_duration,
         }
     }
+}
+
+/// Monitoring-only aggregation for an interval no controller commands (an
+/// unmitigated run, or an HA leaderless gap): IT load and recharge draw of
+/// the powered racks, summed in fleet order, with nothing capped.
+fn monitor_only(readings: &[PowerReading]) -> (Watts, Watts, Watts) {
+    let mut it = Watts::ZERO;
+    let mut re = Watts::ZERO;
+    for reading in readings {
+        if reading.input_power_present {
+            it += reading.it_load;
+            re += reading.recharge_power;
+        }
+    }
+    (it, re, Watts::ZERO)
 }
 
 #[cfg(test)]

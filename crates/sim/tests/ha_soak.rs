@@ -19,8 +19,7 @@
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use recharge_dynamo::Strategy;
-use recharge_ha::{ControllerSet, HaConfig};
-use recharge_net::ProcessFault;
+use recharge_ha::{ControllerSet, HaConfig, ProcessFault};
 use recharge_sim::{DischargeLevel, RunMetrics, Scenario};
 use recharge_telemetry::{FlightKind, ReasonCode};
 use recharge_units::{Seconds, Watts};

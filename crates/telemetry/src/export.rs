@@ -9,7 +9,7 @@ use std::fmt::Write as _;
 use std::path::PathBuf;
 
 use crate::registry::MetricsSnapshot;
-use crate::trace::{dropped_records, take_records, RecordKind, TraceRecord};
+use crate::trace::{dropped_records, take_records, TraceRecord};
 
 /// Environment variable naming the Chrome-trace output path; when set,
 /// instrumented runs (e.g. `FleetSimulation::run`) enable telemetry and
@@ -169,9 +169,9 @@ impl MetricsSnapshot {
 
 /// Renders trace records as a Chrome trace-event JSON document.
 ///
-/// Spans become complete (`ph: "X"`) events and instants become `ph: "i"`
-/// events; timestamps and durations are microseconds with nanosecond
-/// fractions, relative to the process trace epoch.
+/// Spans become complete (`ph: "X"`) events; timestamps and durations are
+/// microseconds with nanosecond fractions, relative to the process trace
+/// epoch.
 #[must_use]
 pub fn chrome_trace_json(records: &[TraceRecord]) -> String {
     let mut out = String::with_capacity(64 + records.len() * 96);
@@ -185,30 +185,12 @@ pub fn chrome_trace_json(records: &[TraceRecord]) -> String {
         out.push_str("\",\"cat\":\"");
         escape_into(&mut out, r.cat);
         let ts_us = r.ts_ns as f64 / 1_000.0;
-        let _ = write!(out, "\",\"ph\":");
-        match r.kind {
-            RecordKind::Span => {
-                let dur_us = r.dur_ns as f64 / 1_000.0;
-                let _ = write!(out, "\"X\",\"ts\":{ts_us:.3},\"dur\":{dur_us:.3}");
-            }
-            RecordKind::Instant => {
-                let _ = write!(out, "\"i\",\"s\":\"t\",\"ts\":{ts_us:.3}");
-            }
-        }
-        let _ = write!(out, ",\"pid\":1,\"tid\":{}", r.tid);
-        if !r.args.is_empty() {
-            out.push_str(",\"args\":{");
-            for (j, (key, value)) in r.args.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                out.push('"');
-                escape_into(&mut out, key);
-                let _ = write!(out, "\":{value}");
-            }
-            out.push('}');
-        }
-        out.push('}');
+        let dur_us = r.dur_ns as f64 / 1_000.0;
+        let _ = write!(
+            out,
+            "\",\"ph\":\"X\",\"ts\":{ts_us:.3},\"dur\":{dur_us:.3},\"pid\":1,\"tid\":{}}}",
+            r.tid
+        );
     }
     let _ = write!(
         out,
@@ -293,56 +275,4 @@ pub fn env_trace_scope() -> EnvTraceGuard {
     crate::set_enabled(true);
     TRACE_SCOPE_DEPTH.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
     EnvTraceGuard { active: true }
-}
-
-/// One line of [`span_summary`]: aggregate statistics for one span name.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SpanStats {
-    /// Span name.
-    pub name: &'static str,
-    /// Number of recorded spans.
-    pub count: u64,
-    /// Total recorded duration in nanoseconds.
-    pub total_ns: u64,
-    /// Longest single span in nanoseconds.
-    pub max_ns: u64,
-}
-
-impl SpanStats {
-    /// Mean span duration in nanoseconds.
-    #[must_use]
-    pub fn mean_ns(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.total_ns as f64 / self.count as f64
-        }
-    }
-}
-
-/// Aggregates span records by name (instants are skipped), sorted by total
-/// duration descending — the quick "where did the time go" view.
-#[must_use]
-pub fn span_summary(records: &[TraceRecord]) -> Vec<SpanStats> {
-    let mut stats: Vec<SpanStats> = Vec::new();
-    for r in records {
-        if r.kind != RecordKind::Span {
-            continue;
-        }
-        match stats.iter_mut().find(|s| s.name == r.name) {
-            Some(s) => {
-                s.count += 1;
-                s.total_ns = s.total_ns.saturating_add(r.dur_ns);
-                s.max_ns = s.max_ns.max(r.dur_ns);
-            }
-            None => stats.push(SpanStats {
-                name: r.name,
-                count: 1,
-                total_ns: r.dur_ns,
-                max_ns: r.dur_ns,
-            }),
-        }
-    }
-    stats.sort_by_key(|s| std::cmp::Reverse(s.total_ns));
-    stats
 }

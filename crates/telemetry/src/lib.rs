@@ -1,6 +1,7 @@
 //! Hand-rolled observability for the `recharge` workspace: a global metrics
-//! registry, lightweight span/event tracing, and exporters for a metrics
-//! snapshot (JSON) and the Chrome trace-event format.
+//! registry for aggregates, a flight recorder for single events, lightweight
+//! span tracing, and exporters for a metrics snapshot (JSON) and the Chrome
+//! trace-event format.
 //!
 //! The build environment is offline, so — like the `vendor/` stand-ins —
 //! this crate is dependency-free (std only). It is designed to stay
@@ -8,7 +9,7 @@
 //!
 //! * **Disabled by default.** Every record path starts with one relaxed
 //!   atomic load of the global `enabled` flag; when off, counters, gauges,
-//!   histograms, spans, and events all return immediately, so the hot loops
+//!   histograms and spans all return immediately, so the hot loops
 //!   pay well under 2% (`bench_report`'s `telemetry_overhead` gate).
 //! * **Atomic fast path when on.** Metric handles are `Arc`s over atomics;
 //!   span records go into per-thread buffers behind uncontended mutexes and
@@ -26,7 +27,6 @@
 //! {
 //!     let _span = telemetry::tspan!("work.phase", "demo");
 //!     telemetry::tcounter!("work.items").add(3);
-//!     telemetry::tevent!("work.milestone", "demo", "item" => 3);
 //! }
 //! let records = telemetry::take_records();
 //! assert!(records.iter().any(|r| r.name == "work.phase"));
@@ -51,8 +51,8 @@ pub mod registry;
 pub mod trace;
 
 pub use export::{
-    chrome_trace_json, env_trace_path, env_trace_scope, export_env_trace, span_summary,
-    write_chrome_trace, EnvTraceGuard, SpanStats, TRACE_ENV_VAR,
+    chrome_trace_json, env_trace_path, env_trace_scope, export_env_trace, write_chrome_trace,
+    EnvTraceGuard, TRACE_ENV_VAR,
 };
 pub use recorder::{
     blackbox_json, env_blackbox_path, flight, flight_at, install_panic_blackbox_hook,
@@ -66,8 +66,7 @@ pub use registry::{
     HistogramSnapshot, MetricsSnapshot,
 };
 pub use trace::{
-    dropped_records, event, event_with, now_ns, span, take_records, RecordKind, SpanGuard,
-    TraceRecord, MAX_RECORDS_PER_THREAD,
+    dropped_records, now_ns, span, take_records, SpanGuard, TraceRecord, MAX_RECORDS_PER_THREAD,
 };
 
 static ENABLED: AtomicBool = AtomicBool::new(false);
@@ -94,22 +93,6 @@ macro_rules! tspan {
     };
     ($name:expr, $cat:expr) => {
         $crate::span($name, $cat)
-    };
-}
-
-/// Records an instantaneous event: `tevent!("name")`,
-/// `tevent!("name", "category")`, or with structured integer arguments
-/// `tevent!("name", "category", "key" => value, ...)`.
-#[macro_export]
-macro_rules! tevent {
-    ($name:expr) => {
-        $crate::event($name, "app")
-    };
-    ($name:expr, $cat:expr) => {
-        $crate::event($name, $cat)
-    };
-    ($name:expr, $cat:expr, $($key:expr => $value:expr),+ $(,)?) => {
-        $crate::event_with($name, $cat, &[$(($key, $value as i64)),+])
     };
 }
 
@@ -174,7 +157,6 @@ mod tests {
             c.inc();
             ga.set(42.0);
             h.record(1.5);
-            tevent!("test.disabled.event");
         }
         assert_eq!(c.value(), 0);
         assert_eq!(ga.value(), 0.0);
@@ -227,11 +209,10 @@ mod tests {
         {
             let _outer = tspan!("test.json.outer", "cat\"with\\escapes");
             let _inner = tspan!("test.json.inner");
-            tevent!("test.json.event", "t", "rack" => 7, "amps" => -2);
         }
         let records = take_records();
         set_enabled(false);
-        assert!(records.len() >= 3);
+        assert!(records.len() >= 2);
 
         let doc = chrome_trace_json(&records);
         let parsed = json::parse(&doc).expect("exporter must emit valid JSON");
@@ -248,14 +229,6 @@ mod tests {
                 assert!(dur >= 0.0, "negative dur {dur}");
             }
         }
-        let with_args = events
-            .iter()
-            .find(|e| e.get("args").is_some())
-            .expect("event args");
-        assert_eq!(
-            with_args.get("args").unwrap().get("rack").unwrap().as_num(),
-            Some(7.0)
-        );
     }
 
     #[test]
@@ -294,28 +267,6 @@ mod tests {
             .get("test.snap.hist")
             .unwrap();
         assert_eq!(hist.get("count").unwrap().as_num(), Some(1.0));
-    }
-
-    #[test]
-    fn span_summary_aggregates_by_name() {
-        let _g = test_support::guard();
-        set_enabled(true);
-        let _ = take_records();
-        for _ in 0..3 {
-            let _s = tspan!("test.summary.span");
-        }
-        tevent!("test.summary.event");
-        let records = take_records();
-        set_enabled(false);
-        let stats = span_summary(&records);
-        let s = stats
-            .iter()
-            .find(|s| s.name == "test.summary.span")
-            .expect("aggregated");
-        assert_eq!(s.count, 3);
-        assert!(s.max_ns <= s.total_ns);
-        assert!(s.mean_ns() >= 0.0);
-        assert!(stats.iter().all(|s| s.name != "test.summary.event"));
     }
 
     #[test]

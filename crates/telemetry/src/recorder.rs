@@ -105,8 +105,9 @@ pub enum FlightKind {
     /// A new leader finished its takeover tick after a failover. `v0` is the
     /// new leader's id, `v1` its term (integers).
     TakeoverComplete = 20,
-    /// A stale-term leader's command was fenced off. `v0` is the stale term
-    /// presented, `v1` the current term that rejected it (integers).
+    /// A thawed ex-leader was fenced: its term was superseded while it was
+    /// frozen. `v0` is the stale term it led, `v1` the current term
+    /// (integers).
     StaleLeaderFenced = 21,
 }
 
@@ -228,11 +229,11 @@ pub enum ReasonCode {
     HaSnapshotCadence = 19,
     /// State restored or command issued as part of a failover takeover.
     HaTakeover = 20,
-    /// A command carried a term below the highest term seen: fenced.
+    /// A replica's led term is below the current term: fenced.
     HaStaleTerm = 21,
-    /// The controller process was crashed (SIGKILL-style) by the fault plan.
+    /// The controller process was crashed (SIGKILL-style) by a process fault.
     HaCrashed = 22,
-    /// The controller process was frozen (SIGSTOP-style) by the fault plan.
+    /// The controller process was frozen (SIGSTOP-style) by a process fault.
     HaFrozen = 23,
 }
 

@@ -1,5 +1,7 @@
-//! Span and event tracing: RAII guards recording monotonic start/duration
-//! plus a small thread id into per-thread buffers, drained at export time.
+//! Span tracing: RAII guards recording monotonic start/duration plus a small
+//! thread id into per-thread buffers, drained at export time. Single events
+//! belong to the flight recorder ([`crate::recorder`]), aggregates to the
+//! registry ([`crate::registry`]).
 //!
 //! The record path takes one uncontended per-thread mutex; nothing global is
 //! touched until [`take_records`] drains the buffers. While telemetry is
@@ -11,37 +13,24 @@ use std::time::Instant;
 
 use crate::enabled;
 
-/// Hard cap on records buffered per thread; one record is ~80 bytes, so the
+/// Hard cap on records buffered per thread; one record is 56 bytes, so the
 /// cap bounds a runaway trace at a few hundred MB fleet-wide. Records beyond
 /// it are counted in [`dropped_records`] instead of growing the buffer.
 pub const MAX_RECORDS_PER_THREAD: usize = 1 << 22;
 
-/// What kind of trace record this is.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RecordKind {
-    /// A duration span (Chrome `ph: "X"`).
-    Span,
-    /// An instantaneous event (Chrome `ph: "i"`).
-    Instant,
-}
-
-/// One buffered span or event.
+/// One buffered span (a Chrome `ph: "X"` complete event).
 #[derive(Debug, Clone)]
 pub struct TraceRecord {
-    /// Span/event name.
+    /// Span name.
     pub name: &'static str,
     /// Category (Chrome trace `cat`).
     pub cat: &'static str,
-    /// Span or instant.
-    pub kind: RecordKind,
     /// Nanoseconds since the process trace epoch.
     pub ts_ns: u64,
-    /// Span duration in nanoseconds (zero for instants).
+    /// Span duration in nanoseconds.
     pub dur_ns: u64,
     /// Small dense id of the recording thread.
     pub tid: u64,
-    /// Structured integer arguments, if any.
-    pub args: Vec<(&'static str, i64)>,
 }
 
 type Buffer = Arc<Mutex<Vec<TraceRecord>>>;
@@ -106,11 +95,9 @@ impl Drop for SpanGuard {
             push(TraceRecord {
                 name,
                 cat,
-                kind: RecordKind::Span,
                 ts_ns,
                 dur_ns: u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX),
                 tid: 0,
-                args: Vec::new(),
             });
         }
     }
@@ -124,27 +111,6 @@ pub fn span(name: &'static str, cat: &'static str) -> SpanGuard {
     SpanGuard {
         inner: Some((name, cat, now_ns(), Instant::now())),
     }
-}
-
-/// Records an instantaneous event.
-pub fn event(name: &'static str, cat: &'static str) {
-    event_with(name, cat, &[]);
-}
-
-/// Records an instantaneous event with structured integer arguments.
-pub fn event_with(name: &'static str, cat: &'static str, args: &[(&'static str, i64)]) {
-    if !enabled() {
-        return;
-    }
-    push(TraceRecord {
-        name,
-        cat,
-        kind: RecordKind::Instant,
-        ts_ns: now_ns(),
-        dur_ns: 0,
-        tid: 0,
-        args: args.to_vec(),
-    });
 }
 
 /// Drains every thread's buffer and returns all records sorted by start time.
