@@ -178,31 +178,6 @@ pub fn next_charge_event_time(
     }
 }
 
-/// A lower bound on the time for the CV tail to ε-settle: to store all but
-/// an `epsilon` fraction of capacity from the present state of charge at the
-/// given setpoint.
-///
-/// Same ceiling argument as [`next_charge_event_time`]: the present current
-/// (natural taper clamped to the setpoint) and `ocv_full` bound the storage
-/// rate of every future step, so the bound is conservative for any step
-/// size. Infinite when charging is paused or the taper has already stalled.
-#[must_use]
-pub fn cv_settle_time(params: &BbuParams, soc: f64, setpoint: Amperes, epsilon: f64) -> Seconds {
-    if setpoint <= Amperes::ZERO {
-        return Seconds::new(f64::INFINITY);
-    }
-    let target = (1.0 - epsilon.clamp(0.0, 1.0)).max(0.0);
-    if soc >= target {
-        return Seconds::ZERO;
-    }
-    let current = natural_cv_current(params, params.ocv(soc)).min(setpoint);
-    if current <= Amperes::ZERO {
-        return Seconds::new(f64::INFINITY);
-    }
-    let rate = params.ocv_full.as_volts() * current.as_amps() * params.charge_efficiency;
-    Seconds::new((target - soc) * params.full_discharge_energy.as_joules() / rate)
-}
-
 /// Draws `requested` power from raw pack state for `dt`.
 ///
 /// Delivery is limited by the per-BBU discharge ceiling
@@ -335,20 +310,5 @@ mod tests {
             elapsed >= t.as_secs() - 1e-9,
             "terminated at {elapsed:.1} s before predicted {t}"
         );
-    }
-
-    #[test]
-    fn settle_time_is_conservative_and_monotone_in_epsilon() {
-        let p = production();
-        let loose = cv_settle_time(&p, 0.9, Amperes::new(2.0), 0.05);
-        let tight = cv_settle_time(&p, 0.9, Amperes::new(2.0), 0.005);
-        assert!(tight > loose, "tight {tight} vs loose {loose}");
-        assert_eq!(
-            cv_settle_time(&p, 0.999, Amperes::new(2.0), 0.01),
-            Seconds::ZERO
-        );
-        assert!(cv_settle_time(&p, 0.5, Amperes::ZERO, 0.01)
-            .as_secs()
-            .is_infinite());
     }
 }

@@ -114,35 +114,17 @@ impl BbuPack {
         self.soc().to_dod()
     }
 
-    /// Deliverable energy remaining in the pack.
-    #[must_use]
-    pub fn remaining_energy(&self) -> Joules {
-        self.params.full_discharge_energy * self.soc
-    }
-
     /// Whether the charge sequence has completed (taper reached cutoff).
     #[must_use]
     pub fn is_fully_charged(&self) -> bool {
         self.charge_terminated
     }
 
-    /// Whether the pack is completely empty.
-    #[must_use]
-    pub fn is_depleted(&self) -> bool {
-        self.soc <= 0.0
-    }
-
-    /// Open-circuit voltage at the present state of charge.
-    #[must_use]
-    pub fn open_circuit_voltage(&self) -> Volts {
-        self.params.ocv(self.soc)
-    }
-
     /// Current the CV loop would naturally drive at the present state of
     /// charge, before clamping to the commanded setpoint.
     #[must_use]
     pub fn natural_cv_current(&self) -> Amperes {
-        kernel::natural_cv_current(&self.params, self.open_circuit_voltage())
+        kernel::natural_cv_current(&self.params, self.params.ocv(self.soc))
     }
 
     /// Advances the CC-CV charge sequence by `dt` with the commanded setpoint.
@@ -259,7 +241,6 @@ mod tests {
         let mut pack = BbuPack::new(BbuParams::default());
         let step = pack.discharge_step(Watts::new(3_300.0), Seconds::new(90.0));
         assert!(step.depleted);
-        assert!(pack.is_depleted());
         assert_eq!(pack.dod(), Dod::FULL);
         // Further discharge delivers nothing.
         let step = pack.discharge_step(Watts::new(3_300.0), Seconds::new(1.0));

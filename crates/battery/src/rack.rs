@@ -61,7 +61,6 @@ impl RackBatterySystem {
     /// Panics if the parameters fail [`BbuParams::validate`] — in particular a
     /// zero `bbus_per_rack` (constructible via serde) would otherwise turn
     /// every load-share division in [`step`](Self::step) into silent NaN.
-    /// Fallible callers should use [`try_new`](Self::try_new).
     #[must_use]
     pub fn new(params: BbuParams, policy: ChargePolicy) -> Self {
         match RackBatterySystem::try_new(params, policy) {
@@ -78,7 +77,7 @@ impl RackBatterySystem {
     /// constraint (see [`BbuParams::validate`]); deserialized configurations
     /// with `bbus_per_rack: 0` are rejected here instead of yielding NaN load
     /// shares at step time.
-    pub fn try_new(params: BbuParams, policy: ChargePolicy) -> Result<Self, BatteryError> {
+    fn try_new(params: BbuParams, policy: ChargePolicy) -> Result<Self, BatteryError> {
         params.validate()?;
         Ok(RackBatterySystem {
             representative: Bbu::new(params, policy),

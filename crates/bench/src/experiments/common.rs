@@ -55,7 +55,7 @@ impl Deployment {
 /// with proportionally scaled limits — the dynamics are scale-free because
 /// both load and recharge power scale with rack count).
 #[must_use]
-pub fn scale_divisor() -> usize {
+fn scale_divisor() -> usize {
     if fast_mode() {
         4
     } else {

@@ -2,7 +2,7 @@
 //! priority-aware charging, across power limits and battery-discharge levels.
 //!
 //! Table III (maximum server power capping for the same six cases) is derived
-//! from the same runs; see [`results`] and the `tab3` module.
+//! from the same runs by the `tab3` module.
 
 use recharge_sim::{DischargeLevel, RunMetrics};
 
@@ -11,7 +11,7 @@ use crate::{ExperimentReport, Table};
 
 /// One of the six Fig 13 cases under one deployment.
 #[derive(Debug, Clone)]
-pub struct CaseResult {
+pub(crate) struct CaseResult {
     /// Case letter, `(a)` through `(f)`.
     pub case: &'static str,
     /// Full-scale breaker limit in MW.
@@ -40,7 +40,7 @@ pub fn cases() -> [(&'static str, f64, DischargeLevel); 6] {
 
 /// Runs all six cases under all three deployments (18 simulations).
 #[must_use]
-pub fn results() -> Vec<CaseResult> {
+pub(crate) fn results() -> Vec<CaseResult> {
     let counts = paper_counts();
     let mut out = Vec::new();
     for (case, limit_mw, discharge) in cases() {
@@ -66,9 +66,9 @@ pub fn run() -> ExperimentReport {
     render(&results())
 }
 
-/// Renders the report from precomputed results (shared with `tab3`).
+/// Renders the report from precomputed results.
 #[must_use]
-pub fn render(results: &[CaseResult]) -> ExperimentReport {
+fn render(results: &[CaseResult]) -> ExperimentReport {
     let mut table = Table::new(&[
         "case",
         "limit (MW)",

@@ -10,7 +10,7 @@ use crate::{fast_mode, ExperimentReport, Table};
 
 /// The swept full-scale limits: 2.6 MW down to 2.2 MW.
 #[must_use]
-pub fn limits_mw() -> Vec<f64> {
+fn limits_mw() -> Vec<f64> {
     let step = if fast_mode() { 0.1 } else { 0.05 };
     let mut v = Vec::new();
     let mut limit: f64 = 2.6;

@@ -43,8 +43,7 @@ type OrderKey = (u8, u16, RackId);
 ///
 /// Ascending iteration ([`charge_order`](Self::charge_order)) yields the
 /// highest-priority-lowest-discharge-first order Algorithm 1 assigns in;
-/// descending iteration ([`throttle_order`](Self::throttle_order)) yields the
-/// reverse order the overload response sheds in.
+/// the overload response sheds in the reverse order.
 ///
 /// # Examples
 ///
@@ -182,16 +181,6 @@ impl ChargeIndex {
             .map(|&(_, _, rack)| (rack, &self.entries[&rack]))
     }
 
-    /// Tracked racks in the overload response's shed order:
-    /// lowest-priority-highest-discharge-first (the exact reverse of
-    /// [`charge_order`](Self::charge_order)).
-    pub fn throttle_order(&self) -> impl Iterator<Item = (RackId, &IndexedCharge)> + '_ {
-        self.order
-            .iter()
-            .rev()
-            .map(|&(_, _, rack)| (rack, &self.entries[&rack]))
-    }
-
     /// The tracked racks as plain [`RackChargeState`]s, in charge order.
     #[must_use]
     pub fn states(&self) -> Vec<RackChargeState> {
@@ -221,8 +210,6 @@ mod tests {
         index.upsert(RackId::new(2), Priority::P1, Dod::new(0.2), Amperes::ZERO);
         index.upsert(RackId::new(3), Priority::P3, Dod::new(0.1), Amperes::ZERO);
         assert_eq!(ids(&index), vec![2, 1, 0, 3]);
-        let reverse: Vec<u32> = index.throttle_order().map(|(r, _)| r.index()).collect();
-        assert_eq!(reverse, vec![3, 0, 1, 2]);
     }
 
     #[test]

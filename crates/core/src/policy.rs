@@ -164,12 +164,6 @@ impl SlaCurrentPolicy {
         &self.sla
     }
 
-    /// The charge-time table in force.
-    #[must_use]
-    pub fn charge_time_table(&self) -> &ChargeTimeTable {
-        &self.table
-    }
-
     /// The minimum current for a priority.
     #[must_use]
     pub fn floor(&self, priority: Priority) -> Amperes {
@@ -179,7 +173,7 @@ impl SlaCurrentPolicy {
     /// Planning safety margin: SLA currents are sized against 97% of the
     /// budget so that model/physics mismatch and control-loop latency cannot
     /// push a boundary rack just past its SLA.
-    pub const SLA_SAFETY_MARGIN: f64 = 0.97;
+    const SLA_SAFETY_MARGIN: f64 = 0.97;
 
     /// The Fig 9(b) SLA charging current for a rack of the given priority
     /// whose battery discharged to `dod`, clamped to the hardware range.
@@ -393,7 +387,7 @@ mod tests {
         let p = policy();
         assert_eq!(p.sla(), &SlaTable::table2());
         assert_eq!(p.floor(Priority::P1), Amperes::new(2.0));
-        assert!(p.charge_time_table().grid().dods.len() >= 2);
+        assert!(p.table.grid().dods.len() >= 2);
     }
 
     /// Builds a policy whose charge-time table only samples DODs in
@@ -441,7 +435,7 @@ mod tests {
     #[test]
     fn above_grid_dod_charges_like_deepest_sample() {
         let p = partial_grid_policy();
-        let (_, deepest) = p.charge_time_table().dod_domain();
+        let (_, deepest) = p.table.dod_domain();
         for prio in Priority::ALL {
             assert_eq!(
                 p.sla_current_exact(prio, Dod::new(0.95)),
@@ -463,7 +457,7 @@ mod tests {
                 for amps in [1.0, 2.5, 5.0] {
                     let current = Amperes::new(amps);
                     let plain = p
-                        .charge_time_table()
+                        .table
                         .charge_time(dod, current)
                         .map(|t| t <= budget)
                         .unwrap_or(false);
@@ -534,7 +528,7 @@ mod tests {
                 for tenths in 10..=50 {
                     let current = Amperes::new(f64::from(tenths) / 10.0);
                     let plain = p
-                        .charge_time_table()
+                        .table
                         .charge_time(dod, current)
                         .map(|t| t <= budget)
                         .unwrap_or(false);

@@ -29,42 +29,18 @@ pub struct RechargePowerModel {
 }
 
 impl RechargePowerModel {
-    /// Derives the model from battery parameters: each of the rack's BBUs
-    /// draws `V_cc→cv × I × loss` from the wall at the top of its CC phase.
+    /// The model for the calibrated production battery (≈374 W per ampere):
+    /// each of the rack's BBUs draws `V_cc→cv × I × loss` from the wall at
+    /// the top of its CC phase.
     #[must_use]
-    pub fn from_params(params: &BbuParams) -> Self {
+    pub fn production() -> Self {
+        let params = BbuParams::production();
         let per_amp = params.cc_to_cv_voltage.as_volts()
             * params.wall_loss_factor
             * f64::from(params.bbus_per_rack);
         RechargePowerModel {
             watts_per_amp: Watts::new(per_amp),
         }
-    }
-
-    /// The model for the calibrated production battery (≈374 W per ampere).
-    #[must_use]
-    pub fn production() -> Self {
-        RechargePowerModel::from_params(&BbuParams::production())
-    }
-
-    /// Creates a model directly from a watts-per-ampere slope.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the slope is not positive and finite.
-    #[must_use]
-    pub fn with_watts_per_amp(watts_per_amp: Watts) -> Self {
-        assert!(
-            watts_per_amp > Watts::ZERO && watts_per_amp.is_finite(),
-            "watts-per-amp slope must be positive"
-        );
-        RechargePowerModel { watts_per_amp }
-    }
-
-    /// The slope of the model.
-    #[must_use]
-    pub fn watts_per_amp(&self) -> Watts {
-        self.watts_per_amp
     }
 
     /// Peak (CC-phase) rack recharge power at the given per-BBU current.
@@ -104,7 +80,9 @@ mod tests {
 
     #[test]
     fn linearity() {
-        let m = RechargePowerModel::with_watts_per_amp(Watts::new(100.0));
+        let m = RechargePowerModel {
+            watts_per_amp: Watts::new(100.0),
+        };
         assert_eq!(m.rack_power(Amperes::new(3.0)), Watts::new(300.0));
         assert_eq!(m.current_for_power(Watts::new(250.0)), Amperes::new(2.5));
         assert_eq!(m.current_for_power(Watts::new(-5.0)), Amperes::ZERO);
@@ -116,11 +94,5 @@ mod tests {
         let i = Amperes::new(3.3);
         let back = m.current_for_power(m.rack_power(i));
         assert!((back.as_amps() - 3.3).abs() < 1e-9);
-    }
-
-    #[test]
-    #[should_panic(expected = "positive")]
-    fn zero_slope_panics() {
-        let _ = RechargePowerModel::with_watts_per_amp(Watts::ZERO);
     }
 }

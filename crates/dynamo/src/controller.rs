@@ -91,12 +91,6 @@ impl ControllerConfig {
         self
     }
 
-    /// Whether the postponing extension is enabled.
-    #[must_use]
-    pub fn postponing_enabled(&self) -> bool {
-        self.allow_postponing
-    }
-
     /// The protected breaker's power limit.
     #[must_use]
     pub fn limit(&self) -> Watts {
@@ -111,7 +105,7 @@ impl ControllerConfig {
 
     /// The limit the planner budgets against (guard band applied).
     #[must_use]
-    pub fn planning_limit(&self) -> Watts {
+    fn planning_limit(&self) -> Watts {
         self.limit * (1.0 - PLANNING_MARGIN)
     }
 
@@ -764,24 +758,6 @@ const SNAPSHOT_ENTRY_BYTES: usize = 4 + 1 + 8 + 8;
 const SNAPSHOT_PARKED_BYTES: usize = 4 + 1 + 8;
 
 impl ControllerSnapshot {
-    /// Number of indexed racks captured.
-    #[must_use]
-    pub fn tracked(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Number of parked racks captured.
-    #[must_use]
-    pub fn parked(&self) -> usize {
-        self.parked.len()
-    }
-
-    /// Whether the snapshot captures no state at all.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty() && self.parked.is_empty()
-    }
-
     /// Serializes the snapshot. Layout (all little-endian):
     ///
     /// ```text
@@ -1415,8 +1391,8 @@ mod tests {
         assert!(!c.postponed_racks().is_empty(), "setup: nothing parked");
 
         let snap = c.snapshot();
-        assert!(snap.tracked() > 0);
-        assert_eq!(snap.parked(), c.postponed_racks().len());
+        assert!(!snap.entries.is_empty());
+        assert_eq!(snap.parked.len(), c.postponed_racks().len());
         let bytes = snap.to_bytes();
         let decoded = ControllerSnapshot::from_bytes(&bytes).expect("decodes");
         assert_eq!(decoded, snap);
@@ -1434,7 +1410,7 @@ mod tests {
     #[test]
     fn snapshot_rejects_corrupt_bytes() {
         let empty = ControllerSnapshot::default();
-        assert!(empty.is_empty());
+        assert!(empty.entries.is_empty() && empty.parked.is_empty());
         let bytes = empty.to_bytes();
         assert_eq!(ControllerSnapshot::from_bytes(&bytes), Ok(empty));
         assert_eq!(

@@ -33,7 +33,7 @@ use crate::messages::PowerReading;
 /// the subtree every tick. Ordering follows the index convention: (priority
 /// rank, quantized DOD bucket) groups in reverse charge order, racks within
 /// a group in ascending (input) order — matching the stable descending sort
-/// it replaces (see [`charge_tiebreak_parity`] in the module tests).
+/// it replaces (see `charge_tiebreak_parity` in the module tests).
 #[derive(Debug)]
 pub struct UpperMonitor {
     device: DeviceId,
@@ -60,12 +60,6 @@ impl UpperMonitor {
     #[must_use]
     pub fn device(&self) -> DeviceId {
         self.device
-    }
-
-    /// Racks this monitor has forced to the minimum.
-    #[must_use]
-    pub fn forced_count(&self) -> usize {
-        self.forced_minimum.len()
     }
 
     /// One monitoring interval: returns the server power it had to cap (zero
@@ -228,12 +222,6 @@ impl HierarchicalControl {
         self.uppers.len()
     }
 
-    /// The upper monitors (inspection).
-    #[must_use]
-    pub fn uppers(&self) -> &[UpperMonitor] {
-        &self.uppers
-    }
-
     /// One control interval across the whole tree: leaves first (assignment
     /// and local protection), then upper monitors (aggregate protection).
     /// Returns the total server power capped this tick.
@@ -351,11 +339,12 @@ mod tests {
             }
         }
         let forced = control
-            .uppers()
+            .uppers
             .iter()
             .find(|u| u.device() == sb)
             .expect("monitor exists")
-            .forced_count();
+            .forced_minimum
+            .len();
         assert!(forced > 0, "the SB monitor should have forced racks to 1 A");
         // And the subtree draw came back under the (tightened) limit.
         let draw: Watts = racks
@@ -445,7 +434,7 @@ mod tests {
             bus.overrides, expected,
             "indexed shed order diverged from the sorted path"
         );
-        assert_eq!(monitor.forced_count(), 6);
+        assert_eq!(monitor.forced_minimum.len(), 6);
     }
 
     /// The persistent index follows reading deltas: racks that finish
@@ -493,9 +482,9 @@ mod tests {
                 a.step(Seconds::new(1.0));
             }
         }
-        for upper in control.uppers() {
+        for upper in &control.uppers {
             assert_eq!(
-                upper.forced_count(),
+                upper.forced_minimum.len(),
                 0,
                 "monitor {} still holds racks",
                 upper.device()

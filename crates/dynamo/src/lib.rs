@@ -65,5 +65,4 @@ pub use controller::{
 };
 pub use hierarchy::{HierarchicalControl, UpperMonitor};
 pub use messages::PowerReading;
-pub use scheduler::EventScheduler;
 pub use soa::SoaBackend;

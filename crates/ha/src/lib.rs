@@ -24,7 +24,7 @@
 //! - **Deterministic snapshot replication.** On a configurable cadence the
 //!   leader serializes its brain ([`Controller::snapshot`] — `ChargeIndex`
 //!   plus parked-charge map, `f64`s as exact bit patterns) and replicates it
-//!   to the standbys ([`StoredSnapshot`]). On takeover the new leader
+//!   to the standbys. On takeover the new leader
 //!   restores the latest snapshot and replays the delta since from live
 //!   agent readings: the first post-takeover tick re-reads every rack, so
 //!   battery state drifted during the gap is reconciled against ground
@@ -52,7 +52,7 @@ use recharge_telemetry::{flight_at, tcounter, tgauge, FlightKind, ReasonCode, NO
 use recharge_units::SimTime;
 
 /// Default replica count (one leader, two hot standbys).
-pub const DEFAULT_REPLICAS: u32 = 3;
+const DEFAULT_REPLICAS: u32 = 3;
 
 /// Default leadership lease width in simulation ticks; mirrors the
 /// agent-side [`recharge_net::DEFAULT_LEASE_TICKS`] so the controller set
@@ -111,13 +111,6 @@ impl HaConfig {
         self
     }
 
-    /// Sets the snapshot replication cadence in ticks.
-    #[must_use]
-    pub fn snapshot_every(mut self, ticks: u64) -> Self {
-        self.snapshot_every = ticks;
-        self
-    }
-
     /// Sets the election jitter seed.
     #[must_use]
     pub fn seed(mut self, seed: u64) -> Self {
@@ -133,19 +126,16 @@ impl HaConfig {
     }
 }
 
-/// A replicated controller-brain snapshot: the leader's coordinates plus the
-/// encoded brain ([`ControllerSnapshot::to_bytes`]), decoded only when a
+/// A replicated controller-brain snapshot: the leader's term and tick plus
+/// the encoded brain ([`ControllerSnapshot::to_bytes`]), decoded only when a
 /// takeover restores it.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct StoredSnapshot {
+struct StoredSnapshot {
     /// HA term of the leader that took the snapshot.
-    pub term: u64,
-    /// Replica id of that leader.
-    pub leader: u32,
+    term: u64,
     /// Simulation tick the snapshot was taken at.
-    pub tick: u64,
+    tick: u64,
     /// The serialized controller brain.
-    pub bytes: Vec<u8>,
+    bytes: Vec<u8>,
 }
 
 /// One redundant controller: the brain plus its process-fault state.
@@ -224,30 +214,11 @@ impl ControllerSet {
         self.failovers
     }
 
-    /// Number of replicas in the set.
-    #[must_use]
-    pub fn replica_count(&self) -> u32 {
-        self.replicas.len() as u32
-    }
-
     /// Whether replica `id` is currently neither crashed nor frozen.
-    #[must_use]
-    pub fn is_available(&self, id: u32) -> bool {
+    fn is_available(&self, id: u32) -> bool {
         self.replicas
             .get(id as usize)
             .is_some_and(|r| !r.crashed && !r.frozen)
-    }
-
-    /// The latest replicated brain snapshot, if one has been taken.
-    #[must_use]
-    pub fn replicated_snapshot(&self) -> Option<&StoredSnapshot> {
-        self.snapshot.as_ref()
-    }
-
-    /// Read access to the current leader's controller (for inspection).
-    #[must_use]
-    pub fn leader_controller(&self) -> Option<&Controller> {
-        self.leader.map(|l| &self.replicas[l as usize].controller)
     }
 
     /// Runs one control interval at deterministic simulation tick `tick_now`
@@ -456,7 +427,6 @@ impl ControllerSet {
         tcounter!("ha.snapshots_taken").inc();
         self.snapshot = Some(StoredSnapshot {
             term: self.term,
-            leader,
             tick: tick_now,
             bytes,
         });
@@ -580,9 +550,9 @@ mod tests {
         assert_eq!(set.term(), 1, "fault-free runs elect exactly once");
         assert_eq!(set.failovers(), 0);
         let single_cmds = single.commanded_currents();
-        let set_cmds = set
-            .leader_controller()
-            .expect("leader present")
+        let leader = set.leader().expect("leader present");
+        let set_cmds = set.replicas[leader as usize]
+            .controller
             .commanded_currents();
         assert_eq!(single_cmds, set_cmds);
     }
@@ -676,10 +646,10 @@ mod tests {
         let _g = lock();
         set_recorder_enabled(true);
         let _ = take_flight_events();
-        let ha = HaConfig::default()
-            .seed(17)
-            .lease_ticks(15)
-            .snapshot_every(10);
+        let ha = HaConfig {
+            snapshot_every: 10,
+            ..HaConfig::default().seed(17).lease_ticks(15)
+        };
         let first = probe_winner(&ha);
         let _ = take_flight_events();
         let ha = ha.fault(ProcessFault::CrashController {
@@ -697,7 +667,7 @@ mod tests {
         set_recorder_enabled(false);
         let events = take_flight_events();
 
-        let snap = set.replicated_snapshot().expect("cadence must snapshot");
+        let snap = set.snapshot.as_ref().expect("cadence must snapshot");
         assert_eq!(snap.term, 2, "post-takeover leader keeps replicating");
         assert!(
             events.iter().any(|e| e.kind == FlightKind::SnapshotTaken),

@@ -161,13 +161,6 @@ impl RpcMeshConfig {
         self
     }
 
-    /// Overrides the shard plan.
-    #[must_use]
-    pub fn with_shards(mut self, shards: ShardPlan) -> Self {
-        self.shards = shards;
-        self
-    }
-
     /// Overrides the frame cap.
     #[must_use]
     pub fn with_max_frame_len(mut self, max_frame_len: u32) -> Self {

@@ -16,7 +16,7 @@
 //! answering reads), so the controller keeps trying them and notices the
 //! heal.
 //!
-//! Fault injection ([`LinkFaults`]) wraps the call path: injected drops
+//! Fault injection (`LinkFaults`) wraps the call path: injected drops
 //! consume a retry attempt as a synthetic timeout (without holding the
 //! caller for the full wall-clock deadline — see [`fault`](crate::fault)),
 //! injected delays are real sleeps, and partitions fail calls fast.
@@ -39,8 +39,7 @@ use recharge_units::{RackId, SimTime, Watts};
 use crate::endpoint::{recv_frame, send_frame, Endpoint, FrameBuffer, FrameRead, NetStream};
 use crate::fault::{FaultClock, FaultPlan, LinkFaults};
 use crate::wire::{
-    decode_response, encode_request, AgentCommand, GroupAggregate, HealthReport, Request, Response,
-    MAX_FRAME_LEN,
+    decode_response, encode_request, AgentCommand, GroupAggregate, Request, Response, MAX_FRAME_LEN,
 };
 
 /// Bucket upper bounds (microseconds) for the RPC latency histograms — a
@@ -402,17 +401,6 @@ impl RpcBus {
             _ => None,
         }
     }
-
-    /// Reads the server's live health snapshot (lease summary plus the
-    /// Prometheus text exposition of its metrics registry); `None` when the
-    /// shard is unreachable. Health reads never renew coordination leases.
-    #[must_use]
-    pub fn read_health(&self) -> Option<HealthReport> {
-        match self.call(&Request::ReadHealth) {
-            Some(Response::Health(health)) => Some(health),
-            _ => None,
-        }
-    }
 }
 
 fn uniform(state: &mut u64) -> f64 {
@@ -677,7 +665,9 @@ mod tests {
             ..RpcBusConfig::default()
         };
         let bus = RpcBus::connect(server.endpoint(), config, clock).expect("connect");
-        let health = bus.read_health().expect("health");
+        let Some(Response::Health(health)) = bus.call(&Request::ReadHealth) else {
+            panic!("health");
+        };
         assert_eq!(health.shard, 0, "an untagged host reports shard 0");
         assert_eq!(health.racks, 2);
         // Neither discovery nor the health read is controller contact.
@@ -685,7 +675,9 @@ mod tests {
 
         // A real read joins the racks; the next scrape sees them.
         assert!(bus.read_all().is_some());
-        let health = bus.read_health().expect("health");
+        let Some(Response::Health(health)) = bus.call(&Request::ReadHealth) else {
+            panic!("health");
+        };
         assert_eq!(health.coordinated, 2);
     }
 

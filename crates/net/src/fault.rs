@@ -2,7 +2,7 @@
 //!
 //! Chaos scenarios must be reproducible — a flaky soak that cannot be
 //! replayed is worse than no soak at all. A [`FaultPlan`] is a pure
-//! description (seed + probabilities + partition windows); [`LinkFaults`]
+//! description (seed + probabilities + partition windows); `LinkFaults`
 //! turns it into per-call decisions with a `splitmix64` stream, so the same
 //! plan over the same call sequence always injects the same faults.
 //!
@@ -199,7 +199,7 @@ impl FaultPlan {
 
 /// What the fault layer decided for one call attempt.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FaultDecision {
+pub(crate) struct FaultDecision {
     /// Delay to sleep before sending (zero for most attempts).
     pub delay: Duration,
     /// Drop the request frame: the attempt times out without sending.
@@ -211,19 +211,9 @@ pub struct FaultDecision {
     pub duplicate: bool,
 }
 
-impl FaultDecision {
-    /// The clean-link decision: no injected faults.
-    pub const NONE: FaultDecision = FaultDecision {
-        delay: Duration::ZERO,
-        drop_request: false,
-        drop_response: false,
-        duplicate: false,
-    };
-}
-
 /// Mutable fault state for one link: the plan plus its random stream.
 #[derive(Debug)]
-pub struct LinkFaults {
+pub(crate) struct LinkFaults {
     plan: FaultPlan,
     clock: FaultClock,
     rng: u64,
@@ -311,7 +301,13 @@ mod tests {
     fn clean_plan_never_injects() {
         let mut faults = LinkFaults::new(FaultPlan::default(), FaultClock::new());
         for _ in 0..100 {
-            assert_eq!(faults.decide(), FaultDecision::NONE);
+            let clean = FaultDecision {
+                delay: Duration::ZERO,
+                drop_request: false,
+                drop_response: false,
+                duplicate: false,
+            };
+            assert_eq!(faults.decide(), clean);
             assert!(!faults.partitioned());
         }
     }

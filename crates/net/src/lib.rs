@@ -64,7 +64,7 @@ pub mod wire;
 pub use backend::{spawn_mesh, RpcMeshConfig, RpcTransport, ShardPlan};
 pub use client::{RetryPolicy, RpcBus, RpcBusConfig};
 pub use endpoint::{as_frame_too_large, Endpoint, NetListener, NetStream};
-pub use fault::{FaultClock, FaultPlan, LinkFaults, Partition, PartitionScope};
+pub use fault::{FaultClock, FaultPlan, Partition, PartitionScope};
 pub use server::{AgentHost, AgentServer, DEFAULT_LEASE_TICKS};
 pub use sharded::{LeafControlSpec, ShardedRpcBus, ShardedRpcFleetBackend};
 pub use wire::{

@@ -19,10 +19,10 @@
 //!   their reported IT load plus an equal share of the remaining headroom.
 //!
 //! Degraded modes stay per shard: every shard link carries its own
-//! [`FaultPlan`] projection (derived seed, partitions scoped to the shard's
-//! racks), so a partitioned shard's racks fall back to standalone variable
-//! charging via the ordinary lease sweep while the other shards never miss
-//! an override.
+//! [`FaultPlan`](crate::FaultPlan) projection (derived seed, partitions
+//! scoped to the shard's racks), so a partitioned shard's racks fall back to
+//! standalone variable charging via the ordinary lease sweep while the other
+//! shards never miss an override.
 //!
 //! Clean-link equivalence: command buffering defers application from the
 //! controller tick to the start of the next `step_schedule` — before any
@@ -194,12 +194,6 @@ impl ShardedRpcBus {
     #[must_use]
     pub fn shard_count(&self) -> usize {
         self.workers.len()
-    }
-
-    /// Which shard hosts `rack`.
-    #[must_use]
-    pub fn shard_of(&self, rack: RackId) -> Option<usize> {
-        self.shard_of.get(&rack).copied()
     }
 
     /// Fans `ReadAllReadings` out to every shard and joins on the replies —
@@ -457,22 +451,6 @@ impl ShardedRpcFleetBackend {
     #[must_use]
     pub fn host(&self, shard: usize) -> &Arc<AgentHost<SimRackAgent>> {
         &self.hosts[shard]
-    }
-
-    /// Live health snapshot of every shard, in shard order — each server
-    /// answers [`ReadHealth`](crate::wire::Request::ReadHealth) exactly as a
-    /// remote scrape would, without renewing any coordination lease.
-    #[must_use]
-    pub fn health_reports(&self) -> Vec<crate::wire::HealthReport> {
-        self.hosts
-            .iter()
-            .filter_map(
-                |host| match host.handle(&crate::wire::Request::ReadHealth) {
-                    crate::wire::Response::Health(health) => Some(health),
-                    _ => None,
-                },
-            )
-            .collect()
     }
 
     /// Whether `rack` is currently coordinated on its shard.

@@ -159,6 +159,11 @@ pub enum WireError {
     BadVersion(u8),
     /// An enum discriminant outside its legal range.
     BadEnum(&'static str, u8),
+    /// A number outside its field's legal domain: a DOD outside `[0, 1]`
+    /// (NaN included), a non-finite override current, tick time or leaf
+    /// budget, or a non-finite or negative cap limit. Carries the field's
+    /// name.
+    BadValue(&'static str),
     /// Trailing bytes after a complete message.
     TrailingBytes,
     /// A frame longer than the configured cap (carried inside the
@@ -181,6 +186,7 @@ impl core::fmt::Display for WireError {
                 write!(f, "protocol version {v} (expected {PROTOCOL_VERSION})")
             }
             WireError::BadEnum(what, v) => write!(f, "illegal {what} discriminant {v}"),
+            WireError::BadValue(field) => write!(f, "illegal {field} value"),
             WireError::TrailingBytes => write!(f, "trailing bytes after message"),
             WireError::FrameTooLarge { len, limit } => {
                 write!(f, "frame length {len} exceeds the {limit}-byte cap")
@@ -282,6 +288,20 @@ impl Reader<'_> {
         Ok(f64::from_bits(self.u64()?))
     }
 
+    /// An `f64` that must satisfy `legal`, else a typed error naming `field`.
+    fn checked_f64(
+        &mut self,
+        field: &'static str,
+        legal: impl Fn(f64) -> bool,
+    ) -> Result<f64, WireError> {
+        let v = self.f64()?;
+        if legal(v) {
+            Ok(v)
+        } else {
+            Err(WireError::BadValue(field))
+        }
+    }
+
     fn rack(&mut self) -> Result<RackId, WireError> {
         Ok(RackId::new(self.u32()?))
     }
@@ -351,6 +371,10 @@ fn put_reading(w: &mut Writer, reading: &PowerReading) {
     w.f64(reading.capped_power.as_watts());
 }
 
+fn is_fraction(v: f64) -> bool {
+    (0.0..=1.0).contains(&v)
+}
+
 fn get_reading(r: &mut Reader<'_>) -> Result<PowerReading, WireError> {
     Ok(PowerReading {
         rack: r.rack()?,
@@ -359,8 +383,8 @@ fn get_reading(r: &mut Reader<'_>) -> Result<PowerReading, WireError> {
         it_load: Watts::new(r.f64()?),
         recharge_power: Watts::new(r.f64()?),
         bbu_state: get_bbu_state(r)?,
-        event_dod: Dod::new(r.f64()?),
-        dod: Dod::new(r.f64()?),
+        event_dod: Dod::new(r.checked_f64("event_dod", is_fraction)?),
+        dod: Dod::new(r.checked_f64("dod", is_fraction)?),
         capped_power: Watts::new(r.f64()?),
     })
 }
@@ -397,10 +421,8 @@ fn get_command(r: &mut Reader<'_>) -> Result<AgentCommand, WireError> {
     match r.u8()? {
         CMD_SET_OVERRIDE => {
             let rack = r.rack()?;
-            Ok(AgentCommand::SetChargeOverride(
-                rack,
-                Amperes::new(r.f64()?),
-            ))
+            let current = r.checked_f64("override current", f64::is_finite)?;
+            Ok(AgentCommand::SetChargeOverride(rack, Amperes::new(current)))
         }
         CMD_CLEAR_OVERRIDE => Ok(AgentCommand::ClearChargeOverride(r.rack()?)),
         CMD_SET_POSTPONED => {
@@ -409,7 +431,8 @@ fn get_command(r: &mut Reader<'_>) -> Result<AgentCommand, WireError> {
         }
         CMD_CAP => {
             let rack = r.rack()?;
-            Ok(AgentCommand::CapServers(rack, Watts::new(r.f64()?)))
+            let limit = r.checked_f64("cap limit", |v| v.is_finite() && v >= 0.0)?;
+            Ok(AgentCommand::CapServers(rack, Watts::new(limit)))
         }
         CMD_UNCAP => Ok(AgentCommand::UncapServers(r.rack()?)),
         v => Err(WireError::BadEnum("command", v)),
@@ -528,10 +551,10 @@ pub fn decode_request(payload: &[u8]) -> Result<(u64, Request), WireError> {
             Request::ApplyCommandBatch(commands)
         }
         OP_TICK_LEAF => {
-            let now = SimTime::from_secs(r.f64()?);
+            let now = SimTime::from_secs(r.checked_f64("tick time", f64::is_finite)?);
             let budget = match r.u8()? {
                 0 => None,
-                1 => Some(Watts::new(r.f64()?)),
+                1 => Some(Watts::new(r.checked_f64("leaf budget", f64::is_finite)?)),
                 v => return Err(WireError::BadEnum("option", v)),
             };
             Request::TickLeaf { now, budget }
@@ -618,6 +641,8 @@ pub fn decode_response(payload: &[u8]) -> Result<(u64, Response), WireError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, RngCore, SeedableRng};
 
     fn reading() -> PowerReading {
         PowerReading {
@@ -633,9 +658,9 @@ mod tests {
         }
     }
 
-    #[test]
-    fn requests_round_trip() {
-        let requests = [
+    /// One request of every op, batches with every command kind.
+    fn sample_requests() -> Vec<Request> {
+        vec![
             Request::ListRacks,
             Request::ReadAllReadings,
             Request::ApplyCommandBatch(Vec::new()),
@@ -655,17 +680,12 @@ mod tests {
                 budget: Some(Watts::from_kilowatts(47.5)),
             },
             Request::ReadHealth,
-        ];
-        for (i, request) in requests.iter().enumerate() {
-            let id = 1000 + i as u64;
-            let payload = encode_request(id, request);
-            assert_eq!(decode_request(&payload), Ok((id, request.clone())));
-        }
+        ]
     }
 
-    #[test]
-    fn responses_round_trip() {
-        let responses = [
+    /// One response of every op, including empty collections.
+    fn sample_responses() -> Vec<Response> {
+        vec![
             Response::Racks(vec![RackId::new(0), RackId::new(9)]),
             Response::Racks(Vec::new()),
             Response::Readings(vec![reading(), reading()]),
@@ -690,8 +710,21 @@ mod tests {
                 coordinated: 0,
                 text: String::new(),
             }),
-        ];
-        for (i, response) in responses.iter().enumerate() {
+        ]
+    }
+
+    #[test]
+    fn requests_round_trip() {
+        for (i, request) in sample_requests().iter().enumerate() {
+            let id = 1000 + i as u64;
+            let payload = encode_request(id, request);
+            assert_eq!(decode_request(&payload), Ok((id, request.clone())));
+        }
+    }
+
+    #[test]
+    fn responses_round_trip() {
+        for (i, response) in sample_responses().iter().enumerate() {
             let id = u64::MAX - i as u64;
             let payload = encode_response(id, response);
             assert_eq!(decode_response(&payload), Ok((id, response.clone())));
@@ -894,5 +927,242 @@ mod tests {
         ] {
             assert_eq!(command.rack(), rack, "{command:?}");
         }
+    }
+    /// Decodes `payload` both as a request and as a response. Either decoder
+    /// may reject it, neither may panic, and whatever decodes must re-encode
+    /// to the same bytes, so no field is silently clamped or rewritten.
+    fn decode_both(payload: &[u8]) {
+        if let Ok((id, request)) = decode_request(payload) {
+            assert_eq!(encode_request(id, &request), payload, "{request:?}");
+        }
+        if let Ok((id, response)) = decode_response(payload) {
+            assert_eq!(encode_response(id, &response), payload, "{response:?}");
+        }
+    }
+
+    #[test]
+    fn single_byte_mutations_of_every_op_never_panic() {
+        let mut frames: Vec<Vec<u8>> = sample_requests()
+            .iter()
+            .map(|request| encode_request(3, request))
+            .collect();
+        frames.extend(
+            sample_responses()
+                .iter()
+                .map(|response| encode_response(3, response)),
+        );
+        for frame in &frames {
+            for at in 0..frame.len() {
+                let mut mutated = frame.clone();
+                for byte in 0..=u8::MAX {
+                    mutated[at] = byte;
+                    decode_both(&mutated);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn arbitrary_bytes_never_panic() {
+        let ops = [
+            OP_LIST_RACKS,
+            OP_READ_ALL,
+            OP_APPLY_BATCH,
+            OP_TICK_LEAF,
+            OP_READ_HEALTH,
+            OP_RACKS,
+            OP_READINGS,
+            OP_BATCH_ACK,
+            OP_GROUP_AGGREGATE,
+            OP_HEALTH,
+        ];
+        let mut rng = StdRng::seed_from_u64(0x5EED_F00D);
+        for _ in 0..20_000 {
+            let len = rng.gen_range(0..160usize);
+            let mut payload: Vec<u8> = (0..len).map(|_| rng.gen_range(0..=u8::MAX)).collect();
+            // Uniform bytes almost always stop at the version byte; steer half
+            // the cases past the header, and half of those to a small count,
+            // so every op's body decoder sees random bytes too.
+            if len > 9 && rng.gen_bool(0.5) {
+                payload[0] = PROTOCOL_VERSION;
+                payload[9] = ops[rng.gen_range(0..ops.len())];
+                if len >= 14 && rng.gen_bool(0.5) {
+                    payload[10..14].copy_from_slice(&rng.gen_range(0..4u32).to_le_bytes());
+                }
+            }
+            decode_both(&payload);
+        }
+    }
+
+    fn random_watts(rng: &mut StdRng) -> Watts {
+        Watts::new(rng.gen_range(-1e7..1e7))
+    }
+
+    fn random_request(rng: &mut StdRng, op: u64) -> Request {
+        match op % 5 {
+            0 => Request::ListRacks,
+            1 => Request::ReadAllReadings,
+            2 => Request::ApplyCommandBatch(
+                (0..rng.gen_range(0..6usize))
+                    .map(|_| {
+                        let rack = RackId::new(rng.next_u32());
+                        match rng.gen_range(0..5u8) {
+                            0 => AgentCommand::SetChargeOverride(
+                                rack,
+                                Amperes::new(rng.gen_range(-10.0..10.0)),
+                            ),
+                            1 => AgentCommand::ClearChargeOverride(rack),
+                            2 => AgentCommand::SetChargePostponed(rack, rng.gen_bool(0.5)),
+                            3 => {
+                                AgentCommand::CapServers(rack, Watts::new(rng.gen_range(0.0..1e6)))
+                            }
+                            _ => AgentCommand::UncapServers(rack),
+                        }
+                    })
+                    .collect(),
+            ),
+            3 => Request::TickLeaf {
+                now: SimTime::from_secs(rng.gen_range(-1e6..1e6)),
+                budget: rng.gen_bool(0.5).then(|| random_watts(rng)),
+            },
+            _ => Request::ReadHealth,
+        }
+    }
+
+    fn random_response(rng: &mut StdRng, op: u64) -> Response {
+        match op % 5 {
+            0 => Response::Racks(
+                (0..rng.gen_range(0..6usize))
+                    .map(|_| RackId::new(rng.next_u32()))
+                    .collect(),
+            ),
+            1 => Response::Readings(
+                (0..rng.gen_range(0..6usize))
+                    .map(|_| PowerReading {
+                        rack: RackId::new(rng.next_u32()),
+                        priority: Priority::ALL[rng.gen_range(0..3usize)],
+                        input_power_present: rng.gen_bool(0.5),
+                        it_load: random_watts(rng),
+                        recharge_power: random_watts(rng),
+                        bbu_state: [
+                            BbuState::FullyCharged,
+                            BbuState::Charging,
+                            BbuState::Discharging,
+                            BbuState::FullyDischarged,
+                        ][rng.gen_range(0..4usize)],
+                        event_dod: Dod::new(rng.gen_range(0.0..=1.0)),
+                        dod: Dod::new(rng.gen_range(0.0..=1.0)),
+                        capped_power: random_watts(rng),
+                    })
+                    .collect(),
+            ),
+            2 => Response::BatchAck(rng.next_u32()),
+            3 => Response::GroupAggregate(GroupAggregate {
+                it_load: random_watts(rng),
+                recharge_power: random_watts(rng),
+                capped_power: random_watts(rng),
+                overrides_sent: rng.next_u32(),
+                racks_throttled: rng.next_u32(),
+            }),
+            _ => Response::Health(HealthReport {
+                shard: rng.next_u32(),
+                racks: rng.next_u32(),
+                coordinated: rng.next_u32(),
+                text: (0..rng.gen_range(0..40usize))
+                    .map(|_| ['a', 'Z', '0', ' ', '\n', '#', 'µ', '⚡'][rng.gen_range(0..8usize)])
+                    .collect(),
+            }),
+        }
+    }
+
+    #[test]
+    fn every_op_round_trips_on_random_fields() {
+        let mut rng = StdRng::seed_from_u64(0xC0DEC);
+        for op in 0..2_000u64 {
+            let id = rng.next_u64();
+            let request = random_request(&mut rng, op);
+            assert_eq!(
+                decode_request(&encode_request(id, &request)),
+                Ok((id, request))
+            );
+            let response = random_response(&mut rng, op);
+            assert_eq!(
+                decode_response(&encode_response(id, &response)),
+                Ok((id, response))
+            );
+        }
+    }
+
+    /// Overwrites the first eight-byte run equal to `old`'s bits with `new`'s.
+    fn patch_f64(payload: &mut [u8], old: f64, new: f64) {
+        let at = payload
+            .windows(8)
+            .position(|w| w == old.to_le_bytes())
+            .expect("field present in the frame");
+        payload[at..at + 8].copy_from_slice(&new.to_le_bytes());
+    }
+
+    #[test]
+    fn out_of_domain_numbers_are_typed_errors() {
+        let original = reading();
+        for (field, old) in [
+            ("event_dod", original.event_dod.value()),
+            ("dod", original.dod.value()),
+        ] {
+            for bad in [f64::NAN, -0.5, 1.5, f64::INFINITY] {
+                let mut payload = encode_response(1, &Response::Readings(vec![original]));
+                patch_f64(&mut payload, old, bad);
+                assert_eq!(
+                    decode_response(&payload),
+                    Err(WireError::BadValue(field)),
+                    "{field} = {bad}"
+                );
+            }
+        }
+        let command = |current: f64, limit: f64| {
+            Request::ApplyCommandBatch(vec![
+                AgentCommand::SetChargeOverride(RackId::new(5), Amperes::new(current)),
+                AgentCommand::CapServers(RackId::new(5), Watts::new(limit)),
+            ])
+        };
+        let (current, limit) = (3.25, 5_500.5);
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let mut payload = encode_request(1, &command(current, limit));
+            patch_f64(&mut payload, current, bad);
+            assert_eq!(
+                decode_request(&payload),
+                Err(WireError::BadValue("override current")),
+                "override current = {bad}"
+            );
+        }
+        for bad in [f64::NAN, f64::INFINITY, -1.0] {
+            let mut payload = encode_request(1, &command(current, limit));
+            patch_f64(&mut payload, limit, bad);
+            assert_eq!(
+                decode_request(&payload),
+                Err(WireError::BadValue("cap limit")),
+                "cap limit = {bad}"
+            );
+        }
+        let (now, budget) = (612.5, 47_500.5);
+        let tick = Request::TickLeaf {
+            now: SimTime::from_secs(now),
+            budget: Some(Watts::new(budget)),
+        };
+        for (field, old) in [("tick time", now), ("leaf budget", budget)] {
+            for bad in [f64::NAN, f64::INFINITY] {
+                let mut payload = encode_request(1, &tick);
+                patch_f64(&mut payload, old, bad);
+                assert_eq!(
+                    decode_request(&payload),
+                    Err(WireError::BadValue(field)),
+                    "{field} = {bad}"
+                );
+            }
+        }
+        assert_eq!(
+            WireError::BadValue("event_dod").to_string(),
+            "illegal event_dod value"
+        );
     }
 }

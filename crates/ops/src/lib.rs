@@ -47,7 +47,7 @@ fn is_decision(e: &FlightEvent) -> bool {
 /// Renders an event's kind-specific payload words as the quantities they
 /// carry (see the payload conventions in `DESIGN.md` §15).
 #[must_use]
-pub fn describe_payload(e: &FlightEvent) -> String {
+fn describe_payload(e: &FlightEvent) -> String {
     let (v0, v1) = (e.v0_f64(), e.v1_f64());
     match e.kind {
         FlightKind::BreakerMargin | FlightKind::BreakerTrip => {
@@ -101,7 +101,7 @@ pub fn describe_payload(e: &FlightEvent) -> String {
 /// One-line rendering of an event: time, kind, reason, rack identity
 /// (priority and DOD bucket when they apply), payload.
 #[must_use]
-pub fn render_event(e: &FlightEvent) -> String {
+fn render_event(e: &FlightEvent) -> String {
     let mut line = format!(
         "t={:<10.3} {:<14} {:<22}",
         e.at(),
@@ -236,7 +236,7 @@ pub fn summary(dump: &BlackboxDump) -> String {
 /// Renders the HA leadership history: every election, loss, and takeover
 /// in dump order. Empty when the run had no HA events (single-controller).
 #[must_use]
-pub fn leader_timeline(dump: &BlackboxDump) -> String {
+fn leader_timeline(dump: &BlackboxDump) -> String {
     let mut out = String::new();
     for e in &dump.events {
         let line = match e.kind {

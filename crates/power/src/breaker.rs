@@ -50,8 +50,8 @@ pub enum BreakerStatus {
 ///
 /// The breaker is fed periodic power observations via [`Breaker::observe`];
 /// once draw at or above `limit × trip_factor` has been sustained for the trip
-/// curve's duration, the breaker latches [`BreakerStatus::Tripped`] until
-/// [`Breaker::reset`] (a manual re-close after an outage).
+/// curve's duration, the breaker latches [`BreakerStatus::Tripped`] for the
+/// rest of the run (re-closing it is a manual act after an outage).
 ///
 /// # Examples
 ///
@@ -105,18 +105,6 @@ impl Breaker {
         self.limit
     }
 
-    /// The trip characteristic.
-    #[must_use]
-    pub fn trip_curve(&self) -> TripCurve {
-        self.curve
-    }
-
-    /// Whether the breaker has tripped.
-    #[must_use]
-    pub fn is_tripped(&self) -> bool {
-        self.tripped
-    }
-
     /// Headroom left under the limit at the given draw (zero when overloaded).
     #[must_use]
     pub fn available_power(&self, draw: Watts) -> Watts {
@@ -166,8 +154,8 @@ impl Breaker {
             let since = *self.over_trip_since.get_or_insert(now);
             if now.since(since) >= self.curve.sustain {
                 self.tripped = true;
-                // First trip only: the latch above makes re-entry impossible
-                // until reset(), so the counter counts distinct trips.
+                // First trip only: the latch above makes re-entry
+                // impossible, so the counter counts distinct trips.
                 recharge_telemetry::tcounter!("power.breaker_trips").inc();
                 recharge_telemetry::flight_at(
                     now.as_secs(),
@@ -211,13 +199,6 @@ impl Breaker {
             );
         }
     }
-
-    /// Re-closes a tripped breaker and clears the trip integrator.
-    pub fn reset(&mut self) {
-        self.tripped = false;
-        self.over_trip_since = None;
-        self.was_over = false;
-    }
 }
 
 #[cfg(test)]
@@ -239,7 +220,7 @@ mod tests {
             b.observe(Watts::from_kilowatts(100.0), SimTime::ZERO),
             BreakerStatus::Nominal
         );
-        assert!(!b.is_tripped());
+        assert!(!b.tripped);
     }
 
     #[test]
@@ -252,7 +233,7 @@ mod tests {
             );
             assert_eq!(status, BreakerStatus::Overloaded);
         }
-        assert!(!b.is_tripped());
+        assert!(!b.tripped);
     }
 
     #[test]
@@ -270,7 +251,7 @@ mod tests {
             b.observe(Watts::from_kilowatts(130.0), SimTime::from_secs(30.0)),
             BreakerStatus::Tripped
         );
-        assert!(b.is_tripped());
+        assert!(b.tripped);
         // Latched: stays tripped even at zero draw.
         assert_eq!(
             b.observe(Watts::ZERO, SimTime::from_secs(31.0)),
@@ -292,20 +273,6 @@ mod tests {
         assert_eq!(
             b.observe(Watts::from_kilowatts(135.0), SimTime::from_secs(55.0)),
             BreakerStatus::Tripped
-        );
-    }
-
-    #[test]
-    fn reset_restores_service() {
-        let mut b = breaker();
-        b.observe(Watts::from_kilowatts(200.0), SimTime::ZERO);
-        b.observe(Watts::from_kilowatts(200.0), SimTime::from_secs(60.0));
-        assert!(b.is_tripped());
-        b.reset();
-        assert!(!b.is_tripped());
-        assert_eq!(
-            b.observe(Watts::from_kilowatts(50.0), SimTime::from_secs(61.0)),
-            BreakerStatus::Nominal
         );
     }
 
@@ -369,9 +336,9 @@ mod tests {
         let draw = Watts::from_kilowatts(140.0);
         let horizon = b.next_possible_trip_time(SimTime::ZERO, draw).unwrap();
         let mut t = 0.0;
-        while !b.is_tripped() {
+        while !b.tripped {
             b.observe(draw, SimTime::from_secs(t));
-            if !b.is_tripped() {
+            if !b.tripped {
                 t += 1.0;
             }
             assert!(t < 1e4, "never tripped");
@@ -387,7 +354,7 @@ mod tests {
         let mut b = breaker();
         b.observe(Watts::from_kilowatts(200.0), SimTime::ZERO);
         b.observe(Watts::from_kilowatts(200.0), SimTime::from_secs(60.0));
-        assert!(b.is_tripped());
+        assert!(b.tripped);
         assert_eq!(
             b.next_possible_trip_time(SimTime::from_secs(61.0), Watts::ZERO),
             Some(SimTime::from_secs(61.0))
@@ -406,6 +373,6 @@ mod tests {
             b.observe(Watts::new(111.0), SimTime::from_secs(5.0)),
             BreakerStatus::Tripped
         );
-        assert_eq!(b.trip_curve(), curve);
+        assert_eq!(b.curve, curve);
     }
 }

@@ -79,18 +79,6 @@ impl Device {
         self.parent
     }
 
-    /// The breaker protecting this device, if it has a power limit.
-    #[must_use]
-    pub fn breaker(&self) -> Option<&Breaker> {
-        self.breaker.as_ref()
-    }
-
-    /// Mutable access to the breaker.
-    #[must_use]
-    pub fn breaker_mut(&mut self) -> Option<&mut Breaker> {
-        self.breaker.as_mut()
-    }
-
     /// The breaker power limit, if any.
     #[must_use]
     pub fn limit(&self) -> Option<Watts> {

@@ -104,41 +104,6 @@ pub fn single_msb_with_row_size(rack_count: usize, racks_per_rpp: usize) -> MsbP
     }
 }
 
-/// A built single-row hierarchy (one RPP), as used by the §V-A prototype
-/// experiments (Figs 7, 10, 11).
-#[derive(Debug, Clone)]
-pub struct RowPlan {
-    /// The device tree (a lone RPP root).
-    pub topology: Topology,
-    /// The RPP feeding the row.
-    pub rpp: DeviceId,
-    /// The racks of the row, dense from zero.
-    pub racks: Vec<RackId>,
-}
-
-/// Builds one 190 kW RPP row with `rack_count` racks.
-///
-/// # Panics
-///
-/// Panics if `rack_count` is zero.
-#[must_use]
-pub fn single_row(rack_count: usize) -> RowPlan {
-    assert!(rack_count > 0, "rack_count must be positive");
-    let mut builder = TopologyBuilder::new();
-    let rpp = builder.root(DeviceKind::Rpp, DeviceKind::Rpp.nominal_limit());
-    let racks: Vec<RackId> = (0..rack_count as u32).map(RackId::new).collect();
-    for &rack in &racks {
-        builder
-            .attach_rack(rpp, rack)
-            .expect("rpp exists, rack fresh");
-    }
-    RowPlan {
-        topology: builder.build().expect("non-empty"),
-        rpp,
-        racks,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -185,14 +150,6 @@ mod tests {
             let count = plan.topology.device(sb).unwrap().children().len();
             assert!((5..=6).contains(&count), "sb has {count} rpps");
         }
-    }
-
-    #[test]
-    fn row_plan_structure() {
-        let row = single_row(17);
-        assert_eq!(row.racks.len(), 17);
-        assert_eq!(row.topology.racks_under(row.rpp).len(), 17);
-        assert_eq!(row.topology.device_count(), 1);
     }
 
     #[test]

@@ -1,6 +1,5 @@
 //! The data-center power-delivery hierarchy of §II-A: a tree of circuit
-//! breakers (MSB → SB → RPP) feeding racks, with breaker trip modelling and
-//! open-transition injection.
+//! breakers (MSB → SB → RPP) feeding racks, with breaker trip modelling.
 //!
 //! # Architecture
 //!
@@ -11,14 +10,16 @@
 //!   per-device breakers and racks attached at the leaves.
 //! * [`facebook`] — constructors for the canonical Facebook/OCP hierarchy
 //!   (MSB 2.5 MW → SB 1.25 MW → RPP 190 kW → 12.6 kW racks).
-//! * [`OpenTransition`] — a brief de-energization of the subtree under a
-//!   device (maintenance switch-over or utility blip).
+//!
+//! An open transition (§II-C) de-energizes every rack below a device for a
+//! few seconds; the simulator models it as a window of its input-power
+//! schedule rather than as a type here.
 //!
 //! # Examples
 //!
 //! ```
-//! use recharge_power::{facebook, OpenTransition};
-//! use recharge_units::{Seconds, SimTime, Watts};
+//! use recharge_power::facebook;
+//! use recharge_units::Watts;
 //!
 //! // One MSB with 316 racks, as in the paper's §V-B evaluation.
 //! let plan = facebook::single_msb(316);
@@ -26,10 +27,8 @@
 //! let msb = plan.msb;
 //! assert_eq!(plan.topology.device(msb).unwrap().limit(), Some(Watts::from_megawatts(2.5)));
 //!
-//! // A 45-second open transition at the MSB affects every rack under it.
-//! let ot = OpenTransition::new(msb, SimTime::ZERO, Seconds::new(45.0));
+//! // An open transition at the MSB affects every rack under it.
 //! assert_eq!(plan.topology.racks_under(msb).len(), 316);
-//! assert!(ot.is_active(SimTime::from_secs(10.0)));
 //! ```
 
 #![forbid(unsafe_code)]
@@ -38,11 +37,8 @@
 mod breaker;
 mod device;
 pub mod facebook;
-mod open_transition;
-pub mod suite;
 mod topology;
 
 pub use breaker::{Breaker, BreakerStatus, TripCurve};
 pub use device::{Device, DeviceKind};
-pub use open_transition::OpenTransition;
 pub use topology::{Topology, TopologyBuilder, TopologyError};

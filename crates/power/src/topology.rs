@@ -119,7 +119,6 @@ impl TopologyBuilder {
         }
         Ok(Topology {
             devices: self.devices,
-            rack_owner: self.rack_owner,
         })
     }
 
@@ -146,11 +145,10 @@ impl TopologyBuilder {
     }
 }
 
-/// An immutable-shape power-hierarchy tree (breaker state stays mutable).
+/// An immutable power-hierarchy tree.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Topology {
     devices: Vec<Device>,
-    rack_owner: HashMap<RackId, DeviceId>,
 }
 
 impl Topology {
@@ -165,37 +163,9 @@ impl Topology {
             .ok_or(TopologyError::UnknownDevice(id))
     }
 
-    /// Mutable access to a device (breaker state).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TopologyError::UnknownDevice`] for ids from other topologies.
-    pub fn device_mut(&mut self, id: DeviceId) -> Result<&mut Device, TopologyError> {
-        self.devices
-            .get_mut(id.index() as usize)
-            .ok_or(TopologyError::UnknownDevice(id))
-    }
-
     /// All devices, in arena order (parents before children).
     pub fn devices(&self) -> impl Iterator<Item = &Device> {
         self.devices.iter()
-    }
-
-    /// Number of devices.
-    #[must_use]
-    pub fn device_count(&self) -> usize {
-        self.devices.len()
-    }
-
-    /// All devices of a kind.
-    pub fn devices_of_kind(&self, kind: DeviceKind) -> impl Iterator<Item = &Device> + '_ {
-        self.devices.iter().filter(move |d| d.kind == kind)
-    }
-
-    /// The device a rack is attached to, if known.
-    #[must_use]
-    pub fn rack_owner(&self, rack: RackId) -> Option<DeviceId> {
-        self.rack_owner.get(&rack).copied()
     }
 
     /// Every rack in the subtree rooted at `device`, in depth-first order.
@@ -276,11 +246,14 @@ mod tests {
     #[test]
     fn build_and_query() {
         let (t, msb, sb1, rpp) = small();
-        assert_eq!(t.device_count(), 4);
+        assert_eq!(t.devices.len(), 4);
         assert_eq!(t.device(msb).unwrap().kind(), DeviceKind::Msb);
         assert_eq!(t.device(sb1).unwrap().parent(), Some(msb));
         assert_eq!(t.device(rpp).unwrap().racks().len(), 4);
-        assert_eq!(t.devices_of_kind(DeviceKind::Sb).count(), 2);
+        assert_eq!(
+            t.devices().filter(|d| d.kind() == DeviceKind::Sb).count(),
+            2
+        );
     }
 
     #[test]
@@ -289,8 +262,6 @@ mod tests {
         assert_eq!(t.racks_under(msb).len(), 5);
         assert_eq!(t.racks_under(sb1).len(), 4);
         assert_eq!(t.racks_under(rpp).len(), 4);
-        assert_eq!(t.rack_owner(RackId::new(0)), Some(rpp));
-        assert_eq!(t.rack_owner(RackId::new(999)), None);
     }
 
     #[test]
@@ -348,13 +319,5 @@ mod tests {
         let (t, ..) = small();
         assert!(t.device(DeviceId::new(99)).is_err());
         assert!(t.racks_under(DeviceId::new(99)).is_empty());
-    }
-
-    #[test]
-    fn breaker_state_is_mutable_through_topology() {
-        let (mut t, msb, ..) = small();
-        let breaker = t.device_mut(msb).unwrap().breaker_mut().unwrap();
-        breaker.observe(Watts::from_megawatts(4.0), recharge_units::SimTime::ZERO);
-        assert!(!breaker.is_tripped());
     }
 }

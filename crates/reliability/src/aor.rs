@@ -40,13 +40,6 @@ impl AorSimulation {
         }
     }
 
-    /// Overrides the mean open-transition duration (seconds).
-    #[must_use]
-    pub fn with_mean_open_transition(mut self, mean: Seconds) -> Self {
-        self.mean_ot = Exponential::with_mean(mean.as_secs());
-        self
-    }
-
     /// Samples `horizon_years` of failures with a fixed seed and reduces them
     /// to a merged power-loss timeline.
     #[must_use]
@@ -178,7 +171,7 @@ impl AorSimulation {
 /// trial streams; the mapping is pure, so serial and parallel execution see
 /// identical streams.
 #[must_use]
-pub fn trial_seed(seed: u64, index: usize) -> u64 {
+fn trial_seed(seed: u64, index: usize) -> u64 {
     let mut state = seed ^ (index as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
     let first = rand::splitmix64(&mut state);
     first ^ rand::splitmix64(&mut state)
@@ -215,7 +208,7 @@ impl PowerLossTimeline {
     /// Builds a timeline from raw (possibly overlapping) intervals, clipping
     /// to `[0, horizon]` and merging.
     #[must_use]
-    pub fn from_intervals(mut intervals: Vec<(f64, f64)>, horizon: f64) -> Self {
+    fn from_intervals(mut intervals: Vec<(f64, f64)>, horizon: f64) -> Self {
         intervals.retain(|&(s, e)| e > s && s < horizon);
         for iv in &mut intervals {
             iv.0 = iv.0.max(0.0);
@@ -255,7 +248,7 @@ impl PowerLossTimeline {
 
     /// Number of distinct power-loss episodes.
     #[must_use]
-    pub fn episode_count(&self) -> usize {
+    fn episode_count(&self) -> usize {
         self.intervals.len()
     }
 
@@ -479,8 +472,10 @@ mod tests {
 
     #[test]
     fn custom_open_transition_mean() {
-        let sim =
-            AorSimulation::new(standard_sources()).with_mean_open_transition(Seconds::new(5.0));
+        let sim = AorSimulation {
+            mean_ot: Exponential::with_mean(5.0),
+            ..AorSimulation::new(standard_sources())
+        };
         let t = sim.run(2_000.0, 5);
         // Shorter OTs reduce raw loss time but episodes stay similar.
         assert!((8.0..11.5).contains(&t.episodes_per_year()));

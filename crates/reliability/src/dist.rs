@@ -77,12 +77,6 @@ impl Normal {
         self.mean
     }
 
-    /// The distribution standard deviation.
-    #[must_use]
-    pub fn std_dev(&self) -> f64 {
-        self.std_dev
-    }
-
     /// Draws one sample via the Box–Muller transform.
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
         let u1: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
@@ -168,6 +162,6 @@ mod tests {
         assert_eq!(Exponential::with_mean(2.0).mean(), 2.0);
         let n = Normal::new(1.0, 2.0);
         assert_eq!(n.mean(), 1.0);
-        assert_eq!(n.std_dev(), 2.0);
+        assert_eq!(n.std_dev, 2.0);
     }
 }

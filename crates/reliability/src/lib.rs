@@ -37,6 +37,6 @@ pub mod dist;
 mod physical;
 pub mod table1;
 
-pub use aor::{trial_seed, AorCurve, AorSimulation, PowerLossTimeline};
+pub use aor::{AorCurve, AorSimulation, PowerLossTimeline};
 pub use physical::{PhysicalAorReport, PhysicalAorSimulation};
 pub use table1::{Component, FailureSource, FailureType};

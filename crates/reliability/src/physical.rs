@@ -12,7 +12,7 @@
 use recharge_battery::{BbuParams, ChargeTimeTable};
 use recharge_units::{Amperes, Dod, Seconds, Watts};
 
-use crate::aor::{trial_seed, AorSimulation};
+use crate::aor::AorSimulation;
 
 /// Result of one physical AOR run.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -128,114 +128,6 @@ impl PhysicalAorSimulation {
             compound_events: compound,
         }
     }
-
-    /// Replays `trials` independent blocks of `years_per_trial` each (trial
-    /// `t` seeded by [`trial_seed`]`(seed, t)`) and aggregates the per-trial
-    /// reports in trial order — a pure function of the inputs, so
-    /// [`run_trials_parallel_with`](Self::run_trials_parallel_with) returns a
-    /// bit-identical report on any thread count.
-    ///
-    /// `current_for` is `Fn` (not `FnMut`) here: every trial queries it
-    /// independently, so it must not carry cross-event mutable state.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `years_per_trial` is not positive.
-    pub fn run_trials_with<F>(
-        &self,
-        years_per_trial: f64,
-        trials: usize,
-        seed: u64,
-        table: &ChargeTimeTable,
-        current_for: F,
-    ) -> PhysicalAorReport
-    where
-        F: Fn(Dod) -> Amperes,
-    {
-        let _trace = recharge_telemetry::env_trace_scope();
-        let reports: Vec<PhysicalAorReport> = (0..trials)
-            .map(|t| self.run_with(years_per_trial, trial_seed(seed, t), table, &current_for))
-            .collect();
-        aggregate_reports(&reports, years_per_trial)
-    }
-
-    /// The parallel twin of [`run_trials_with`](Self::run_trials_with):
-    /// distributes trials over `threads` OS threads (clamped to
-    /// `[1, trials]`), each owning a disjoint chunk of result slots.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `years_per_trial` is not positive.
-    pub fn run_trials_parallel_with<F>(
-        &self,
-        years_per_trial: f64,
-        trials: usize,
-        seed: u64,
-        threads: usize,
-        table: &ChargeTimeTable,
-        current_for: F,
-    ) -> PhysicalAorReport
-    where
-        F: Fn(Dod) -> Amperes + Sync,
-    {
-        let _trace = recharge_telemetry::env_trace_scope();
-        let threads = threads.clamp(1, trials.max(1));
-        let mut results: Vec<Option<PhysicalAorReport>> = vec![None; trials];
-        let chunk = trials.div_ceil(threads);
-        std::thread::scope(|scope| {
-            for (c, slots) in results.chunks_mut(chunk.max(1)).enumerate() {
-                let sim = &*self;
-                let current_for = &current_for;
-                scope.spawn(move || {
-                    for (offset, slot) in slots.iter_mut().enumerate() {
-                        let t = c * chunk + offset;
-                        *slot = Some(sim.run_with(
-                            years_per_trial,
-                            trial_seed(seed, t),
-                            table,
-                            current_for,
-                        ));
-                    }
-                });
-            }
-        });
-        let reports: Vec<PhysicalAorReport> = results
-            .into_iter()
-            .map(|r| r.expect("all trials ran"))
-            .collect();
-        aggregate_reports(&reports, years_per_trial)
-    }
-}
-
-/// Combines per-trial reports: time-based metrics average over equal-length
-/// trials, event-based metrics weight by each trial's event count, and
-/// compound events sum. Summation runs in trial order so the result is
-/// independent of which thread produced which report.
-fn aggregate_reports(reports: &[PhysicalAorReport], years_per_trial: f64) -> PhysicalAorReport {
-    let n = reports.len().max(1) as f64;
-    let mut aor_sum = 0.0;
-    let mut epy_sum = 0.0;
-    let mut events = 0.0;
-    let mut dod_weighted = 0.0;
-    let mut charge_time_weighted = 0.0;
-    let mut compound = 0;
-    for r in reports {
-        let trial_events = r.episodes_per_year * years_per_trial;
-        aor_sum += r.aor;
-        epy_sum += r.episodes_per_year;
-        events += trial_events;
-        dod_weighted += r.mean_event_dod.value() * trial_events;
-        charge_time_weighted += r.mean_charge_time.as_secs() * trial_events;
-        compound += r.compound_events;
-    }
-    let events = events.max(1.0);
-    PhysicalAorReport {
-        aor: aor_sum / n,
-        episodes_per_year: epy_sum / n,
-        mean_event_dod: Dod::new(dod_weighted / events),
-        mean_charge_time: Seconds::new(charge_time_weighted / events),
-        compound_events: compound,
-    }
 }
 
 #[cfg(test)]
@@ -303,25 +195,5 @@ mod tests {
         let a = sim().run_with(500.0, 3, table(), variable_current);
         let b = sim().run_with(500.0, 3, table(), variable_current);
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn parallel_trials_are_bit_identical_to_serial() {
-        let s = sim();
-        let serial = s.run_trials_with(100.0, 8, 21, table(), variable_current);
-        for threads in [1, 2, 3, 8, 32] {
-            let parallel =
-                s.run_trials_parallel_with(100.0, 8, 21, threads, table(), variable_current);
-            assert_eq!(serial, parallel, "diverged at {threads} threads");
-        }
-    }
-
-    #[test]
-    fn trial_aggregate_matches_long_run_statistics() {
-        let s = sim();
-        let trials = s.run_trials_with(300.0, 10, 5, table(), variable_current);
-        assert!(trials.aor > 0.999, "AOR {:.5}", trials.aor);
-        assert!((8.0..11.5).contains(&trials.episodes_per_year));
-        assert!(trials.mean_event_dod < Dod::new(0.3));
     }
 }

@@ -315,12 +315,6 @@ impl Scenario {
         self.power_limit
     }
 
-    /// The configured coordination strategy.
-    #[must_use]
-    pub fn configured_strategy(&self) -> Strategy {
-        self.strategy
-    }
-
     /// The configured (P1, P2, P3) rack counts.
     #[must_use]
     pub fn counts(&self) -> (usize, usize, usize) {

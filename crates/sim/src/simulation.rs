@@ -3,9 +3,7 @@
 use std::collections::HashMap;
 
 use recharge_core::{ChargeIndex, SlaTable};
-use recharge_dynamo::{
-    Controller, ControllerConfig, EventScheduler, FleetBackend, PowerReading, SimRackAgent,
-};
+use recharge_dynamo::{Controller, ControllerConfig, FleetBackend, PowerReading, SimRackAgent};
 use recharge_power::{Breaker, BreakerStatus};
 use recharge_telemetry::{flight, tcounter, tgauge, tspan, FlightKind, ReasonCode};
 use recharge_trace::{RackPowerTrace, SyntheticFleet};
@@ -31,17 +29,6 @@ struct ChargeTrack {
     started: SimTime,
     priority: Priority,
     dod: recharge_units::Dod,
-}
-
-/// What the simulation's own event queue carries. The control-tick cadence
-/// is a scheduled event rather than a hardcoded loop so that, like the
-/// fleet backends, the run's timeline flows through one deterministic
-/// next-event scheduler (DESIGN.md §11). Each tick reschedules the next;
-/// the per-sub-step times still come from the same repeated-addition
-/// recurrence, so the float sequence is unchanged.
-enum SimEvent {
-    /// Run `control_every` physical sub-steps, then the controller.
-    ControlTick,
 }
 
 impl FleetSimulation {
@@ -114,11 +101,11 @@ impl FleetSimulation {
                     .build()
             })
             .collect();
-        // Where the agents execute — serial in-process, sharded threads,
-        // sharded with batched submission, or hosted behind the RPC mesh —
-        // is a pluggable [`FleetBackend`]; every backend runs the identical
-        // sub-step schedule, so metrics are bit-identical across them (for
-        // the mesh: under a clean link).
+        // Where the agents execute — the serial oracle, the SoA engine
+        // (dense or event, inline or on shard workers), or hosted behind the
+        // RPC mesh — is a pluggable [`FleetBackend`]; every backend runs the
+        // identical sub-step schedule, so metrics are bit-identical across
+        // them (for the mesh: under a clean link).
         let mut backend: Box<dyn FleetBackend> = match &self.scenario.rpc {
             Some(mesh) => {
                 // A leaf spec travels along even when leaf hosting is off:
@@ -172,14 +159,10 @@ impl FleetSimulation {
         let mut times: Vec<SimTime> = Vec::with_capacity(control_every);
         let mut input_power: Vec<bool> = Vec::with_capacity(control_every);
 
-        // The control cadence as a next-event queue: tick k fires at integer
-        // time k and schedules k + 1 unless the run is over.
-        let mut cadence: EventScheduler<SimEvent> = EventScheduler::new();
-        cadence.schedule(0, SimEvent::ControlTick);
-
-        while let Some((due, SimEvent::ControlTick)) = cadence.pop_next() {
+        // Control interval `due` covers sim ticks
+        // [due * control_every, (due + 1) * control_every).
+        for due in 0u64.. {
             let _tick_span = tspan!("sim.tick", "sim");
-            tcounter!("sim.events_fired").inc();
             tcounter!("sim.ticks").add(control_every as u64);
             times.clear();
             input_power.clear();
@@ -315,7 +298,6 @@ impl FleetSimulation {
             if tripped || (t >= ot_end + Seconds::new(60.0) && all_settled) || t >= hard_end {
                 break;
             }
-            cadence.schedule(due + 1, SimEvent::ControlTick);
         }
 
         // Racks that never completed within the horizon miss their SLA.

@@ -172,12 +172,6 @@ impl FlightKind {
             FlightKind::StaleLeaderFenced => "stale_leader_fenced",
         }
     }
-
-    /// The kind with code `code`, if any.
-    #[must_use]
-    pub fn from_code(code: u8) -> Option<FlightKind> {
-        FlightKind::ALL.get(code as usize).copied()
-    }
 }
 
 /// Why it happened: the machine-readable reason carried by every decision.
@@ -301,12 +295,6 @@ impl ReasonCode {
             ReasonCode::HaCrashed => "ha_crashed",
             ReasonCode::HaFrozen => "ha_frozen",
         }
-    }
-
-    /// The reason with code `code`, if any.
-    #[must_use]
-    pub fn from_code(code: u8) -> Option<ReasonCode> {
-        ReasonCode::ALL.get(code as usize).copied()
     }
 }
 
@@ -945,13 +933,9 @@ mod tests {
     fn kind_and_reason_codes_are_stable() {
         for (i, kind) in FlightKind::ALL.iter().enumerate() {
             assert_eq!(kind.code() as usize, i);
-            assert_eq!(FlightKind::from_code(kind.code()), Some(*kind));
         }
         for (i, reason) in ReasonCode::ALL.iter().enumerate() {
             assert_eq!(reason.code() as usize, i);
-            assert_eq!(ReasonCode::from_code(reason.code()), Some(*reason));
         }
-        assert_eq!(FlightKind::from_code(200), None);
-        assert_eq!(ReasonCode::from_code(200), None);
     }
 }

@@ -3,7 +3,7 @@
 //!
 //! Handles are cheap [`Arc`]s over atomics; the registry itself is only
 //! locked at registration and snapshot time, never on the record path. Every
-//! mutation first checks the crate-wide [`enabled`](crate::enabled) flag, so
+//! mutation first checks the crate-wide [`enabled`] flag, so
 //! a disabled build pays one relaxed atomic load per call site.
 
 use std::sync::atomic::{AtomicU64, Ordering};

@@ -102,20 +102,20 @@ impl CampusFleetBuilder {
 /// Rack ids are dense across the campus: row `i`'s racks occupy the
 /// contiguous id range starting at the sum of the preceding rows' sizes, so
 /// the fleet backends (and their struct-of-arrays layouts) see one flat
-/// fleet while [`CampusFleet::msb_of`] recovers the breaker topology.
+/// fleet while each rack's load still comes from its own row.
 ///
 /// # Examples
 ///
 /// ```
 /// use recharge_trace::{CampusFleet, RackPowerTrace};
-/// use recharge_units::{RackId, SimTime};
+/// use recharge_units::{SimTime, Watts};
 ///
 /// let campus = CampusFleet::paper_campus(4, 7);
 /// assert_eq!(campus.fleet().len(), 4 * 316);
-/// assert_eq!(campus.msb_of(RackId::new(316)), Some(1));
-/// // Each MSB carries its own ≈2 MW row under its own 2.5 MW breaker.
-/// let p = campus.msb_aggregate_power(2, SimTime::ZERO);
-/// assert!(p < campus.msb_limit());
+/// // Four ≈2 MW rows, each under its own 2.5 MW breaker.
+/// let p = campus.aggregate_power(SimTime::ZERO);
+/// assert!(p < campus.msb_limit() * 4.0);
+/// assert!(p > Watts::from_megawatts(7.0));
 /// ```
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct CampusFleet {
@@ -145,7 +145,7 @@ impl CampusFleet {
     ///
     /// Panics if `rows` is empty.
     #[must_use]
-    pub fn from_rows(rows: Vec<SyntheticFleet>, msb_limit: Watts) -> Self {
+    fn from_rows(rows: Vec<SyntheticFleet>, msb_limit: Watts) -> Self {
         assert!(!rows.is_empty(), "campus must contain at least one MSB");
         let total: usize = rows.iter().map(|r| r.fleet().len()).sum();
         let mut entries = Vec::with_capacity(total);
@@ -169,12 +169,6 @@ impl CampusFleet {
         }
     }
 
-    /// Number of MSBs (independent breakers) on the campus.
-    #[must_use]
-    pub fn msb_count(&self) -> usize {
-        self.rows.len()
-    }
-
     /// The per-MSB breaker limit.
     #[must_use]
     pub fn msb_limit(&self) -> Watts {
@@ -183,37 +177,13 @@ impl CampusFleet {
 
     /// The MSB whose breaker feeds `rack`, or `None` for unknown racks.
     #[must_use]
-    pub fn msb_of(&self, rack: RackId) -> Option<usize> {
+    fn msb_of(&self, rack: RackId) -> Option<usize> {
         if rack.index() as usize >= self.entries.len() {
             return None;
         }
         // partition_point: first offset strictly greater than the rack, minus
         // one, is the row that contains it.
         Some(self.offsets.partition_point(|&o| o <= rack.index()) - 1)
-    }
-
-    /// The racks fed by MSB `msb`, in id order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `msb` is out of range.
-    #[must_use]
-    pub fn racks_under(&self, msb: usize) -> &[FleetEntry] {
-        let start = self.offsets[msb] as usize;
-        start
-            .checked_add(self.rows[msb].fleet().len())
-            .map(|end| &self.entries[start..end])
-            .expect("row bounds overflow")
-    }
-
-    /// Aggregate IT load under MSB `msb` at instant `at`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `msb` is out of range.
-    #[must_use]
-    pub fn msb_aggregate_power(&self, msb: usize, at: SimTime) -> Watts {
-        self.rows[msb].aggregate_power(at)
     }
 }
 
@@ -239,7 +209,7 @@ mod tests {
     #[test]
     fn paper_campus_is_n_paper_rows_with_dense_ids() {
         let campus = CampusFleet::paper_campus(3, 1);
-        assert_eq!(campus.msb_count(), 3);
+        assert_eq!(campus.rows.len(), 3);
         assert_eq!(campus.fleet().len(), 3 * 316);
         for (i, e) in campus.fleet().iter().enumerate() {
             assert_eq!(e.rack.index() as usize, i, "ids must be campus-dense");
@@ -258,8 +228,6 @@ mod tests {
         assert_eq!(campus.msb_of(RackId::new(2 * 316)), Some(2));
         assert_eq!(campus.msb_of(RackId::new(3 * 316 - 1)), Some(2));
         assert_eq!(campus.msb_of(RackId::new(3 * 316)), None);
-        assert_eq!(campus.racks_under(1).len(), 316);
-        assert_eq!(campus.racks_under(1)[0].rack, RackId::new(316));
     }
 
     #[test]
@@ -267,8 +235,8 @@ mod tests {
         let campus = CampusFleet::paper_campus(4, 5);
         let at = SimTime::from_secs(12_345.0);
         let mut aggregates = Vec::new();
-        for msb in 0..campus.msb_count() {
-            let p = campus.msb_aggregate_power(msb, at);
+        for (msb, row) in campus.rows.iter().enumerate() {
+            let p = row.aggregate_power(at);
             assert!(
                 (1.8..2.2).contains(&p.as_megawatts()),
                 "MSB {msb} aggregate {p}"

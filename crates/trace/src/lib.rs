@@ -3,8 +3,8 @@
 //! The paper replays a production rack power trace (316 racks under one MSB,
 //! 3-second granularity, diurnal 1.9–2.1 MW aggregate — Fig 12). Production
 //! traces are not publicly available, so this crate provides a calibrated
-//! **synthetic generator** with the same shape, plus a recorded-trace type
-//! with CSV persistence for captured windows.
+//! **synthetic generator** with the same shape, and a campus of such rows
+//! for fleet-scale runs.
 //!
 //! # Examples
 //!
@@ -22,14 +22,12 @@
 #![warn(missing_docs)]
 
 mod campus;
-mod csv;
 mod model;
 mod oversub;
 mod stats;
 mod synth;
 
 pub use campus::{CampusFleet, CampusFleetBuilder};
-pub use csv::{CsvTraceError, RecordedTrace};
 pub use model::{DiurnalModel, FleetEntry, RackPowerTrace};
 pub use oversub::{analyze_oversubscription, max_safe_racks, OversubscriptionReport};
 pub use stats::{find_peak, sample_aggregate, TracePoint};

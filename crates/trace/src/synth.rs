@@ -50,24 +50,10 @@ impl SyntheticFleetBuilder {
         self
     }
 
-    /// Sets the fractional spread of per-rack base loads (uniform ±spread).
-    #[must_use]
-    pub fn rack_power_spread(mut self, spread: f64) -> Self {
-        self.rack_power_spread = spread.clamp(0.0, 0.9);
-        self
-    }
-
     /// Sets the diurnal model.
     #[must_use]
     pub fn diurnal(mut self, model: DiurnalModel) -> Self {
         self.diurnal = model;
-        self
-    }
-
-    /// Sets the per-tick multiplicative noise amplitude.
-    #[must_use]
-    pub fn noise_fraction(mut self, fraction: f64) -> Self {
-        self.noise_fraction = fraction.clamp(0.0, 0.5);
         self
     }
 
@@ -189,9 +175,11 @@ impl SyntheticFleet {
         if self.noise_fraction == 0.0 {
             return 1.0;
         }
-        let tick = (at.as_secs() / self.noise_tick).floor() as u64;
+        // A signed window, so every hold window before t = 0 draws its own
+        // noise; `as u64` keeps the bits of every window in [0, 2^63).
+        let window = (at.as_secs() / self.noise_tick).floor() as i64;
         let mut h = self.seed ^ (u64::from(rack.index()).wrapping_mul(0x9E37_79B9_7F4A_7C15));
-        h ^= tick.wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        h ^= (window as u64).wrapping_mul(0xBF58_476D_1CE4_E5B9);
         h ^= h >> 30;
         h = h.wrapping_mul(0xBF58_476D_1CE4_E5B9);
         h ^= h >> 27;
@@ -295,8 +283,24 @@ mod tests {
     }
 
     #[test]
+    fn windows_before_zero_draw_their_own_noise() {
+        let fleet = SyntheticFleet::paper_msb(3);
+        let r = RackId::new(10);
+        let early = fleet.noise(r, SimTime::from_secs(-7.0));
+        let late = fleet.noise(r, SimTime::from_secs(-4.0));
+        assert_ne!(early, late, "windows [-9, -6) and [-6, -3) share a draw");
+        assert_ne!(late, fleet.noise(r, SimTime::from_secs(1.0)));
+        // Within one negative window the draw holds.
+        assert_eq!(late, fleet.noise(r, SimTime::from_secs(-3.5)));
+    }
+
+    #[test]
     fn zero_noise_builder() {
-        let fleet = SyntheticFleetBuilder::new(0).noise_fraction(0.0).build();
+        let fleet = SyntheticFleetBuilder {
+            noise_fraction: 0.0,
+            ..SyntheticFleetBuilder::new(0)
+        }
+        .build();
         let r = RackId::new(0);
         let a = fleet.rack_power(r, SimTime::from_secs(0.0));
         let b = fleet.rack_power(r, SimTime::from_secs(3.0));
@@ -305,12 +309,14 @@ mod tests {
 
     #[test]
     fn builder_customization() {
-        let fleet = SyntheticFleetBuilder::new(1)
-            .priority_counts(10, 0, 0)
-            .mean_rack_power(Watts::from_kilowatts(10.0))
-            .rack_power_spread(0.0)
-            .noise_fraction(0.0)
-            .build();
+        let fleet = SyntheticFleetBuilder {
+            rack_power_spread: 0.0,
+            noise_fraction: 0.0,
+            ..SyntheticFleetBuilder::new(1)
+                .priority_counts(10, 0, 0)
+                .mean_rack_power(Watts::from_kilowatts(10.0))
+        }
+        .build();
         assert_eq!(fleet.fleet().len(), 10);
         let p = fleet.rack_power(RackId::new(0), SimTime::from_secs(18.0 * 3_600.0));
         // At the diurnal peak: 10 kW × 1.05 (plus tiny weekly term).

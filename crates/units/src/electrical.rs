@@ -4,7 +4,6 @@ use serde::{Deserialize, Serialize};
 
 use crate::macros::scalar_newtype;
 use crate::power::Watts;
-use crate::time::Seconds;
 
 /// Electric current in amperes.
 ///
@@ -44,12 +43,6 @@ impl Amperes {
     #[must_use]
     pub const fn as_amps(self) -> f64 {
         self.0
-    }
-
-    /// The value in milliamperes.
-    #[must_use]
-    pub fn as_milliamps(self) -> f64 {
-        self.0 * 1e3
     }
 }
 
@@ -98,60 +91,6 @@ impl Ohms {
     }
 }
 
-/// Electric charge in coulombs (ampere-seconds).
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default, Serialize, Deserialize)]
-#[serde(transparent)]
-pub struct Coulombs(pub(crate) f64);
-
-scalar_newtype!(Coulombs, "C");
-
-impl Coulombs {
-    /// Creates a charge value from coulombs.
-    #[must_use]
-    pub const fn new(coulombs: f64) -> Self {
-        Coulombs(coulombs)
-    }
-
-    /// The value in coulombs.
-    #[must_use]
-    pub const fn as_coulombs(self) -> f64 {
-        self.0
-    }
-
-    /// The value converted to ampere-hours.
-    #[must_use]
-    pub fn as_ampere_hours(self) -> AmpereHours {
-        AmpereHours(self.0 / 3_600.0)
-    }
-}
-
-/// Electric charge in ampere-hours, the customary battery-capacity unit.
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default, Serialize, Deserialize)]
-#[serde(transparent)]
-pub struct AmpereHours(pub(crate) f64);
-
-scalar_newtype!(AmpereHours, "Ah");
-
-impl AmpereHours {
-    /// Creates a charge value from ampere-hours.
-    #[must_use]
-    pub const fn new(ah: f64) -> Self {
-        AmpereHours(ah)
-    }
-
-    /// The value in ampere-hours.
-    #[must_use]
-    pub const fn as_ampere_hours(self) -> f64 {
-        self.0
-    }
-
-    /// The value converted to coulombs.
-    #[must_use]
-    pub fn as_coulombs(self) -> Coulombs {
-        Coulombs(self.0 * 3_600.0)
-    }
-}
-
 // --- Physical relations -----------------------------------------------------
 
 impl core::ops::Mul<Amperes> for Volts {
@@ -189,15 +128,6 @@ impl core::ops::Mul<Ohms> for Amperes {
     }
 }
 
-impl core::ops::Mul<Seconds> for Amperes {
-    type Output = Coulombs;
-
-    /// Q = I · t.
-    fn mul(self, rhs: Seconds) -> Coulombs {
-        Coulombs(self.0 * rhs.as_secs())
-    }
-}
-
 impl core::ops::Div<Volts> for Watts {
     type Output = Amperes;
 
@@ -213,15 +143,6 @@ impl core::ops::Div<Amperes> for Watts {
     /// V = P / I.
     fn div(self, rhs: Amperes) -> Volts {
         Volts(self.as_watts() / rhs.0)
-    }
-}
-
-impl core::ops::Div<Amperes> for Coulombs {
-    type Output = Seconds;
-
-    /// t = Q / I.
-    fn div(self, rhs: Amperes) -> Seconds {
-        Seconds::new(self.0 / rhs.0)
     }
 }
 
@@ -248,17 +169,6 @@ mod tests {
     }
 
     #[test]
-    fn charge_relations() {
-        let q = Amperes::new(5.0) * Seconds::from_minutes(60.0);
-        assert_eq!(q.as_ampere_hours(), AmpereHours::new(5.0));
-        assert_eq!(AmpereHours::new(2.0).as_coulombs(), Coulombs::new(7_200.0));
-        assert_eq!(
-            Coulombs::new(3_600.0) / Amperes::new(1.0),
-            Seconds::new(3_600.0)
-        );
-    }
-
-    #[test]
     fn hardware_charge_range_constants() {
         assert_eq!(Amperes::MIN_CHARGE.as_amps(), 1.0);
         assert_eq!(Amperes::MAX_CHARGE.as_amps(), 5.0);
@@ -266,10 +176,5 @@ mod tests {
             Amperes::new(7.0).clamp(Amperes::MIN_CHARGE, Amperes::MAX_CHARGE),
             Amperes::MAX_CHARGE
         );
-    }
-
-    #[test]
-    fn milliamp_accessor() {
-        assert_eq!(Amperes::new(0.4).as_milliamps(), 400.0);
     }
 }

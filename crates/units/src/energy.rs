@@ -19,7 +19,7 @@ use crate::time::Seconds;
 ///
 /// let full_discharge = Watts::new(3_300.0) * Seconds::new(90.0);
 /// assert!((full_discharge.as_watt_hours() - 82.5).abs() < 1e-9);
-/// assert_eq!(full_discharge, Joules::from_watt_hours(82.5));
+/// assert_eq!(full_discharge, Joules::new(297_000.0));
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default, Serialize, Deserialize)]
 #[serde(transparent)]
@@ -34,18 +34,6 @@ impl Joules {
         Joules(joules)
     }
 
-    /// Creates an energy value from watt-hours.
-    #[must_use]
-    pub fn from_watt_hours(wh: f64) -> Self {
-        Joules(wh * 3_600.0)
-    }
-
-    /// Creates an energy value from kilowatt-hours.
-    #[must_use]
-    pub fn from_kilowatt_hours(kwh: f64) -> Self {
-        Joules(kwh * 3.6e6)
-    }
-
     /// The value in joules.
     #[must_use]
     pub const fn as_joules(self) -> f64 {
@@ -56,12 +44,6 @@ impl Joules {
     #[must_use]
     pub fn as_watt_hours(self) -> f64 {
         self.0 / 3_600.0
-    }
-
-    /// The value in kilowatt-hours.
-    #[must_use]
-    pub fn as_kilowatt_hours(self) -> f64 {
-        self.0 / 3.6e6
     }
 }
 
@@ -89,10 +71,8 @@ mod tests {
 
     #[test]
     fn watt_hour_round_trip() {
-        let e = Joules::from_watt_hours(82.5);
-        assert_eq!(e.as_joules(), 297_000.0);
+        let e = Joules::new(297_000.0);
         assert_eq!(e.as_watt_hours(), 82.5);
-        assert!((Joules::from_kilowatt_hours(1.0).as_kilowatt_hours() - 1.0).abs() < 1e-12);
     }
 
     #[test]

@@ -27,7 +27,7 @@ impl Fraction {
     pub const ZERO: Fraction = Fraction(0.0);
 
     /// The unit fraction.
-    pub const ONE: Fraction = Fraction(1.0);
+    const ONE: Fraction = Fraction(1.0);
 
     /// Creates a fraction, clamping the input into `[0, 1]`.
     ///
@@ -97,9 +97,6 @@ pub struct Soc(Fraction);
 impl Soc {
     /// A fully charged battery.
     pub const FULL: Soc = Soc(Fraction::ONE);
-
-    /// A fully discharged battery.
-    pub const EMPTY: Soc = Soc(Fraction::ZERO);
 
     /// Creates a state of charge from a fraction in `[0, 1]` (clamped).
     ///
@@ -234,7 +231,7 @@ mod tests {
         let dod = Dod::from_percent(70.0);
         assert!((dod.to_soc().value() - 0.3).abs() < 1e-12);
         assert_eq!(Soc::FULL.to_dod(), Dod::ZERO);
-        assert_eq!(Soc::EMPTY.to_dod(), Dod::FULL);
+        assert_eq!(Soc::new(0.0).to_dod(), Dod::FULL);
         assert_eq!(Soc::default(), Soc::FULL);
     }
 

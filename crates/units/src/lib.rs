@@ -35,7 +35,7 @@ mod power;
 mod priority;
 mod time;
 
-pub use electrical::{AmpereHours, Amperes, Coulombs, Ohms, Volts};
+pub use electrical::{Amperes, Ohms, Volts};
 pub use energy::Joules;
 pub use fraction::{Dod, Fraction, Soc};
 pub use ids::{BbuId, DeviceId, RackHasher, RackId, RackMap};

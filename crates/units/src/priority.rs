@@ -23,7 +23,6 @@ use serde::{Deserialize, Serialize};
 /// let mut racks = vec![Priority::P3, Priority::P1, Priority::P2];
 /// racks.sort();
 /// assert_eq!(racks, vec![Priority::P1, Priority::P2, Priority::P3]);
-/// assert!(Priority::P1.outranks(Priority::P2));
 /// ```
 #[derive(
     Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
@@ -50,12 +49,6 @@ impl Priority {
             Priority::P2 => 2,
             Priority::P3 => 3,
         }
-    }
-
-    /// Whether `self` is strictly more important than `other`.
-    #[must_use]
-    pub const fn outranks(self, other: Priority) -> bool {
-        self.rank() < other.rank()
     }
 
     /// Parses `"P1"`, `"P2"`, or `"P3"` (case-insensitive).
@@ -113,8 +106,6 @@ mod tests {
     fn ordering_is_importance_first() {
         assert!(Priority::P1 < Priority::P2);
         assert!(Priority::P2 < Priority::P3);
-        assert!(Priority::P1.outranks(Priority::P3));
-        assert!(!Priority::P3.outranks(Priority::P3));
     }
 
     #[test]

@@ -69,18 +69,6 @@ impl Seconds {
     pub fn as_minutes(self) -> f64 {
         self.0 / 60.0
     }
-
-    /// The value in hours.
-    #[must_use]
-    pub fn as_hours(self) -> f64 {
-        self.0 / 3_600.0
-    }
-
-    /// The value in (365-day) years.
-    #[must_use]
-    pub fn as_years(self) -> f64 {
-        self.0 / (365.0 * 86_400.0)
-    }
 }
 
 /// An absolute instant on the simulation clock, as seconds since the start of
@@ -182,9 +170,8 @@ mod tests {
     fn duration_conversions() {
         assert_eq!(Seconds::from_minutes(1.5).as_secs(), 90.0);
         assert_eq!(Seconds::from_hours(2.0).as_minutes(), 120.0);
-        assert_eq!(Seconds::from_days(1.0).as_hours(), 24.0);
+        assert_eq!(Seconds::from_days(1.0).as_minutes(), 1_440.0);
         assert_eq!(Seconds::from_years(1.0).as_secs(), 31_536_000.0);
-        assert!((Seconds::from_years(2.0).as_years() - 2.0).abs() < 1e-12);
     }
 
     #[test]
