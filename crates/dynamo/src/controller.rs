@@ -171,6 +171,9 @@ pub struct Controller {
     strategy: Strategy,
     index: ChargeIndex,
     parked: RackMap<ParkedCharge>,
+    /// The gather's buffer, kept between ticks so a tick reads the fleet
+    /// without allocating. It holds no state: every tick refills it.
+    readings: Vec<PowerReading>,
 }
 
 impl Controller {
@@ -182,6 +185,7 @@ impl Controller {
             strategy,
             index: ChargeIndex::new(),
             parked: RackMap::default(),
+            readings: Vec::new(),
         }
     }
 
@@ -240,34 +244,45 @@ impl Controller {
         // decision journaled below lands at this tick's simulated instant.
         recharge_telemetry::set_flight_now(now.as_secs());
         let gather_span = tspan!("controller.gather", "controller");
-        let mut readings: Vec<PowerReading> = Vec::new();
+        // The buffer leaves `self` for the tick, so the readings can be
+        // borrowed while the controller's state changes; it returns at the end.
+        let mut readings = std::mem::take(&mut self.readings);
+        readings.clear();
         match &self.config.scope {
             Some(scope) => readings.extend(scope.iter().filter_map(|&r| bus.read(r))),
             None => bus.read_all(&mut readings),
         }
 
-        let it_load: Watts = readings
-            .iter()
-            .filter(|r| r.input_power_present)
-            .map(|r| r.it_load)
-            .sum();
-        let recharge: Watts = readings
-            .iter()
-            .filter(|r| r.input_power_present)
-            .map(|r| r.recharge_power)
-            .sum();
+        // One pass over the fleet. Each sum is its own accumulator folded
+        // from zero in fleet order, so it has the bits of a separate `Sum`.
+        // Available power is planned against the fleet's full IT load,
+        // `planning_it`: racks on battery bring their load back the moment
+        // the transition ends. Besides the charging population, the pass
+        // collects the racks still riding the open transition: the
+        // controller estimates their DOD while the power is out (§IV-B) and
+        // pre-plans their override so the charger never starts at its
+        // automatic current.
+        let mut it_load = Watts::ZERO;
+        let mut recharge = Watts::ZERO;
+        let mut capped_now = Watts::ZERO;
+        let mut planning_it = Watts::ZERO;
+        let mut charging: Vec<&PowerReading> = Vec::new();
+        let mut discharging: Vec<&PowerReading> = Vec::new();
+        for r in &readings {
+            if r.input_power_present {
+                it_load += r.it_load;
+                recharge += r.recharge_power;
+            }
+            capped_now += r.capped_power;
+            planning_it += r.it_load;
+            match r.bbu_state {
+                recharge_battery::BbuState::Charging => charging.push(r),
+                recharge_battery::BbuState::Discharging => discharging.push(r),
+                _ => {}
+            }
+        }
         let total = it_load + recharge;
-        let capped_now: Watts = readings.iter().map(|r| r.capped_power).sum();
 
-        // Track the charging population, plus racks still riding the open
-        // transition: the controller estimates their DOD while the power is
-        // out (§IV-B) and pre-plans their override so the charger never
-        // starts at its automatic current.
-        let charging: Vec<&PowerReading> = readings.iter().filter(|r| r.is_charging()).collect();
-        let discharging: Vec<&PowerReading> = readings
-            .iter()
-            .filter(|r| r.bbu_state == recharge_battery::BbuState::Discharging)
-            .collect();
         // One pass splits the live racks into fresh ones and tracked ones. If
         // every tracked rack is still live, nothing finished; only otherwise
         // is the set difference built. A tracked rack with no reading at all
@@ -301,10 +316,6 @@ impl Controller {
                 bus.clear_charge_override(rack);
             }
         }
-
-        // Available power is planned against the fleet's full IT load — racks
-        // on battery bring their load back the moment the transition ends.
-        let planning_it: Watts = readings.iter().map(|r| r.it_load).sum();
         drop(gather_span);
 
         let assign_span = tspan!("controller.assign", "controller");
@@ -531,6 +542,7 @@ impl Controller {
         if cap_requested > Watts::ZERO {
             tcounter!("controller.cap_requests").inc();
         }
+        self.readings = readings;
 
         ControllerReport {
             now,
@@ -1254,6 +1266,96 @@ mod tests {
 
     fn indexed(c: &Controller) -> Vec<RackId> {
         c.index.charge_order().map(|(r, _)| r).collect()
+    }
+
+    /// Ticks a controller once over `readings` and returns the report's IT,
+    /// recharge, total and capped sums next to the same sums as separate
+    /// `Sum` folds in fleet order, all as bits.
+    fn gathered_and_separate_sums(readings: Vec<PowerReading>) -> ([u64; 4], [u64; 4]) {
+        let powered = || readings.iter().filter(|r| r.input_power_present);
+        let it: Watts = powered().map(|r| r.it_load).sum();
+        let recharge: Watts = powered().map(|r| r.recharge_power).sum();
+        let capped: Watts = readings.iter().map(|r| r.capped_power).sum();
+        let separate = [it, recharge, it + recharge, capped];
+        let mut bus = ScriptedBus {
+            readings,
+            ..ScriptedBus::default()
+        };
+        let mut c = controller(190.0, Strategy::PriorityAware);
+        let report = c.tick(SimTime::from_secs(100.0), &mut bus);
+        let gathered = [
+            report.it_load,
+            report.recharge_power,
+            report.total_draw,
+            report.capped_power,
+        ];
+        let bits = |w: [Watts; 4]| w.map(|w| w.as_watts().to_bits());
+        (bits(gathered), bits(separate))
+    }
+
+    /// Readings with powers across eight decades, so any change to the
+    /// order of a sum shows in its bits.
+    fn arb_gather_readings() -> impl proptest::Strategy<Value = Vec<PowerReading>> {
+        use proptest::Strategy as _;
+        let watts = || (0.0f64..1.0, 0i32..8);
+        let rack = (
+            (0u8..3, proptest::bool::ANY, 0usize..4, 0.0f64..=1.0),
+            watts(),
+            watts(),
+            watts(),
+        );
+        proptest::collection::vec(rack, 0..40).prop_map(|racks| {
+            racks
+                .into_iter()
+                .enumerate()
+                .map(|(i, ((p, powered, state, dod), it, re, capped))| {
+                    let w = |(m, e): (f64, i32)| Watts::new(m * 10f64.powi(e));
+                    PowerReading {
+                        rack: RackId::new(i as u32),
+                        priority: Priority::ALL[usize::from(p)],
+                        input_power_present: powered,
+                        it_load: w(it),
+                        recharge_power: w(re),
+                        bbu_state: [
+                            BbuState::FullyCharged,
+                            BbuState::Charging,
+                            BbuState::Discharging,
+                            BbuState::FullyDischarged,
+                        ][state],
+                        event_dod: Dod::new(dod),
+                        dod: Dod::new(dod),
+                        capped_power: w(capped),
+                    }
+                })
+                .collect()
+        })
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn gather_sums_match_separate_folds_bit_for_bit(readings in arb_gather_readings()) {
+            let (gathered, separate) = gathered_and_separate_sums(readings);
+            proptest::prop_assert_eq!(gathered, separate);
+        }
+    }
+
+    #[test]
+    fn gather_sums_of_an_empty_or_unpowered_fleet_match_separate_folds() {
+        let (gathered, separate) = gathered_and_separate_sums(Vec::new());
+        assert_eq!(gathered, separate);
+        assert_eq!(gathered, [0; 4], "an empty fleet draws +0.0 W");
+        let unpowered: Vec<PowerReading> = (0..12)
+            .map(|i| PowerReading {
+                input_power_present: false,
+                capped_power: Watts::new(f64::from(i) * 0.1),
+                ..reading(i, Priority::ALL[i as usize % 3], BbuState::Discharging, 0.3)
+            })
+            .collect();
+        let (gathered, separate) = gathered_and_separate_sums(unpowered);
+        assert_eq!(gathered, separate);
+        assert_eq!(gathered[..3], [0; 3], "unpowered racks draw nothing");
     }
 
     #[test]

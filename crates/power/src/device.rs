@@ -4,8 +4,6 @@ use serde::{Deserialize, Serialize};
 
 use recharge_units::{DeviceId, RackId, Watts};
 
-use crate::breaker::Breaker;
-
 /// Kind of device in the power-delivery hierarchy (§II-A, Fig 1).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum DeviceKind {
@@ -48,14 +46,14 @@ impl core::fmt::Display for DeviceKind {
     }
 }
 
-/// One device node in the hierarchy: its kind, optional breaker, children, and
-/// directly attached racks.
+/// One device node in the hierarchy: its kind, optional breaker limit,
+/// children, and directly attached racks.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Device {
     pub(crate) id: DeviceId,
     pub(crate) kind: DeviceKind,
     pub(crate) parent: Option<DeviceId>,
-    pub(crate) breaker: Option<Breaker>,
+    pub(crate) limit: Option<Watts>,
     pub(crate) children: Vec<DeviceId>,
     pub(crate) racks: Vec<RackId>,
 }
@@ -82,7 +80,7 @@ impl Device {
     /// The breaker power limit, if any.
     #[must_use]
     pub fn limit(&self) -> Option<Watts> {
-        self.breaker.as_ref().map(Breaker::limit)
+        self.limit
     }
 
     /// Child devices fed from this device.

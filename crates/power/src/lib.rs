@@ -7,7 +7,7 @@
 //!   sustained-overload trip integrator (a 30% overdraw sustained for 30 s
 //!   trips the breaker, §I).
 //! * [`Topology`] / [`TopologyBuilder`] — an arena-allocated device tree with
-//!   per-device breakers and racks attached at the leaves.
+//!   per-device breaker limits and racks attached at the leaves.
 //! * [`facebook`] — constructors for the canonical Facebook/OCP hierarchy
 //!   (MSB 2.5 MW → SB 1.25 MW → RPP 190 kW → 12.6 kW racks).
 //!

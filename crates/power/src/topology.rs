@@ -5,7 +5,6 @@ use std::collections::HashMap;
 
 use recharge_units::{DeviceId, RackId, Watts};
 
-use crate::breaker::Breaker;
 use crate::device::{Device, DeviceKind};
 
 /// Errors produced while building or querying a [`Topology`].
@@ -133,7 +132,7 @@ impl TopologyBuilder {
             id,
             kind,
             parent,
-            breaker: limit.map(Breaker::new),
+            limit,
             children: Vec::new(),
             racks: Vec::new(),
         });

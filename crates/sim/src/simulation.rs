@@ -1,13 +1,11 @@
 //! The tick loop: trace → agents → controller → breaker → metrics.
 
-use std::collections::HashMap;
-
 use recharge_core::{ChargeIndex, SlaTable};
 use recharge_dynamo::{Controller, ControllerConfig, FleetBackend, PowerReading, SimRackAgent};
 use recharge_power::{Breaker, BreakerStatus};
 use recharge_telemetry::{flight, tcounter, tgauge, tspan, FlightKind, ReasonCode};
-use recharge_trace::{RackPowerTrace, SyntheticFleet};
-use recharge_units::{DeviceId, Priority, RackId, Seconds, SimTime, Watts};
+use recharge_trace::{LoadAt, RackPowerTrace, SyntheticFleet};
+use recharge_units::{DeviceId, Priority, RackId, RackMap, Seconds, SimTime, Watts};
 
 use crate::metrics::{RackSlaOutcome, RunMetrics, SeriesPoint};
 use crate::scenario::Scenario;
@@ -90,6 +88,7 @@ impl FleetSimulation {
         let ot_end = ot_start + ot_duration;
 
         // Build the agents.
+        let load_zero = self.fleet.load_at(SimTime::ZERO);
         let agents: Vec<SimRackAgent> = self
             .fleet
             .fleet()
@@ -97,7 +96,7 @@ impl FleetSimulation {
             .map(|entry| {
                 SimRackAgent::builder(entry.rack, entry.priority)
                     .charge_policy(self.scenario.charge_policy)
-                    .offered_load(self.fleet.rack_power(entry.rack, SimTime::ZERO))
+                    .offered_load(self.fleet.rack_power_at(&load_zero, entry.rack))
                     .build()
             })
             .collect();
@@ -146,17 +145,19 @@ impl FleetSimulation {
         let mut max_capped = Watts::ZERO;
         let mut it_before_ot = Watts::ZERO;
         let mut tripped = false;
-        let mut tracks: HashMap<RackId, ChargeTrack> = HashMap::new();
+        let mut tracks: RackMap<ChargeTrack> = RackMap::default();
         let mut outcomes: Vec<RackSlaOutcome> = Vec::new();
 
         // Between two controller interventions the run performs
         // `control_every` physical sub-steps. The schedule — per-sub-step
-        // times and input-power states — is computed here by the same
+        // load frames and input-power states — is computed here by the same
         // repeated-addition recurrence regardless of backend, so the float
         // sequence every agent sees is structurally identical whether the
         // schedule executes serially, sharded per tick, or as one batch.
+        // One frame per sub-step holds what every rack's load shares, so
+        // each rack's load costs only its own hash and product.
         let control_every = self.scenario.control_every;
-        let mut times: Vec<SimTime> = Vec::with_capacity(control_every);
+        let mut frames: Vec<LoadAt> = Vec::with_capacity(control_every);
         let mut input_power: Vec<bool> = Vec::with_capacity(control_every);
 
         // Control interval `due` covers sim ticks
@@ -164,25 +165,26 @@ impl FleetSimulation {
         for due in 0u64.. {
             let _tick_span = tspan!("sim.tick", "sim");
             tcounter!("sim.ticks").add(control_every as u64);
-            times.clear();
+            frames.clear();
             input_power.clear();
             let mut t_sub = t;
-            for _ in 0..control_every {
-                let in_ot = t_sub >= ot_start && t_sub < ot_end;
-                times.push(t_sub);
-                input_power.push(!in_ot);
-                t_sub += tick;
-            }
             // The controller observes the fleet at the interval's last
             // sub-step; commands flush at this schedule boundary.
-            let now = times[control_every - 1];
+            let mut now = t;
+            for _ in 0..control_every {
+                let in_ot = t_sub >= ot_start && t_sub < ot_end;
+                frames.push(self.fleet.load_at(t_sub));
+                input_power.push(!in_ot);
+                now = t_sub;
+                t_sub += tick;
+            }
             // Anchor ambient flight-recorder time even when no controller
             // runs (unmitigated or leaf-hosted ticks).
             recharge_telemetry::set_flight_now(now.as_secs());
 
             // Drive the physical layer through the whole schedule.
             backend.step_schedule(tick, &input_power, &|rack, i| {
-                self.fleet.rack_power(rack, times[i])
+                self.fleet.rack_power_at(&frames[i], rack)
             });
             let readings = backend.readings();
 
@@ -300,9 +302,11 @@ impl FleetSimulation {
             }
         }
 
-        // Racks that never completed within the horizon miss their SLA.
-        // Journal order is irrelevant: the merged timeline is content-sorted.
-        for (rack, track) in tracks {
+        // Racks that never completed within the horizon miss their SLA. They
+        // are journaled in rack order, so nothing depends on hash order.
+        let mut unfinished: Vec<(RackId, ChargeTrack)> = tracks.into_iter().collect();
+        unfinished.sort_unstable_by_key(|&(rack, _)| rack);
+        for (rack, track) in unfinished {
             recharge_telemetry::flight_at(
                 t.as_secs(),
                 FlightKind::SlaOutcome,

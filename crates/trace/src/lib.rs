@@ -31,4 +31,4 @@ pub use campus::{CampusFleet, CampusFleetBuilder};
 pub use model::{DiurnalModel, FleetEntry, RackPowerTrace};
 pub use oversub::{analyze_oversubscription, max_safe_racks, OversubscriptionReport};
 pub use stats::{find_peak, sample_aggregate, TracePoint};
-pub use synth::{SyntheticFleet, SyntheticFleetBuilder};
+pub use synth::{LoadAt, SyntheticFleet, SyntheticFleetBuilder};

@@ -87,22 +87,20 @@ impl SyntheticFleetBuilder {
         let total: usize = self.counts.iter().sum();
         assert!(total > 0, "fleet must contain at least one rack");
 
-        let mut rng = StdRng::seed_from_u64(self.seed);
         let mut fleet = Vec::with_capacity(total);
-        let mut base = Vec::with_capacity(total);
-        let mut next = 0u32;
-        for (idx, &count) in self.counts.iter().enumerate() {
-            let priority = Priority::ALL[idx];
-            for _ in 0..count {
-                fleet.push(FleetEntry {
-                    rack: RackId::new(next),
-                    priority,
-                });
-                let jitter = 1.0 + rng.gen_range(-self.rack_power_spread..=self.rack_power_spread);
-                base.push(self.mean_rack_power * jitter);
-                next += 1;
-            }
+        for (priority, &count) in Priority::ALL.into_iter().zip(&self.counts) {
+            let first = fleet.len() as u32;
+            fleet.extend((first..first + count as u32).map(|id| FleetEntry {
+                rack: RackId::new(id),
+                priority,
+            }));
         }
+        // One jitter draw per rack, in rack order.
+        let mut rng = StdRng::seed_from_u64(self.seed);
+        let spread = self.rack_power_spread;
+        let base: Vec<Watts> = (0..total)
+            .map(|_| self.mean_rack_power * (1.0 + rng.gen_range(-spread..=spread)))
+            .collect();
 
         SyntheticFleet {
             fleet,
@@ -113,6 +111,16 @@ impl SyntheticFleetBuilder {
             seed: self.seed,
         }
     }
+}
+
+/// One instant of a [`SyntheticFleet`]'s load: the diurnal factor and the
+/// noise window's share of the hash, which every rack shares at that
+/// instant. Built by [`SyntheticFleet::load_at`]; valid only for the fleet
+/// that built it.
+#[derive(Debug, Clone, Copy)]
+pub struct LoadAt {
+    factor: f64,
+    window_seed: u64,
 }
 
 /// A deterministic synthetic fleet trace: per-rack base load × shared diurnal
@@ -170,16 +178,41 @@ impl SyntheticFleet {
         &self.diurnal
     }
 
-    /// Deterministic per-rack-per-tick noise factor around 1.0.
-    fn noise(&self, rack: RackId, at: SimTime) -> f64 {
-        if self.noise_fraction == 0.0 {
-            return 1.0;
-        }
+    /// The load frame of instant `at`: the part of every rack's load that
+    /// all racks share, computed once for [`rack_power_at`].
+    ///
+    /// [`rack_power_at`]: Self::rack_power_at
+    #[must_use]
+    pub fn load_at(&self, at: SimTime) -> LoadAt {
         // A signed window, so every hold window before t = 0 draws its own
         // noise; `as u64` keeps the bits of every window in [0, 2^63).
         let window = (at.as_secs() / self.noise_tick).floor() as i64;
-        let mut h = self.seed ^ (u64::from(rack.index()).wrapping_mul(0x9E37_79B9_7F4A_7C15));
-        h ^= (window as u64).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        LoadAt {
+            factor: self.diurnal.factor(at),
+            window_seed: self.seed ^ (window as u64).wrapping_mul(0xBF58_476D_1CE4_E5B9),
+        }
+    }
+
+    /// IT load of `rack` in the frame `load` of this fleet: bit for bit
+    /// [`rack_power`](RackPowerTrace::rack_power) at the frame's instant.
+    /// Racks outside the fleet draw zero.
+    #[must_use]
+    pub fn rack_power_at(&self, load: &LoadAt, rack: RackId) -> Watts {
+        let idx = rack.index() as usize;
+        if idx >= self.base.len() {
+            return Watts::ZERO;
+        }
+        self.base[idx] * load.factor * self.noise(load, rack)
+    }
+
+    /// Deterministic per-rack-per-tick noise factor around 1.0.
+    fn noise(&self, load: &LoadAt, rack: RackId) -> f64 {
+        if self.noise_fraction == 0.0 {
+            return 1.0;
+        }
+        // XOR commutes, so the window's share of the hash sits in the frame.
+        let mut h =
+            load.window_seed ^ (u64::from(rack.index()).wrapping_mul(0x9E37_79B9_7F4A_7C15));
         h ^= h >> 30;
         h = h.wrapping_mul(0xBF58_476D_1CE4_E5B9);
         h ^= h >> 27;
@@ -197,11 +230,7 @@ impl RackPowerTrace for SyntheticFleet {
     }
 
     fn rack_power(&self, rack: RackId, at: SimTime) -> Watts {
-        let idx = rack.index() as usize;
-        if idx >= self.base.len() {
-            return Watts::ZERO;
-        }
-        self.base[idx] * self.diurnal.factor(at) * self.noise(rack, at)
+        self.rack_power_at(&self.load_at(at), rack)
     }
 }
 
@@ -285,13 +314,79 @@ mod tests {
     #[test]
     fn windows_before_zero_draw_their_own_noise() {
         let fleet = SyntheticFleet::paper_msb(3);
-        let r = RackId::new(10);
-        let early = fleet.noise(r, SimTime::from_secs(-7.0));
-        let late = fleet.noise(r, SimTime::from_secs(-4.0));
+        let noise = |secs| fleet.noise(&fleet.load_at(SimTime::from_secs(secs)), RackId::new(10));
+        let early = noise(-7.0);
+        let late = noise(-4.0);
         assert_ne!(early, late, "windows [-9, -6) and [-6, -3) share a draw");
-        assert_ne!(late, fleet.noise(r, SimTime::from_secs(1.0)));
+        assert_ne!(late, noise(1.0));
         // Within one negative window the draw holds.
-        assert_eq!(late, fleet.noise(r, SimTime::from_secs(-3.5)));
+        assert_eq!(late, noise(-3.5));
+    }
+
+    /// The load formula as one `rack_power` call computed it before frames:
+    /// diurnal factor and whole hash per call, `base × factor × noise`.
+    fn per_call_power(fleet: &SyntheticFleet, rack: RackId, at: SimTime) -> Watts {
+        let idx = rack.index() as usize;
+        if idx >= fleet.base.len() {
+            return Watts::ZERO;
+        }
+        let noise = if fleet.noise_fraction == 0.0 {
+            1.0
+        } else {
+            let window = (at.as_secs() / fleet.noise_tick).floor() as i64;
+            let mut h = fleet.seed ^ (u64::from(rack.index()).wrapping_mul(0x9E37_79B9_7F4A_7C15));
+            h ^= (window as u64).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            h ^= h >> 30;
+            h = h.wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            h ^= h >> 27;
+            h = h.wrapping_mul(0x94D0_49BB_1331_11EB);
+            h ^= h >> 31;
+            let unit = (h >> 11) as f64 / (1u64 << 53) as f64 * 2.0 - 1.0;
+            1.0 + fleet.noise_fraction * unit
+        };
+        fleet.base[idx] * fleet.diurnal.factor(at) * noise
+    }
+
+    #[test]
+    fn frames_match_the_per_call_formula_bit_for_bit() {
+        let mut rng = StdRng::seed_from_u64(23);
+        for _ in 0..8 {
+            let seed = rng.gen_range(0..u64::MAX);
+            for tick in [0.5, 1.0, 3.0] {
+                for noise_fraction in [0.0, 0.015, 0.2] {
+                    let fleet = SyntheticFleetBuilder {
+                        noise_fraction,
+                        ..SyntheticFleetBuilder::new(seed)
+                            .priority_counts(5, 6, 4)
+                            .noise_tick(tick)
+                    }
+                    .build();
+                    // Instants across a week either side of zero, plus each
+                    // side of exact window edges, negative ones included.
+                    let mut instants: Vec<f64> = (0..40)
+                        .map(|_| rng.gen_range(-604_800.0..604_800.0))
+                        .collect();
+                    for k in [-1_000.0, -3.0, -1.0, 0.0, 1.0, 2.0, 7_919.0] {
+                        let edge: f64 = k * tick;
+                        instants.extend([edge, edge.next_down(), edge.next_up()]);
+                    }
+                    // Racks in the fleet, then ids past its end.
+                    let racks = (0..18).chain([u32::MAX]).map(RackId::new);
+                    for secs in instants {
+                        let at = SimTime::from_secs(secs);
+                        let frame = fleet.load_at(at);
+                        for rack in racks.clone() {
+                            let want = per_call_power(&fleet, rack, at).as_watts().to_bits();
+                            let framed = fleet.rack_power_at(&frame, rack).as_watts().to_bits();
+                            let called = fleet.rack_power(rack, at).as_watts().to_bits();
+                            let case = format!("seed {seed}, tick {tick}, noise {noise_fraction}, {rack} at {secs}");
+                            assert_eq!(framed, want, "rack_power_at: {case}");
+                            assert_eq!(called, want, "rack_power: {case}");
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]
