@@ -17,7 +17,7 @@
 use std::fmt;
 use std::str::FromStr;
 
-use recharge_units::{RackId, Seconds, SimTime, Watts};
+use recharge_units::{RackId, Seconds, Watts};
 
 use crate::agent::{RackAgent, SimRackAgent};
 use crate::bus::{AgentBus, InMemoryBus};
@@ -32,6 +32,11 @@ use crate::soa::SoaBackend;
 /// [`bus_mut`](Self::bus_mut) are only required to take effect at schedule
 /// boundaries — which is where the controller runs, so it can never observe
 /// the difference.
+///
+/// A backend only executes agents; it never runs control. The caller's
+/// controller (one [`Controller`](crate::Controller) or a
+/// [`HierarchicalControl`](crate::HierarchicalControl) tree) drives every
+/// backend through the same [`AgentBus`].
 pub trait FleetBackend: Send {
     /// A short stable name for reports and diagnostics.
     fn name(&self) -> &'static str;
@@ -49,32 +54,6 @@ pub trait FleetBackend: Send {
 
     /// The command/read surface the controller drives.
     fn bus_mut(&mut self) -> &mut dyn AgentBus;
-
-    /// Runs a control tick *hosted by the backend*, if it supports one.
-    ///
-    /// Backends that colocate the leaf control tier with the agents (e.g. a
-    /// sharded RPC mesh running leaf controllers server-side) return
-    /// `Some(report)` and the simulator skips its own controller for that
-    /// tick; the default is `None` — control stays with the simulator.
-    fn hosted_control_tick(&mut self, _now: SimTime) -> Option<HostedControlReport> {
-        None
-    }
-}
-
-/// What a backend-hosted control tick observed, summed over the fleet.
-///
-/// The fields mirror the like-named [`ControllerReport`] aggregates so the
-/// simulator's bookkeeping is agnostic to who ran the control loop.
-///
-/// [`ControllerReport`]: crate::ControllerReport
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct HostedControlReport {
-    /// Total present IT load across reachable racks.
-    pub it_load: Watts,
-    /// Total battery recharge draw across reachable racks.
-    pub recharge_power: Watts,
-    /// Total server power currently capped away.
-    pub capped_power: Watts,
 }
 
 /// Advances `agents` through a schedule of sub-steps in fleet order: for

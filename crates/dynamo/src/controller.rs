@@ -97,12 +97,6 @@ impl ControllerConfig {
         self.limit
     }
 
-    /// Re-targets the power limit — an upper tier re-budgeting a leaf
-    /// controller between ticks.
-    pub fn set_limit(&mut self, limit: Watts) {
-        self.limit = limit;
-    }
-
     /// The limit the planner budgets against (guard band applied).
     #[must_use]
     fn planning_limit(&self) -> Watts {
@@ -201,12 +195,6 @@ impl Controller {
     #[must_use]
     pub fn config(&self) -> &ControllerConfig {
         &self.config
-    }
-
-    /// Re-targets the power limit for subsequent ticks — the hook an upper
-    /// tier uses to push fresh budgets into a hosted leaf controller.
-    pub fn set_limit(&mut self, limit: Watts) {
-        self.config.set_limit(limit);
     }
 
     /// The coordination strategy.

@@ -21,6 +21,9 @@
 //!   charge sequences, runs Algorithm 1 (or the global baseline), monitors
 //!   for overload, throttles battery charging in reverse priority order, and
 //!   caps servers only as a last resort.
+//! * [`HierarchicalControl`] / [`UpperMonitor`] — the deployed two-level
+//!   hierarchy (§IV-C): a scoped leaf [`Controller`] per RPP plus a monitor
+//!   per SB/MSB breaker, driven over any [`AgentBus`].
 //! * [`capping`] — priority-aware server power capping (the Dynamo safety
 //!   net), used identically by all strategies.
 //!
@@ -56,8 +59,7 @@ mod workers;
 
 pub use agent::{RackAgent, SimRackAgent, SimRackAgentBuilder};
 pub use backend::{
-    step_agents, FleetBackend, FleetBackendKind, HostedControlReport, ParseBackendKindError,
-    SerialBackend,
+    step_agents, FleetBackend, FleetBackendKind, ParseBackendKindError, SerialBackend,
 };
 pub use bus::{AgentBus, InMemoryBus};
 pub use controller::{

@@ -8,6 +8,7 @@
 //! chaos runs. [`spawn_mesh`] turns it into a [`ShardedRpcFleetBackend`] —
 //! one agent server by default, one per shard when the plan asks for more.
 
+use std::convert::Infallible;
 use std::io;
 use std::time::Duration;
 
@@ -18,8 +19,7 @@ use crate::client::RetryPolicy;
 use crate::endpoint::Endpoint;
 use crate::fault::FaultPlan;
 use crate::server::DEFAULT_LEASE_TICKS;
-use crate::sharded::{LeafControlSpec, ShardedRpcFleetBackend};
-use crate::wire::MAX_FRAME_LEN;
+use crate::sharded::ShardedRpcFleetBackend;
 
 /// Which socket family the mesh uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -90,13 +90,6 @@ pub struct RpcMeshConfig {
     /// Fleet partitioning: `n` servers or one per RPP row (default: one
     /// server for the whole fleet).
     pub shards: ShardPlan,
-    /// Frame cap both sides enforce (batched reading frames for very large
-    /// fleets can need more than the 1 MiB default).
-    pub max_frame_len: u32,
-    /// Host the leaf control tier inside each agent server: leaf ticks run
-    /// server-side and only per-group aggregates and power budgets cross the
-    /// wire. Requires a [`LeafControlSpec`] at spawn time.
-    pub leaf_control: bool,
 }
 
 impl Default for RpcMeshConfig {
@@ -109,8 +102,6 @@ impl Default for RpcMeshConfig {
             fault: None,
             seed: 0x0b5e_55ed,
             shards: ShardPlan::Count(1),
-            max_frame_len: MAX_FRAME_LEN,
-            leaf_control: false,
         }
     }
 }
@@ -161,21 +152,6 @@ impl RpcMeshConfig {
         self
     }
 
-    /// Overrides the frame cap.
-    #[must_use]
-    pub fn with_max_frame_len(mut self, max_frame_len: u32) -> Self {
-        self.max_frame_len = max_frame_len;
-        self
-    }
-
-    /// Enables in-server leaf control (requires a [`LeafControlSpec`] when
-    /// spawning).
-    #[must_use]
-    pub fn with_leaf_control(mut self) -> Self {
-        self.leaf_control = true;
-        self
-    }
-
     /// The endpoint family this config binds.
     pub(crate) fn fresh_endpoint(&self) -> io::Result<Endpoint> {
         match self.transport {
@@ -191,25 +167,17 @@ impl RpcMeshConfig {
     }
 }
 
-/// Spawns the [`ShardedRpcFleetBackend`] a mesh config describes. `leaf`
-/// supplies the control parameters for in-server leaf ticks; it is required
-/// when `config.leaf_control` is set and ignored otherwise.
+/// Spawns the [`ShardedRpcFleetBackend`] a mesh config describes.
+///
+/// The third parameter carries nothing: [`Infallible`] has no values, so it
+/// is always `None`. It only keeps three-argument call sites compiling and
+/// is due to be dropped.
 pub fn spawn_mesh(
     agents: Vec<SimRackAgent>,
     config: &RpcMeshConfig,
-    leaf: Option<LeafControlSpec>,
+    _: Option<Infallible>,
 ) -> io::Result<Box<dyn FleetBackend>> {
-    if config.leaf_control && leaf.is_none() {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidInput,
-            "leaf_control requires a LeafControlSpec",
-        ));
-    }
-    Ok(Box::new(ShardedRpcFleetBackend::spawn(
-        agents,
-        config,
-        if config.leaf_control { leaf } else { None },
-    )?))
+    Ok(Box::new(ShardedRpcFleetBackend::spawn(agents, config)?))
 }
 
 #[cfg(test)]
@@ -268,8 +236,8 @@ mod tests {
 
     #[test]
     fn ticks_advance_with_schedules() {
-        let mut rpc = ShardedRpcFleetBackend::spawn(agents(1), &RpcMeshConfig::default(), None)
-            .expect("spawn");
+        let mut rpc =
+            ShardedRpcFleetBackend::spawn(agents(1), &RpcMeshConfig::default()).expect("spawn");
         assert_eq!(rpc.shard_count(), 1);
         assert_eq!(rpc.host(0).clock().tick(), 0);
         rpc.step_schedule(Seconds::new(1.0), &[true; 5], &|_, _| {

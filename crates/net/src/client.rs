@@ -34,12 +34,12 @@ use recharge_telemetry::{
     flight, histogram, histogram_named, tcounter, tspan, FlightKind, Histogram, ReasonCode,
     NO_BUCKET, NO_RACK,
 };
-use recharge_units::{RackId, SimTime, Watts};
+use recharge_units::RackId;
 
 use crate::endpoint::{recv_frame, send_frame, Endpoint, FrameBuffer, FrameRead, NetStream};
 use crate::fault::{FaultClock, FaultPlan, LinkFaults};
 use crate::wire::{
-    decode_response, encode_request, AgentCommand, GroupAggregate, Request, Response, MAX_FRAME_LEN,
+    decode_response, encode_request, AgentCommand, Request, Response, MAX_FRAME_LEN,
 };
 
 /// Bucket upper bounds (microseconds) for the RPC latency histograms — a
@@ -133,8 +133,8 @@ struct ClientInner {
     was_partitioned: bool,
 }
 
-/// One shard's client: batched reads and commands, leaf ticks and health,
-/// spoken over the framed wire protocol to an [`AgentServer`](crate::server::AgentServer).
+/// One shard's client: batched reads, command batches and health, spoken
+/// over the framed wire protocol to an [`AgentServer`](crate::server::AgentServer).
 ///
 /// Interior mutability (one mutex around the connection) keeps every call
 /// `&self`; each shard's bus is owned by one client thread, so the lock is
@@ -391,16 +391,6 @@ impl RpcBus {
             }
         }
     }
-
-    /// Runs the server-hosted leaf control tick, returning the group
-    /// aggregate; `None` when the shard is unreachable.
-    #[must_use]
-    pub fn tick_leaf(&self, now: SimTime, budget: Option<Watts>) -> Option<GroupAggregate> {
-        match self.call(&Request::TickLeaf { now, budget }) {
-            Some(Response::GroupAggregate(aggregate)) => Some(aggregate),
-            _ => None,
-        }
-    }
 }
 
 fn uniform(state: &mut u64) -> f64 {
@@ -481,18 +471,6 @@ mod tests {
         assert_eq!(applied, 2);
         assert_eq!(override_of(&host, 0), Some(Amperes::MAX_CHARGE));
         assert_eq!(override_of(&host, 2), Some(Amperes::MIN_CHARGE));
-
-        // No leaf installed: the tick reports a monitoring aggregate.
-        let aggregate = bus
-            .tick_leaf(SimTime::from_secs(0.0), None)
-            .expect("tick_leaf");
-        assert_eq!(aggregate.overrides_sent, 0);
-        let expected: Watts = readings
-            .iter()
-            .filter(|r| r.input_power_present)
-            .map(|r| r.it_load)
-            .sum();
-        assert_eq!(aggregate.it_load, expected);
     }
 
     #[test]

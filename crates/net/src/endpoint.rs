@@ -204,23 +204,13 @@ impl Drop for NetListener {
 }
 
 /// The typed oversize error: an `InvalidData` [`io::Error`] wrapping
-/// [`WireError::FrameTooLarge`], recoverable via [`as_frame_too_large`]
-/// instead of parsing message text.
+/// [`WireError::FrameTooLarge`], recoverable by downcasting
+/// [`io::Error::get_ref`] instead of parsing message text.
 fn oversize(len: u32, limit: u32) -> io::Error {
     io::Error::new(
         io::ErrorKind::InvalidData,
         WireError::FrameTooLarge { len, limit },
     )
-}
-
-/// Extracts a [`WireError::FrameTooLarge`] from an I/O error produced by
-/// [`send_frame`] or [`recv_frame`], if that is what it carries.
-#[must_use]
-pub fn as_frame_too_large(err: &io::Error) -> Option<WireError> {
-    err.get_ref()
-        .and_then(|inner| inner.downcast_ref::<WireError>())
-        .filter(|wire| matches!(wire, WireError::FrameTooLarge { .. }))
-        .copied()
 }
 
 /// Writes one frame: `u32` little-endian payload length, then the payload.
@@ -344,6 +334,15 @@ mod tests {
     use super::*;
     use crate::wire::MAX_FRAME_LEN;
     use std::thread;
+
+    /// Extracts a [`WireError::FrameTooLarge`] from an I/O error produced by
+    /// [`send_frame`] or [`recv_frame`], if that is what it carries.
+    fn as_frame_too_large(err: &io::Error) -> Option<WireError> {
+        err.get_ref()
+            .and_then(|inner| inner.downcast_ref::<WireError>())
+            .filter(|wire| matches!(wire, WireError::FrameTooLarge { .. }))
+            .copied()
+    }
 
     fn pair() -> (NetStream, NetStream) {
         let listener = NetListener::bind(&Endpoint::loopback()).expect("bind");

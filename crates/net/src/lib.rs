@@ -29,9 +29,10 @@
 //!   crosses real sockets. The fleet is partitioned into one server per
 //!   shard ([`ShardPlan`]; one shard by default), reads and commands travel
 //!   as batched wire ops (`ReadAllReadings` / `ApplyCommandBatch`:
-//!   O(servers) RPCs per control tick), per-shard client threads run
-//!   concurrently, and optional in-server leaf control (`TickLeaf`) sends
-//!   only per-group aggregates and budgets over the wire.
+//!   O(servers) RPCs per control tick), and per-shard client threads run
+//!   concurrently. Control stays with the caller: one controller, or a
+//!   `HierarchicalControl` tree of per-RPP leaves and SB/MSB monitors, drives
+//!   the mesh's bus as it would an in-memory one.
 //!
 //! Telemetry: every RPC path records `net.rpc_*` counters (calls, retries,
 //! timeouts, reconnects, stale replies, lost commands), `net.rpc_call` /
@@ -63,10 +64,8 @@ pub mod wire;
 
 pub use backend::{spawn_mesh, RpcMeshConfig, RpcTransport, ShardPlan};
 pub use client::{RetryPolicy, RpcBus, RpcBusConfig};
-pub use endpoint::{as_frame_too_large, Endpoint, NetListener, NetStream};
+pub use endpoint::{Endpoint, NetListener, NetStream};
 pub use fault::{FaultClock, FaultPlan, Partition, PartitionScope};
 pub use server::{AgentHost, AgentServer, DEFAULT_LEASE_TICKS};
-pub use sharded::{LeafControlSpec, ShardedRpcBus, ShardedRpcFleetBackend};
-pub use wire::{
-    AgentCommand, GroupAggregate, HealthReport, Request, Response, WireError, PROTOCOL_VERSION,
-};
+pub use sharded::{ShardedRpcBus, ShardedRpcFleetBackend};
+pub use wire::{AgentCommand, HealthReport, Request, Response, WireError, PROTOCOL_VERSION};

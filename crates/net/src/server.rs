@@ -37,17 +37,16 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use recharge_dynamo::{AgentBus, Controller, PowerReading, RackAgent};
+use recharge_dynamo::{PowerReading, RackAgent};
 use recharge_telemetry::{flight_at, tcounter, tspan, FlightKind, ReasonCode, NO_BUCKET};
-use recharge_units::{Amperes, RackId, Watts};
+use recharge_units::RackId;
 
 use crate::endpoint::{
     recv_frame, send_frame, Endpoint, FrameBuffer, FrameRead, NetListener, NetStream,
 };
 use crate::fault::FaultClock;
 use crate::wire::{
-    decode_request, encode_response, AgentCommand, GroupAggregate, HealthReport, Request, Response,
-    MAX_FRAME_LEN,
+    decode_request, encode_response, AgentCommand, HealthReport, Request, Response, MAX_FRAME_LEN,
 };
 
 /// Default coordination lease, in simulation ticks.
@@ -73,57 +72,6 @@ struct RackLease {
 struct HostState<A> {
     agents: Vec<A>,
     leases: Vec<RackLease>,
-    /// A server-hosted leaf controller ([`Request::TickLeaf`]); `None` for
-    /// plain agent hosting.
-    leaf: Option<Controller>,
-}
-
-/// [`AgentBus`] over a host's local agent slice — what a hosted leaf
-/// controller ticks against, so leaf control never touches the wire.
-struct LeafBus<'a, A> {
-    agents: &'a mut [A],
-    index_of: &'a HashMap<RackId, usize>,
-    racks: &'a [RackId],
-}
-
-impl<A: RackAgent> AgentBus for LeafBus<'_, A> {
-    fn racks(&self) -> Vec<RackId> {
-        self.racks.to_vec()
-    }
-
-    fn read(&self, rack: RackId) -> Option<PowerReading> {
-        self.index_of.get(&rack).map(|&i| self.agents[i].read())
-    }
-
-    fn set_charge_override(&mut self, rack: RackId, current: Amperes) {
-        if let Some(&i) = self.index_of.get(&rack) {
-            self.agents[i].set_charge_override(current);
-        }
-    }
-
-    fn clear_charge_override(&mut self, rack: RackId) {
-        if let Some(&i) = self.index_of.get(&rack) {
-            self.agents[i].clear_charge_override();
-        }
-    }
-
-    fn set_charge_postponed(&mut self, rack: RackId, postponed: bool) {
-        if let Some(&i) = self.index_of.get(&rack) {
-            self.agents[i].set_charge_postponed(postponed);
-        }
-    }
-
-    fn cap_servers(&mut self, rack: RackId, limit: Watts) {
-        if let Some(&i) = self.index_of.get(&rack) {
-            self.agents[i].cap_servers(limit);
-        }
-    }
-
-    fn uncap_servers(&mut self, rack: RackId) {
-        if let Some(&i) = self.index_of.get(&rack) {
-            self.agents[i].uncap_servers();
-        }
-    }
 }
 
 /// The racks hosted behind one server, with lease tracking.
@@ -138,7 +86,6 @@ pub struct AgentHost<A> {
     racks: Vec<RackId>,
     clock: FaultClock,
     lease_ticks: u64,
-    max_frame_len: u32,
     shard: u32,
 }
 
@@ -158,25 +105,13 @@ impl<A: RackAgent> AgentHost<A> {
             agents.len()
         ];
         AgentHost {
-            state: Mutex::new(HostState {
-                agents,
-                leases,
-                leaf: None,
-            }),
+            state: Mutex::new(HostState { agents, leases }),
             index_of,
             racks,
             clock,
             lease_ticks,
-            max_frame_len: MAX_FRAME_LEN,
             shard: 0,
         }
-    }
-
-    /// Overrides the frame cap this host's connections enforce.
-    #[must_use]
-    pub fn with_max_frame_len(mut self, max_frame_len: u32) -> Self {
-        self.max_frame_len = max_frame_len;
-        self
     }
 
     /// Tags this host with its shard index within the mesh; reported back
@@ -191,18 +126,6 @@ impl<A: RackAgent> AgentHost<A> {
     #[must_use]
     pub fn shard(&self) -> u32 {
         self.shard
-    }
-
-    /// The frame cap this host's connections enforce.
-    #[must_use]
-    pub fn max_frame_len(&self) -> u32 {
-        self.max_frame_len
-    }
-
-    /// Installs a leaf controller that [`Request::TickLeaf`] runs against the
-    /// hosted agents — the in-server leaf tier of the control hierarchy.
-    pub fn install_leaf_controller(&self, controller: Controller) {
-        self.lock().leaf = Some(controller);
     }
 
     /// The shared simulation-tick clock.
@@ -323,17 +246,17 @@ impl<A: RackAgent> AgentHost<A> {
 
     /// Executes one controller request.
     ///
-    /// Lease renewal, per op: `ReadAllReadings` and `TickLeaf` renew every
-    /// hosted rack (the controller reads every scoped rack each control
-    /// tick); `ApplyCommandBatch` renews each addressed rack. `ListRacks`
-    /// and `ReadHealth` are lease-neutral.
+    /// Lease renewal, per op: `ReadAllReadings` renews every hosted rack
+    /// (the controller reads every scoped rack each control tick);
+    /// `ApplyCommandBatch` renews each addressed rack. `ListRacks` and
+    /// `ReadHealth` are lease-neutral.
     pub fn handle(&self, request: &Request) -> Response {
         let _span = tspan!("net.rpc_serve", "net");
         tcounter!("net.rpc_server_requests").inc();
         let mut state = self.lock();
         let now = self.clock.tick();
         match request {
-            Request::ReadAllReadings | Request::TickLeaf { .. } => {
+            Request::ReadAllReadings => {
                 for i in 0..self.racks.len() {
                     self.renew_lease(&mut state, i, now);
                 }
@@ -354,49 +277,6 @@ impl<A: RackAgent> AgentHost<A> {
             }
             Request::ApplyCommandBatch(commands) => {
                 Response::BatchAck(self.apply_commands(&mut state, commands))
-            }
-            Request::TickLeaf { now, budget } => {
-                let HostState { agents, leaf, .. } = &mut *state;
-                match leaf.as_mut() {
-                    Some(controller) => {
-                        if let Some(budget) = budget {
-                            controller.set_limit(*budget);
-                        }
-                        let mut bus = LeafBus {
-                            agents,
-                            index_of: &self.index_of,
-                            racks: &self.racks,
-                        };
-                        let report = controller.tick(*now, &mut bus);
-                        Response::GroupAggregate(GroupAggregate {
-                            it_load: report.it_load,
-                            recharge_power: report.recharge_power,
-                            capped_power: report.capped_power,
-                            overrides_sent: report.overrides_sent as u32,
-                            racks_throttled: report.racks_throttled as u32,
-                        })
-                    }
-                    // No leaf installed: a monitoring-only aggregate, summed
-                    // the way the controller sums its own readings.
-                    None => {
-                        let mut aggregate = GroupAggregate {
-                            it_load: Watts::ZERO,
-                            recharge_power: Watts::ZERO,
-                            capped_power: Watts::ZERO,
-                            overrides_sent: 0,
-                            racks_throttled: 0,
-                        };
-                        for agent in agents.iter() {
-                            let reading = agent.read();
-                            if reading.input_power_present {
-                                aggregate.it_load += reading.it_load;
-                                aggregate.recharge_power += reading.recharge_power;
-                            }
-                            aggregate.capped_power += reading.capped_power;
-                        }
-                        Response::GroupAggregate(aggregate)
-                    }
-                }
             }
             Request::ReadHealth => {
                 let coordinated = state.leases.iter().filter(|l| l.coordinated).count() as u32;
@@ -511,9 +391,8 @@ fn connection_loop<A: RackAgent>(
         return;
     }
     let mut buffer = FrameBuffer::new();
-    let max_frame_len = host.max_frame_len();
     while !shutdown.load(Ordering::SeqCst) {
-        match recv_frame(&mut stream, &mut buffer, None, max_frame_len) {
+        match recv_frame(&mut stream, &mut buffer, None, MAX_FRAME_LEN) {
             Ok(FrameRead::Frame(payload)) => {
                 let Ok((id, request)) = decode_request(&payload) else {
                     // A peer that stops speaking the protocol gets dropped;
@@ -522,7 +401,7 @@ fn connection_loop<A: RackAgent>(
                     return;
                 };
                 let response = host.handle(&request);
-                if send_frame(&mut stream, &encode_response(id, &response), max_frame_len).is_err()
+                if send_frame(&mut stream, &encode_response(id, &response), MAX_FRAME_LEN).is_err()
                 {
                     return;
                 }
@@ -742,74 +621,6 @@ mod tests {
         for i in 0..3 {
             assert!(host.is_coordinated(RackId::new(i)));
         }
-    }
-
-    #[test]
-    fn tick_leaf_without_controller_reports_monitoring_aggregate() {
-        use recharge_units::SimTime;
-        let host = host(2, 5);
-        host.with_agents(|agents| {
-            for a in agents {
-                a.step(Seconds::new(1.0));
-            }
-        });
-        let Response::GroupAggregate(aggregate) = host.handle(&Request::TickLeaf {
-            now: SimTime::from_secs(1.0),
-            budget: None,
-        }) else {
-            panic!("expected aggregate");
-        };
-        let expected: Watts = host
-            .readings()
-            .iter()
-            .filter(|r| r.input_power_present)
-            .map(|r| r.it_load)
-            .sum();
-        assert_eq!(aggregate.it_load, expected);
-        assert_eq!(aggregate.overrides_sent, 0);
-        // The monitoring tick still counts as controller contact.
-        assert!(host.is_coordinated(RackId::new(0)));
-    }
-
-    #[test]
-    fn tick_leaf_runs_the_hosted_controller_locally() {
-        use recharge_dynamo::{ControllerConfig, Strategy};
-        use recharge_units::{DeviceId, SimTime};
-        let host = host(3, DEFAULT_LEASE_TICKS);
-        host.install_leaf_controller(Controller::new(
-            ControllerConfig::new(DeviceId::new(0), Watts::from_kilowatts(190.0)),
-            Strategy::PriorityAware,
-        ));
-        // Ride through an outage so the leaf has charging racks to plan.
-        host.with_agents(|agents| {
-            for a in agents.iter_mut() {
-                a.set_input_power(false);
-            }
-            for a in agents.iter_mut() {
-                a.step(Seconds::new(60.0));
-            }
-            for a in agents.iter_mut() {
-                a.set_input_power(true);
-            }
-            for a in agents.iter_mut() {
-                a.step(Seconds::new(1.0));
-            }
-        });
-        let Response::GroupAggregate(aggregate) = host.handle(&Request::TickLeaf {
-            now: SimTime::from_secs(1.0),
-            budget: Some(Watts::from_kilowatts(150.0)),
-        }) else {
-            panic!("expected aggregate");
-        };
-        assert!(aggregate.overrides_sent > 0, "leaf sent no overrides");
-        host.with_agents(|agents| {
-            for a in agents {
-                assert!(
-                    a.battery().bbu().charger().override_current().is_some(),
-                    "leaf tick must coordinate hosted racks locally"
-                );
-            }
-        });
     }
 
     #[test]

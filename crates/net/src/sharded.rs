@@ -7,16 +7,17 @@
 //!
 //! * **Batched ops** — one `ReadAllReadings` per shard reads all of its
 //!   racks; buffered commands flush as one `ApplyCommandBatch` per shard. A
-//!   control tick costs O(servers) RPCs, not O(racks).
+//!   control tick costs O(servers) RPCs, not O(racks). A shard holds at most
+//!   [`MAX_READINGS_PER_FRAME`] racks, so its readings fit one frame.
 //! * **Concurrent fan-out** — each shard has a persistent client thread
 //!   owning its [`RpcBus`]; the bus hands every worker its job, then joins
 //!   on the reply channels. Per-tick network latency is max-over-shards,
 //!   not sum-over-racks.
-//! * **In-server leaf control** — with [`RpcMeshConfig::leaf_control`], each
-//!   shard's server hosts a leaf [`Controller`] ticked by one `TickLeaf` RPC;
-//!   only per-group aggregates and power budgets cross the wire (§V's
-//!   locality argument), and the upper tier here re-budgets shards from
-//!   their reported IT load plus an equal share of the remaining headroom.
+//!
+//! Control stays on the caller's side of the wire: a single `Controller` or
+//! a `HierarchicalControl` tree (one scoped leaf per RPP, which a
+//! [`ShardPlan::ByRpp`] partition lines up with one server each) drives the
+//! [`ShardedRpcBus`] like any other `AgentBus`.
 //!
 //! Degraded modes stay per shard: every shard link carries its own
 //! [`FaultPlan`](crate::FaultPlan) projection (derived seed, partitions
@@ -31,7 +32,7 @@
 //! commands, so `RunMetrics` stay bit-identical to [`InMemoryBus`].
 //!
 //! [`ShardPlan`]: crate::backend::ShardPlan
-//! [`RpcMeshConfig::leaf_control`]: crate::backend::RpcMeshConfig
+//! [`ShardPlan::ByRpp`]: crate::backend::ShardPlan::ByRpp
 //! [`InMemoryBus`]: recharge_dynamo::InMemoryBus
 
 use std::collections::HashMap;
@@ -39,32 +40,15 @@ use std::io;
 use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
-use std::time::Duration;
 
-use recharge_dynamo::{
-    step_agents, AgentBus, Controller, ControllerConfig, FleetBackend, HostedControlReport,
-    PowerReading, RackAgent, SimRackAgent, Strategy,
-};
-use recharge_units::{Amperes, DeviceId, RackId, Seconds, SimTime, Watts};
+use recharge_dynamo::{step_agents, AgentBus, FleetBackend, PowerReading, RackAgent, SimRackAgent};
+use recharge_units::{Amperes, RackId, Seconds, Watts};
 
 use crate::backend::RpcMeshConfig;
 use crate::client::{RpcBus, RpcBusConfig};
 use crate::fault::FaultClock;
 use crate::server::{AgentHost, AgentServer};
-use crate::wire::{AgentCommand, GroupAggregate};
-
-/// Control parameters for the in-server leaf tier: what each shard's hosted
-/// [`Controller`] is built from.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LeafControlSpec {
-    /// The breaker limit the leaf tier collectively protects; each shard
-    /// starts with an equal share and is re-budgeted every control tick.
-    pub limit: Watts,
-    /// Coordination strategy for every leaf.
-    pub strategy: Strategy,
-    /// Whether leaves may postpone whole racks under extreme constraint.
-    pub allow_postponing: bool,
-}
+use crate::wire::{AgentCommand, MAX_READINGS_PER_FRAME};
 
 /// One unit of work for a shard's client thread.
 enum Job {
@@ -72,8 +56,6 @@ enum Job {
     ReadAll(Sender<Option<Vec<PowerReading>>>),
     /// Apply a command batch; `false` when the batch was lost.
     Apply(Vec<AgentCommand>, Sender<bool>),
-    /// Run the shard's hosted leaf tick with an optional fresh budget.
-    TickLeaf(SimTime, Option<Watts>, Sender<Option<GroupAggregate>>),
 }
 
 /// A persistent client thread owning one shard's [`RpcBus`].
@@ -113,9 +95,6 @@ impl ShardWorker {
                         }
                         Job::Apply(commands, reply) => {
                             let _ = reply.send(bus.apply_batch(commands).is_some());
-                        }
-                        Job::TickLeaf(now, budget, reply) => {
-                            let _ = reply.send(bus.tick_leaf(now, budget));
                         }
                     }
                 }
@@ -249,34 +228,6 @@ impl ShardedRpcBus {
         self.lock().snapshot = None;
     }
 
-    /// Runs every shard's hosted leaf tick concurrently; `budgets[k]` is
-    /// pushed to shard `k` before its tick. Unreachable shards yield `None`.
-    pub(crate) fn tick_leaves(
-        &self,
-        now: SimTime,
-        budgets: &[Option<Watts>],
-    ) -> Vec<Option<GroupAggregate>> {
-        let replies: Vec<Option<Receiver<Option<GroupAggregate>>>> = self
-            .workers
-            .iter()
-            .enumerate()
-            .map(|(shard, worker)| {
-                let (tx, rx) = mpsc::channel();
-                worker
-                    .submit(Job::TickLeaf(
-                        now,
-                        budgets.get(shard).copied().flatten(),
-                        tx,
-                    ))
-                    .then_some(rx)
-            })
-            .collect();
-        replies
-            .into_iter()
-            .map(|reply| reply.and_then(|rx| rx.recv().ok().flatten()))
-            .collect()
-    }
-
     /// Runs `f` on the per-tick read snapshot, fanning out first if this is
     /// the first read since the last invalidation.
     fn with_snapshot<R>(&self, f: impl FnOnce(&HashMap<RackId, PowerReading>) -> R) -> R {
@@ -332,17 +283,6 @@ impl AgentBus for ShardedRpcBus {
     }
 }
 
-/// Upper-tier state for in-server leaf control.
-struct LeafState {
-    /// The total protected limit.
-    limit: Watts,
-    /// The budget each shard runs under; refreshed from reported IT load
-    /// plus an equal headroom share after every tick. An unreachable shard
-    /// keeps its previous budget *reserved* so the others cannot absorb
-    /// power a degraded shard may still be drawing.
-    budgets: Vec<Watts>,
-}
-
 /// A [`FleetBackend`] running the fleet behind per-shard agent servers.
 pub struct ShardedRpcFleetBackend {
     hosts: Vec<Arc<AgentHost<SimRackAgent>>>,
@@ -351,21 +291,35 @@ pub struct ShardedRpcFleetBackend {
     _servers: Vec<AgentServer<SimRackAgent>>,
     clock: FaultClock,
     bus: ShardedRpcBus,
-    leaf: Option<LeafState>,
-    name: &'static str,
 }
 
 impl ShardedRpcFleetBackend {
     /// Partitions `agents` per `config.shards`, hosts each group behind its
     /// own server, and connects one client worker per shard (concurrently).
-    /// With `leaf`, installs a leaf [`Controller`] into every host.
-    pub fn spawn(
-        agents: Vec<SimRackAgent>,
-        config: &RpcMeshConfig,
-        leaf: Option<LeafControlSpec>,
-    ) -> io::Result<Self> {
+    ///
+    /// # Errors
+    ///
+    /// [`io::ErrorKind::InvalidInput`] when a shard would host more than
+    /// [`MAX_READINGS_PER_FRAME`] racks (its readings could never cross the
+    /// wire, so every read would find the whole shard unreachable); any
+    /// bind, connect or discovery failure otherwise.
+    pub fn spawn(agents: Vec<SimRackAgent>, config: &RpcMeshConfig) -> io::Result<Self> {
         let racks: Vec<RackId> = agents.iter().map(RackAgent::rack).collect();
         let groups = config.shards.partition(&racks);
+        if let Some((shard, group)) = groups
+            .iter()
+            .enumerate()
+            .find(|(_, group)| group.len() > MAX_READINGS_PER_FRAME)
+        {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                format!(
+                    "shard {shard} would host {} racks; one readings frame carries at most \
+                     {MAX_READINGS_PER_FRAME}",
+                    group.len()
+                ),
+            ));
+        }
         let clock = FaultClock::new();
 
         let mut agent_iter = agents.into_iter();
@@ -376,30 +330,18 @@ impl ShardedRpcFleetBackend {
             let shard_agents: Vec<SimRackAgent> = agent_iter.by_ref().take(group.len()).collect();
             let host = Arc::new(
                 AgentHost::new(shard_agents, config.lease_ticks, clock.clone())
-                    .with_max_frame_len(config.max_frame_len)
                     .with_shard(shard as u32),
             );
-            if let Some(spec) = leaf {
-                let mut leaf_config = ControllerConfig::new(
-                    DeviceId::new(shard as u32),
-                    spec.limit / groups.len() as f64,
-                );
-                if spec.allow_postponing {
-                    leaf_config = leaf_config.with_postponing();
-                }
-                host.install_leaf_controller(Controller::new(leaf_config, spec.strategy));
-            }
             let server = AgentServer::serve(Arc::clone(&host), &config.fresh_endpoint()?)?;
             let bus_config = RpcBusConfig {
                 deadline: config.deadline,
-                connect_timeout: Duration::from_secs(2),
                 retry: config.retry,
                 seed: config
                     .seed
                     .wrapping_add(0x9e37_79b9_7f4a_7c15u64.wrapping_mul(shard as u64 + 1)),
                 fault: config.fault.as_ref().map(|f| f.for_shard(shard, group)),
-                max_frame_len: config.max_frame_len,
                 shard_label: shard as u32,
+                ..RpcBusConfig::default()
             };
             let (worker, ready) =
                 ShardWorker::spawn(server.endpoint().clone(), bus_config, clock.clone())?;
@@ -422,22 +364,11 @@ impl ShardedRpcFleetBackend {
             workers.push(worker);
         }
 
-        let leaf_state = leaf.map(|spec| LeafState {
-            limit: spec.limit,
-            budgets: vec![spec.limit / groups.len() as f64; groups.len()],
-        });
-        let name = if leaf_state.is_some() {
-            "rpc-sharded-leaf"
-        } else {
-            "rpc-sharded"
-        };
         Ok(ShardedRpcFleetBackend {
             hosts,
             _servers: servers,
             clock,
             bus: ShardedRpcBus::new(workers, &groups),
-            leaf: leaf_state,
-            name,
         })
     }
 
@@ -480,7 +411,7 @@ impl ShardedRpcFleetBackend {
 
 impl FleetBackend for ShardedRpcFleetBackend {
     fn name(&self) -> &'static str {
-        self.name
+        "rpc-sharded"
     }
 
     fn step_schedule(
@@ -520,46 +451,6 @@ impl FleetBackend for ShardedRpcFleetBackend {
     fn bus_mut(&mut self) -> &mut dyn AgentBus {
         &mut self.bus
     }
-
-    fn hosted_control_tick(&mut self, now: SimTime) -> Option<HostedControlReport> {
-        let leaf = self.leaf.as_mut()?;
-        let budgets: Vec<Option<Watts>> = leaf.budgets.iter().map(|&b| Some(b)).collect();
-        let aggregates = self.bus.tick_leaves(now, &budgets);
-
-        // Re-budget: reachable shards report their IT load and split the
-        // remaining headroom equally; unreachable shards keep their previous
-        // budget reserved (their racks are standalone but still drawing).
-        let mut it_total = Watts::ZERO;
-        let mut recharge_total = Watts::ZERO;
-        let mut capped_total = Watts::ZERO;
-        let mut reserved = Watts::ZERO;
-        let mut reachable = 0usize;
-        for (shard, aggregate) in aggregates.iter().enumerate() {
-            match aggregate {
-                Some(aggregate) => {
-                    it_total += aggregate.it_load;
-                    recharge_total += aggregate.recharge_power;
-                    capped_total += aggregate.capped_power;
-                    reachable += 1;
-                }
-                None => reserved += leaf.budgets[shard],
-            }
-        }
-        if reachable > 0 {
-            let headroom = (leaf.limit - it_total - reserved).max(Watts::ZERO);
-            let share = headroom / reachable as f64;
-            for (shard, aggregate) in aggregates.iter().enumerate() {
-                if let Some(aggregate) = aggregate {
-                    leaf.budgets[shard] = aggregate.it_load + share;
-                }
-            }
-        }
-        Some(HostedControlReport {
-            it_load: it_total,
-            recharge_power: recharge_total,
-            capped_power: capped_total,
-        })
-    }
 }
 
 #[cfg(test)]
@@ -586,9 +477,8 @@ mod tests {
             Watts::from_kilowatts(5.5 + 0.2 * f64::from(rack.index()) + 0.05 * i as f64)
         };
         let mut serial = FleetBackendKind::Serial.build(agents(7));
-        let mut sharded =
-            ShardedRpcFleetBackend::spawn(agents(7), &RpcMeshConfig::shard_count(3), None)
-                .expect("spawn");
+        let mut sharded = ShardedRpcFleetBackend::spawn(agents(7), &RpcMeshConfig::shard_count(3))
+            .expect("spawn");
         assert_eq!(sharded.shard_count(), 3);
         serial.step_schedule(Seconds::new(1.0), &schedule, &load);
         sharded.step_schedule(Seconds::new(1.0), &schedule, &load);
@@ -597,12 +487,11 @@ mod tests {
 
     #[test]
     fn sharded_bus_reads_match_single_server() {
-        let mut single = ShardedRpcFleetBackend::spawn(agents(6), &RpcMeshConfig::default(), None)
-            .expect("spawn");
+        let mut single =
+            ShardedRpcFleetBackend::spawn(agents(6), &RpcMeshConfig::default()).expect("spawn");
         assert_eq!(single.shard_count(), 1);
-        let mut sharded =
-            ShardedRpcFleetBackend::spawn(agents(6), &RpcMeshConfig::shard_count(2), None)
-                .expect("spawn");
+        let mut sharded = ShardedRpcFleetBackend::spawn(agents(6), &RpcMeshConfig::shard_count(2))
+            .expect("spawn");
         let schedule = [true; 3];
         let load = |_: RackId, _: usize| Watts::from_kilowatts(6.0);
         single.step_schedule(Seconds::new(1.0), &schedule, &load);
@@ -628,8 +517,7 @@ mod tests {
             })
             .collect();
         let mut sharded =
-            ShardedRpcFleetBackend::spawn(fleet, &RpcMeshConfig::shard_count(3), None)
-                .expect("spawn");
+            ShardedRpcFleetBackend::spawn(fleet, &RpcMeshConfig::shard_count(3)).expect("spawn");
         let load =
             |rack: RackId, _: usize| Watts::from_kilowatts(4.0 + 0.1 * f64::from(rack.index()));
         let per_rack = |bus: &dyn AgentBus| -> Vec<PowerReading> {
@@ -658,9 +546,8 @@ mod tests {
 
     #[test]
     fn buffered_commands_flush_at_step_start() {
-        let mut sharded =
-            ShardedRpcFleetBackend::spawn(agents(4), &RpcMeshConfig::shard_count(2), None)
-                .expect("spawn");
+        let mut sharded = ShardedRpcFleetBackend::spawn(agents(4), &RpcMeshConfig::shard_count(2))
+            .expect("spawn");
         sharded
             .bus_mut()
             .set_charge_override(RackId::new(0), Amperes::MAX_CHARGE);
@@ -697,54 +584,32 @@ mod tests {
         );
     }
 
+    /// A shard larger than one readings frame is refused at spawn rather
+    /// than left to read as unreachable on every tick; split over two
+    /// shards, the same fleet reads in full.
     #[test]
-    fn leaf_mode_coordinates_without_rack_commands() {
-        let spec = LeafControlSpec {
-            limit: Watts::from_kilowatts(190.0),
-            strategy: Strategy::PriorityAware,
-            allow_postponing: false,
-        };
-        let mut backend = ShardedRpcFleetBackend::spawn(
-            agents(4),
-            &RpcMeshConfig::shard_count(2).with_leaf_control(),
-            Some(spec),
-        )
-        .expect("spawn");
-        assert_eq!(backend.name(), "rpc-sharded-leaf");
+    fn spawn_refuses_a_shard_beyond_one_readings_frame() {
+        let racks = MAX_READINGS_PER_FRAME as u32 + 1;
+        let lone = agents(racks);
+        match ShardedRpcFleetBackend::spawn(lone, &RpcMeshConfig::default()) {
+            Err(err) => {
+                assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+                let message = err.to_string();
+                assert!(message.contains("shard 0"), "{message}");
+                assert!(
+                    message.contains(&MAX_READINGS_PER_FRAME.to_string()),
+                    "{message}"
+                );
+            }
+            Ok(_) => panic!("a {racks}-rack shard must be refused"),
+        }
 
-        // Discharge, then recharge under hosted leaf control.
-        let load = |_: RackId, _: usize| Watts::from_kilowatts(6.0);
-        backend.step_schedule(Seconds::new(60.0), &[false], &load);
-        for s in 1..60u32 {
-            backend.step_schedule(Seconds::new(1.0), &[true], &load);
-            let report = backend
-                .hosted_control_tick(SimTime::from_secs(f64::from(s)))
-                .expect("leaf tick");
-            assert!(report.it_load > Watts::ZERO);
-        }
-        for i in 0..4u32 {
-            let rack = RackId::new(i);
-            assert!(backend.is_coordinated(rack), "{rack} not coordinated");
-            let overridden = backend
-                .with_agent(rack, |a| {
-                    a.battery().bbu().charger().override_current().is_some()
-                })
-                .unwrap();
-            assert!(overridden, "{rack} has no leaf override");
-        }
-    }
-
-    #[test]
-    fn spawn_rejects_leaf_control_without_spec() {
-        let result = crate::backend::spawn_mesh(
-            agents(2),
-            &RpcMeshConfig::shard_count(2).with_leaf_control(),
-            None,
-        );
-        match result {
-            Err(err) => assert_eq!(err.kind(), io::ErrorKind::InvalidInput),
-            Ok(_) => panic!("leaf_control without a spec must be rejected"),
-        }
+        let mut split =
+            ShardedRpcFleetBackend::spawn(agents(racks), &RpcMeshConfig::shard_count(2))
+                .expect("spawn");
+        let mut readings = Vec::new();
+        split.bus_mut().read_all(&mut readings);
+        assert_eq!(readings.len(), racks as usize);
     }
 
     #[test]

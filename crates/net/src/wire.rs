@@ -4,14 +4,15 @@
 //! followed by the payload. A payload is
 //!
 //! ```text
-//! [ version: u8 = 3 ][ request id: u64 LE ][ opcode: u8 ][ body ... ]
+//! [ version: u8 = 4 ][ request id: u64 LE ][ opcode: u8 ][ body ... ]
 //! ```
 //!
 //! Every rack-facing op is batched: one frame reads or commands all of a
 //! server's racks. Version 1 also carried per-rack ops (requests
-//! `0x02`–`0x08`, replies `0x82`–`0x84`), and version 2 agent-side
-//! controller fencing and snapshot storage (requests `0x0D`–`0x0F`, replies
-//! `0x89`–`0x8B`); those opcode bytes are retired and decode as
+//! `0x02`–`0x08`, replies `0x82`–`0x84`), version 2 agent-side controller
+//! fencing and snapshot storage (requests `0x0D`–`0x0F`, replies
+//! `0x89`–`0x8B`), and version 3 a server-hosted leaf control tick (request
+//! `0x0B`, reply `0x87`); those opcode bytes are retired and decode as
 //! [`WireError::BadOpcode`].
 //!
 //! The request id is chosen by the client and echoed verbatim in the reply,
@@ -29,16 +30,22 @@
 
 use recharge_battery::BbuState;
 use recharge_dynamo::PowerReading;
-use recharge_units::{Amperes, Dod, Priority, RackId, SimTime, Watts};
+use recharge_units::{Amperes, Dod, Priority, RackId, Watts};
 
 /// Protocol version carried in every payload; peers reject mismatches.
-pub const PROTOCOL_VERSION: u8 = 3;
+pub const PROTOCOL_VERSION: u8 = 4;
 
-/// Default upper bound on a frame payload; anything larger is treated as a
-/// corrupt stream and the connection is dropped. Batched reading frames for
-/// very large fleets can legitimately exceed this — the cap is a knob on
-/// [`RpcMeshConfig`](crate::backend::RpcMeshConfig::max_frame_len).
+/// Upper bound on a frame payload, enforced by every mesh server and client;
+/// anything larger is treated as a corrupt stream and the connection is
+/// dropped.
 pub const MAX_FRAME_LEN: u32 = 1 << 20;
+
+/// The most rows one `ReadAllReadings` reply carries within
+/// [`MAX_FRAME_LEN`]: the frame holds the header, a `u32` count and one
+/// fixed-size row per rack. The mesh refuses to spawn a larger shard, whose
+/// every read would be dropped as oversize.
+pub const MAX_READINGS_PER_FRAME: usize =
+    (MAX_FRAME_LEN as usize - HEADER_BYTES - 4) / READING_WIRE_BYTES;
 
 /// One controller command inside a [`Request::ApplyCommandBatch`] frame.
 ///
@@ -73,22 +80,6 @@ impl AgentCommand {
     }
 }
 
-/// Per-group aggregates reported by a server-hosted leaf control tick — the
-/// only telemetry that crosses the wire in leaf-in-server mode.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct GroupAggregate {
-    /// Sum of powered racks' IT load.
-    pub it_load: Watts,
-    /// Sum of powered racks' recharge draw.
-    pub recharge_power: Watts,
-    /// Sum of server power shed to caps.
-    pub capped_power: Watts,
-    /// Charge-current overrides the leaf sent this tick.
-    pub overrides_sent: u32,
-    /// Racks the leaf throttled this tick.
-    pub racks_throttled: u32,
-}
-
 /// A live-health snapshot served by an agent server — the payload of the
 /// mesh's observability plane. The numeric fields are the cheap
 /// at-a-glance summary; `text` carries the full metrics registry in the
@@ -116,16 +107,6 @@ pub enum Request {
     /// Apply a batch of commands in one round trip; renews each addressed
     /// rack's coordination lease.
     ApplyCommandBatch(Vec<AgentCommand>),
-    /// Run the server-hosted leaf control tick at simulation time `now`,
-    /// optionally re-budgeting the leaf's power limit first. Renews every
-    /// hosted rack's coordination lease.
-    TickLeaf {
-        /// The controller's current simulation time.
-        now: SimTime,
-        /// Power budget assigned by the upper tier for this tick; `None`
-        /// keeps the leaf's configured limit.
-        budget: Option<Watts>,
-    },
     /// Read the server's live health snapshot (registry metrics plus lease
     /// and hosting summary). Deliberately lease-neutral: scraping health
     /// must never keep a dead controller's coordination alive.
@@ -142,8 +123,6 @@ pub enum Response {
     /// Reply to [`Request::ApplyCommandBatch`]: commands applied (addressed
     /// racks actually hosted here).
     BatchAck(u32),
-    /// Reply to [`Request::TickLeaf`].
-    GroupAggregate(GroupAggregate),
     /// Reply to [`Request::ReadHealth`].
     Health(HealthReport),
 }
@@ -160,9 +139,8 @@ pub enum WireError {
     /// An enum discriminant outside its legal range.
     BadEnum(&'static str, u8),
     /// A number outside its field's legal domain: a DOD outside `[0, 1]`
-    /// (NaN included), a non-finite override current, tick time or leaf
-    /// budget, or a non-finite or negative cap limit. Carries the field's
-    /// name.
+    /// (NaN included), a non-finite override current, or a non-finite or
+    /// negative cap limit. Carries the field's name.
     BadValue(&'static str),
     /// Trailing bytes after a complete message.
     TrailingBytes,
@@ -197,20 +175,19 @@ impl core::fmt::Display for WireError {
 
 impl std::error::Error for WireError {}
 
-// Request opcodes. 0x02–0x08 (version 1's per-rack ops) and 0x0D–0x0F
-// (version 2's fenced batch and snapshot store/fetch) are retired and never
-// reassigned, so a stray old frame cannot decode as a different op.
+// Request opcodes. 0x02–0x08 (version 1's per-rack ops), 0x0D–0x0F
+// (version 2's fenced batch and snapshot store/fetch) and 0x0B (version 3's
+// leaf tick) are retired and never reassigned, so a stray old frame cannot
+// decode as a different op.
 const OP_LIST_RACKS: u8 = 0x01;
 const OP_READ_ALL: u8 = 0x09;
 const OP_APPLY_BATCH: u8 = 0x0A;
-const OP_TICK_LEAF: u8 = 0x0B;
 const OP_READ_HEALTH: u8 = 0x0C;
-// Response opcodes (high bit set); 0x82–0x84 and 0x89–0x8B are retired
+// Response opcodes (high bit set); 0x82–0x84, 0x89–0x8B and 0x87 are retired
 // likewise.
 const OP_RACKS: u8 = 0x81;
 const OP_READINGS: u8 = 0x85;
 const OP_BATCH_ACK: u8 = 0x86;
-const OP_GROUP_AGGREGATE: u8 = 0x87;
 const OP_HEALTH: u8 = 0x88;
 
 // Command tags inside an `ApplyCommandBatch` body.
@@ -220,6 +197,8 @@ const CMD_SET_POSTPONED: u8 = 2;
 const CMD_CAP: u8 = 3;
 const CMD_UNCAP: u8 = 4;
 
+/// Encoded size of a payload header: version u8, request id u64, opcode u8.
+const HEADER_BYTES: usize = 1 + 8 + 1;
 /// Encoded size of one [`PowerReading`] in a batched frame: rack u32,
 /// priority u8, present u8, five f64 fields, bbu state u8.
 const READING_WIRE_BYTES: usize = 4 + 1 + 1 + 8 * 5 + 1;
@@ -439,14 +418,6 @@ fn get_command(r: &mut Reader<'_>) -> Result<AgentCommand, WireError> {
     }
 }
 
-fn put_aggregate(w: &mut Writer, aggregate: &GroupAggregate) {
-    w.f64(aggregate.it_load.as_watts());
-    w.f64(aggregate.recharge_power.as_watts());
-    w.f64(aggregate.capped_power.as_watts());
-    w.u32(aggregate.overrides_sent);
-    w.u32(aggregate.racks_throttled);
-}
-
 fn put_health(w: &mut Writer, health: &HealthReport) {
     w.u32(health.shard);
     w.u32(health.racks);
@@ -472,16 +443,6 @@ fn get_health(r: &mut Reader<'_>) -> Result<HealthReport, WireError> {
         racks,
         coordinated,
         text,
-    })
-}
-
-fn get_aggregate(r: &mut Reader<'_>) -> Result<GroupAggregate, WireError> {
-    Ok(GroupAggregate {
-        it_load: Watts::new(r.f64()?),
-        recharge_power: Watts::new(r.f64()?),
-        capped_power: Watts::new(r.f64()?),
-        overrides_sent: r.u32()?,
-        racks_throttled: r.u32()?,
     })
 }
 
@@ -515,17 +476,6 @@ pub fn encode_request(id: u64, request: &Request) -> Vec<u8> {
                 put_command(&mut w, command);
             }
         }
-        Request::TickLeaf { now, budget } => {
-            header(&mut w, id, OP_TICK_LEAF);
-            w.f64(now.as_secs());
-            match budget {
-                Some(budget) => {
-                    w.u8(1);
-                    w.f64(budget.as_watts());
-                }
-                None => w.u8(0),
-            }
-        }
         Request::ReadHealth => header(&mut w, id, OP_READ_HEALTH),
     }
     w.0
@@ -549,15 +499,6 @@ pub fn decode_request(payload: &[u8]) -> Result<(u64, Request), WireError> {
                 commands.push(get_command(&mut r)?);
             }
             Request::ApplyCommandBatch(commands)
-        }
-        OP_TICK_LEAF => {
-            let now = SimTime::from_secs(r.checked_f64("tick time", f64::is_finite)?);
-            let budget = match r.u8()? {
-                0 => None,
-                1 => Some(Watts::new(r.checked_f64("leaf budget", f64::is_finite)?)),
-                v => return Err(WireError::BadEnum("option", v)),
-            };
-            Request::TickLeaf { now, budget }
         }
         OP_READ_HEALTH => Request::ReadHealth,
         op => return Err(WireError::BadOpcode(op)),
@@ -588,10 +529,6 @@ pub fn encode_response(id: u64, response: &Response) -> Vec<u8> {
         Response::BatchAck(applied) => {
             header(&mut w, id, OP_BATCH_ACK);
             w.u32(*applied);
-        }
-        Response::GroupAggregate(aggregate) => {
-            header(&mut w, id, OP_GROUP_AGGREGATE);
-            put_aggregate(&mut w, aggregate);
         }
         Response::Health(health) => {
             header(&mut w, id, OP_HEALTH);
@@ -630,7 +567,6 @@ pub fn decode_response(payload: &[u8]) -> Result<(u64, Response), WireError> {
             Response::Readings(readings)
         }
         OP_BATCH_ACK => Response::BatchAck(r.u32()?),
-        OP_GROUP_AGGREGATE => Response::GroupAggregate(get_aggregate(&mut r)?),
         OP_HEALTH => Response::Health(get_health(&mut r)?),
         op => return Err(WireError::BadOpcode(op)),
     };
@@ -671,14 +607,6 @@ mod tests {
                 AgentCommand::CapServers(RackId::new(3), Watts::from_kilowatts(5.5)),
                 AgentCommand::UncapServers(RackId::new(4)),
             ]),
-            Request::TickLeaf {
-                now: SimTime::from_secs(612.0),
-                budget: None,
-            },
-            Request::TickLeaf {
-                now: SimTime::from_secs(613.0),
-                budget: Some(Watts::from_kilowatts(47.5)),
-            },
             Request::ReadHealth,
         ]
     }
@@ -691,13 +619,6 @@ mod tests {
             Response::Readings(vec![reading(), reading()]),
             Response::Readings(Vec::new()),
             Response::BatchAck(7),
-            Response::GroupAggregate(GroupAggregate {
-                it_load: Watts::from_kilowatts(84.0),
-                recharge_power: Watts::new(2_801.000_000_001),
-                capped_power: Watts::new(17.25),
-                overrides_sent: 14,
-                racks_throttled: 3,
-            }),
             Response::Health(HealthReport {
                 shard: 3,
                 racks: 12,
@@ -765,9 +686,9 @@ mod tests {
 
     #[test]
     fn retired_opcodes_are_rejected_without_panicking() {
-        // Version 1's per-rack ops and version 2's fenced-batch and snapshot
-        // ops must never decode again, whatever body follows the opcode: a
-        // stray frame is a typed error, not a panic.
+        // Version 1's per-rack ops, version 2's fenced-batch and snapshot ops
+        // and version 3's leaf tick must never decode again, whatever body
+        // follows the opcode: a stray frame is a typed error, not a panic.
         let frame = |op: u8, body_len: usize| {
             let mut payload = vec![PROTOCOL_VERSION];
             payload.extend_from_slice(&7u64.to_le_bytes());
@@ -776,14 +697,14 @@ mod tests {
             payload
         };
         for body_len in [0, 1, 4, 5, 12, 13, 47, 48, 64] {
-            for op in (0x02..=0x08u8).chain(0x0D..=0x0F) {
+            for op in (0x02..=0x08u8).chain([0x0B]).chain(0x0D..=0x0F) {
                 assert_eq!(
                     decode_request(&frame(op, body_len)),
                     Err(WireError::BadOpcode(op)),
                     "request opcode {op:#04x} with a {body_len}-byte body"
                 );
             }
-            for op in (0x82..=0x84u8).chain(0x89..=0x8B) {
+            for op in (0x82..=0x84u8).chain([0x87]).chain(0x89..=0x8B) {
                 assert_eq!(
                     decode_response(&frame(op, body_len)),
                     Err(WireError::BadOpcode(op)),
@@ -796,8 +717,8 @@ mod tests {
     #[test]
     fn corrupt_payloads_are_rejected() {
         assert_eq!(decode_request(&[]), Err(WireError::Truncated));
-        // Wrong version byte, including peers still speaking versions 1 or 2.
-        for version in [1, 2, 99] {
+        // Wrong version byte, including peers still speaking versions 1–3.
+        for version in [1, 2, 3, 99] {
             let mut payload = encode_request(1, &Request::ListRacks);
             payload[0] = version;
             assert_eq!(
@@ -812,10 +733,10 @@ mod tests {
         // Truncated body.
         let payload = encode_request(
             1,
-            &Request::TickLeaf {
-                now: SimTime::from_secs(3.0),
-                budget: Some(Watts::from_kilowatts(1.0)),
-            },
+            &Request::ApplyCommandBatch(vec![AgentCommand::SetChargeOverride(
+                RackId::new(2),
+                Amperes::MAX_CHARGE,
+            )]),
         );
         assert_eq!(
             decode_request(&payload[..payload.len() - 1]),
@@ -913,6 +834,14 @@ mod tests {
         );
         let empty = encode_request(0, &Request::ApplyCommandBatch(Vec::new()));
         assert_eq!(lone.len() - empty.len(), COMMAND_WIRE_MIN_BYTES);
+        // A reply of `MAX_READINGS_PER_FRAME` rows fits the frame cap; one
+        // more row does not.
+        let mut rows = vec![reading(); MAX_READINGS_PER_FRAME];
+        let full = encode_response(0, &Response::Readings(rows.clone()));
+        assert!(full.len() <= MAX_FRAME_LEN as usize, "{} bytes", full.len());
+        rows.push(reading());
+        let over = encode_response(0, &Response::Readings(rows));
+        assert!(over.len() > MAX_FRAME_LEN as usize, "{} bytes", over.len());
     }
 
     #[test]
@@ -968,12 +897,10 @@ mod tests {
             OP_LIST_RACKS,
             OP_READ_ALL,
             OP_APPLY_BATCH,
-            OP_TICK_LEAF,
             OP_READ_HEALTH,
             OP_RACKS,
             OP_READINGS,
             OP_BATCH_ACK,
-            OP_GROUP_AGGREGATE,
             OP_HEALTH,
         ];
         let mut rng = StdRng::seed_from_u64(0x5EED_F00D);
@@ -999,7 +926,7 @@ mod tests {
     }
 
     fn random_request(rng: &mut StdRng, op: u64) -> Request {
-        match op % 5 {
+        match op % 4 {
             0 => Request::ListRacks,
             1 => Request::ReadAllReadings,
             2 => Request::ApplyCommandBatch(
@@ -1021,16 +948,12 @@ mod tests {
                     })
                     .collect(),
             ),
-            3 => Request::TickLeaf {
-                now: SimTime::from_secs(rng.gen_range(-1e6..1e6)),
-                budget: rng.gen_bool(0.5).then(|| random_watts(rng)),
-            },
             _ => Request::ReadHealth,
         }
     }
 
     fn random_response(rng: &mut StdRng, op: u64) -> Response {
-        match op % 5 {
+        match op % 4 {
             0 => Response::Racks(
                 (0..rng.gen_range(0..6usize))
                     .map(|_| RackId::new(rng.next_u32()))
@@ -1057,13 +980,6 @@ mod tests {
                     .collect(),
             ),
             2 => Response::BatchAck(rng.next_u32()),
-            3 => Response::GroupAggregate(GroupAggregate {
-                it_load: random_watts(rng),
-                recharge_power: random_watts(rng),
-                capped_power: random_watts(rng),
-                overrides_sent: rng.next_u32(),
-                racks_throttled: rng.next_u32(),
-            }),
             _ => Response::Health(HealthReport {
                 shard: rng.next_u32(),
                 racks: rng.next_u32(),
@@ -1143,22 +1059,6 @@ mod tests {
                 Err(WireError::BadValue("cap limit")),
                 "cap limit = {bad}"
             );
-        }
-        let (now, budget) = (612.5, 47_500.5);
-        let tick = Request::TickLeaf {
-            now: SimTime::from_secs(now),
-            budget: Some(Watts::new(budget)),
-        };
-        for (field, old) in [("tick time", now), ("leaf budget", budget)] {
-            for bad in [f64::NAN, f64::INFINITY] {
-                let mut payload = encode_request(1, &tick);
-                patch_f64(&mut payload, old, bad);
-                assert_eq!(
-                    decode_request(&payload),
-                    Err(WireError::BadValue(field)),
-                    "{field} = {bad}"
-                );
-            }
         }
         assert_eq!(
             WireError::BadValue("event_dod").to_string(),

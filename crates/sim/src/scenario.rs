@@ -224,9 +224,7 @@ impl Scenario {
     /// tick. The default is one server for the whole fleet; a shard plan
     /// ([`RpcMeshConfig::shard_count`] / `sharded_by_rpp`) runs one server
     /// per shard with concurrent fan-out, still bit-identical under a clean
-    /// link; with `with_leaf_control` the leaf tier additionally runs
-    /// *inside* each shard's server and only per-group aggregates and
-    /// budgets cross the wire.
+    /// link. The controller stays on the simulator's side of the wire.
     ///
     /// [`spawn_mesh`]: recharge_net::spawn_mesh
     /// [`RpcMeshConfig::shard_count`]: recharge_net::RpcMeshConfig::shard_count

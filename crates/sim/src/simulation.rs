@@ -107,16 +107,7 @@ impl FleetSimulation {
         // them (for the mesh: under a clean link).
         let mut backend: Box<dyn FleetBackend> = match &self.scenario.rpc {
             Some(mesh) => {
-                // A leaf spec travels along even when leaf hosting is off:
-                // `spawn_mesh` only installs server-side controllers when the
-                // config asks for them.
-                let leaf = recharge_net::LeafControlSpec {
-                    limit: self.scenario.power_limit,
-                    strategy: self.scenario.strategy,
-                    allow_postponing: self.scenario.allow_postponing,
-                };
-                recharge_net::spawn_mesh(agents, mesh, Some(leaf))
-                    .expect("spawning the RPC mesh backend")
+                recharge_net::spawn_mesh(agents, mesh, None).expect("spawning the RPC mesh backend")
             }
             None => self.scenario.backend.build(agents),
         };
@@ -179,7 +170,7 @@ impl FleetSimulation {
                 t_sub += tick;
             }
             // Anchor ambient flight-recorder time even when no controller
-            // runs (unmitigated or leaf-hosted ticks).
+            // runs (unmitigated ticks).
             recharge_telemetry::set_flight_now(now.as_secs());
 
             // Drive the physical layer through the whole schedule.
@@ -188,14 +179,10 @@ impl FleetSimulation {
             });
             let readings = backend.readings();
 
-            // Control plane (or raw aggregation when unmitigated). A backend
-            // hosting the leaf tier (sharded mesh with in-server leaf
-            // control) runs the control tick itself — only aggregates come
-            // back — otherwise the simulator's own controller drives the bus.
+            // Control plane (or raw aggregation when unmitigated): the HA
+            // set's leader or the simulator's own controller drives the bus.
             let (it_load, recharge, capped) = if self.mitigated {
-                if let Some(report) = backend.hosted_control_tick(now) {
-                    (report.it_load, report.recharge_power, report.capped_power)
-                } else if let Some(set) = ha_set.as_mut() {
+                if let Some(set) = ha_set.as_mut() {
                     // The interval ends at sim tick (due + 1) * control_every;
                     // that is the instant the leader's lease renews.
                     let tick_now = (due + 1) * control_every as u64;

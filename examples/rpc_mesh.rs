@@ -34,7 +34,7 @@ fn main() {
     // 150 and rejoins at the first contact after 240.
     let mesh =
         RpcMeshConfig::with_fault(FaultPlan::partitions_only(vec![Partition::all(120, 240)]));
-    let mut backend = ShardedRpcFleetBackend::spawn(agents, &mesh, None).expect("spawning");
+    let mut backend = ShardedRpcFleetBackend::spawn(agents, &mesh).expect("spawning");
     let host = std::sync::Arc::clone(backend.host(0));
     println!(
         "mesh up: {} server(s), {} racks\n",

@@ -1,8 +1,10 @@
 //! End-to-end scenario tests asserting the paper's headline claims on small
 //! (debug-friendly) fleets.
 
-use recharge::battery::ChargePolicy;
-use recharge::dynamo::Strategy;
+use recharge::battery::{BbuState, ChargePolicy};
+use recharge::dynamo::{FleetBackend, HierarchicalControl, SimRackAgent, SoaBackend, Strategy};
+use recharge::net::{RpcMeshConfig, ShardPlan, ShardedRpcFleetBackend};
+use recharge::power::facebook;
 use recharge::prelude::*;
 use recharge::sim::{DischargeLevel, Scenario};
 
@@ -202,4 +204,79 @@ fn sla_outcomes_are_consistent_with_budgets() {
             assert!(!outcome.sla_met);
         }
     }
+}
+
+/// The deployed two-level hierarchy (§IV-C) drives a fleet across the wire
+/// exactly as it drives one in memory. `HierarchicalControl` over a 56-rack
+/// MSB (a scoped leaf per 4-rack RPP, a monitor per SB and on the MSB) runs
+/// a per-RPP mesh and the SoA engine through a 90 s open transition and the
+/// recharge after it; every tick the readings, the capped power and the
+/// leaves' commanded currents agree exactly.
+///
+/// The fleet is uncontended, so no monitor ever overrides a leaf: when one
+/// does, a leaf's uncap can land after the monitor's snapshot read over the
+/// wire but before it in memory (see ROADMAP, campus item).
+#[test]
+fn hierarchy_over_a_per_rpp_mesh_equals_in_memory() {
+    let plan = facebook::single_msb_with_row_size(56, 4);
+    let fleet = || -> Vec<SimRackAgent> {
+        plan.racks
+            .iter()
+            .map(|&rack| {
+                SimRackAgent::builder(rack, Priority::ALL[(rack.index() % 3) as usize])
+                    .offered_load(Watts::from_kilowatts(6.0))
+                    .build()
+            })
+            .collect()
+    };
+    let per_rpp = RpcMeshConfig {
+        shards: ShardPlan::ByRpp { racks_per_rpp: 4 },
+        ..RpcMeshConfig::default()
+    };
+    let mut mesh = ShardedRpcFleetBackend::spawn(fleet(), &per_rpp).expect("spawning the mesh");
+    assert_eq!(mesh.shard_count(), plan.rpps.len());
+    let mut memory = SoaBackend::new(fleet());
+    let hierarchy = || HierarchicalControl::from_topology(&plan.topology, Strategy::PriorityAware);
+    let (mut over_wire, mut in_memory) = (hierarchy(), hierarchy());
+
+    let load = |rack: RackId, _: usize| Watts::from_kilowatts(5.0 + 0.05 * f64::from(rack.index()));
+    let outage_ticks = 90;
+    let mut most_commanded = 0;
+    let mut recharged = false;
+    for s in 0..3_600u32 {
+        let powered = [s >= outage_ticks];
+        mesh.step_schedule(Seconds::new(1.0), &powered, &load);
+        memory.step_schedule(Seconds::new(1.0), &powered, &load);
+        let readings = memory.readings();
+        assert_eq!(mesh.readings(), readings, "readings at tick {s}");
+
+        let now = SimTime::from_secs(f64::from(s));
+        assert_eq!(
+            over_wire.tick(now, mesh.bus_mut()),
+            in_memory.tick(now, memory.bus_mut()),
+            "capped power at tick {s}"
+        );
+        let commanded = in_memory.commanded_currents();
+        assert_eq!(
+            over_wire.commanded_currents(),
+            commanded,
+            "commanded currents at tick {s}"
+        );
+        most_commanded = most_commanded.max(commanded.len());
+
+        if s > outage_ticks
+            && readings
+                .iter()
+                .all(|r| r.bbu_state == BbuState::FullyCharged)
+        {
+            recharged = true;
+            break;
+        }
+    }
+    assert!(recharged, "the fleet must recharge within the hour");
+    assert_eq!(
+        most_commanded,
+        plan.racks.len(),
+        "every leaf must coordinate its whole row"
+    );
 }

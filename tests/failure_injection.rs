@@ -200,7 +200,7 @@ fn controller_partition_during_recharge_falls_back_then_rejoins() {
     // lease (30 ticks) expires mid-recharge.
     let mesh =
         RpcMeshConfig::with_fault(FaultPlan::partitions_only(vec![Partition::all(120, 240)]));
-    let mut backend = ShardedRpcFleetBackend::spawn(agents, &mesh, None).expect("spawning");
+    let mut backend = ShardedRpcFleetBackend::spawn(agents, &mesh).expect("spawning");
     assert_eq!(backend.shard_count(), 1);
     let host = std::sync::Arc::clone(backend.host(0));
     let racks: Vec<RackId> = (0..4).map(RackId::new).collect();
@@ -309,7 +309,7 @@ fn single_shard_partition_degrades_only_that_shard() {
             240,
             shard0_racks.clone(),
         )]));
-    let mut backend = ShardedRpcFleetBackend::spawn(agents, &mesh, None).expect("spawning");
+    let mut backend = ShardedRpcFleetBackend::spawn(agents, &mesh).expect("spawning");
     let shard1_racks: Vec<RackId> = (2..4).map(RackId::new).collect();
     let mut controller = Controller::new(
         ControllerConfig::new(DeviceId::new(0), Watts::from_kilowatts(190.0)),
