@@ -380,6 +380,7 @@ impl SoaShard {
     }
 
     /// `SimRackAgent::read` over array state.
+    #[inline]
     fn read(&self, slot: usize) -> PowerReading {
         let flags = self.flags[slot];
         let input = flags & FLAG_INPUT_POWER != 0;

@@ -1,11 +1,12 @@
 //! The `AgentBus::read_all` contract: every bus that overrides the bulk read
 //! must return exactly `racks().filter_map(read)`, in that order.
 
-use recharge_battery::ChargePolicy;
+use recharge_battery::{BbuState, ChargePolicy};
 use recharge_dynamo::{
-    AgentBus, FleetBackend, InMemoryBus, PowerReading, RackAgent, SimRackAgent, SoaBackend,
+    AgentBus, FleetBackend, InMemoryBus, PowerReading, RackAgent, SerialBackend, SimRackAgent,
+    SoaBackend,
 };
-use recharge_units::{Priority, RackId, Seconds, Watts};
+use recharge_units::{Amperes, Priority, RackId, Seconds, Watts};
 
 /// A mixed fleet with ids out of fleet order: two charge policies
 /// interleaved, so the SoA grouping pass puts racks into shard slots in an
@@ -115,4 +116,128 @@ fn sharded_event_backend_reads_sleeping_racks() {
     for shards in [1, 2, 4] {
         check_event_backend(&mut SoaBackend::event_sharded(fleet(9), shards));
     }
+}
+
+/// A homogeneous fleet (one charge policy, as in every scenario) with ids
+/// out of fleet order: the grouping pass keeps fleet order, so each shard's
+/// slots are a contiguous run of the fleet.
+fn homogeneous(n: u32) -> Vec<SimRackAgent> {
+    (0..n)
+        .map(|i| {
+            SimRackAgent::builder(RackId::new((i * 7) % n), Priority::ALL[(i % 3) as usize])
+                .offered_load(Watts::from_kilowatts(5.0 + 0.2 * f64::from(i)))
+                .build()
+        })
+        .collect()
+}
+
+/// Every field of a reading as bits, so `-0.0` and `0.0` (or two NaNs)
+/// cannot compare equal by accident.
+type ReadingBits = (u32, u8, bool, u64, u64, BbuState, u64, u64, u64);
+
+fn bits(readings: &[PowerReading]) -> Vec<ReadingBits> {
+    readings
+        .iter()
+        .map(|r| {
+            (
+                r.rack.index(),
+                r.priority.rank(),
+                r.input_power_present,
+                r.it_load.as_watts().to_bits(),
+                r.recharge_power.as_watts().to_bits(),
+                r.bbu_state,
+                r.event_dod.value().to_bits(),
+                r.dod.value().to_bits(),
+                r.capped_power.as_watts().to_bits(),
+            )
+        })
+        .collect()
+}
+
+/// The serial oracle and the engines under test, driven in lockstep.
+struct Lockstep {
+    oracle: SerialBackend,
+    engines: Vec<SoaBackend>,
+}
+
+impl Lockstep {
+    /// Applies `command` to every bus, steps every backend through
+    /// `schedule`, then checks every read path of each engine against the
+    /// oracle's readings, field by field.
+    fn drive(
+        &mut self,
+        stage: &str,
+        dt: f64,
+        schedule: &[bool],
+        command: impl Fn(&mut dyn AgentBus),
+    ) {
+        command(self.oracle.bus_mut());
+        self.oracle.step_schedule(Seconds::new(dt), schedule, &load);
+        let expected = bits(&self.oracle.readings());
+        for engine in &mut self.engines {
+            command(engine);
+            engine.step_schedule(Seconds::new(dt), schedule, &load);
+            let name = engine.name();
+            let mut bulk = Vec::new();
+            engine.read_all(&mut bulk);
+            let per_rack: Vec<PowerReading> = AgentBus::racks(engine)
+                .into_iter()
+                .filter_map(|r| AgentBus::read(engine, r))
+                .collect();
+            assert_eq!(bits(&bulk), expected, "{stage}: {name} read_all");
+            assert_eq!(
+                bits(&FleetBackend::readings(engine)),
+                expected,
+                "{stage}: {name} readings()"
+            );
+            assert_eq!(bits(&per_rack), expected, "{stage}: {name} per-rack read");
+        }
+    }
+}
+
+/// The readout of homogeneous fleets, bit for bit against the serial
+/// oracle, on every SoA kind: through an outage, a recharge with capped,
+/// overridden and postponed racks, a long quiet stretch in which event mode
+/// puts racks to sleep, and commands that wake them.
+#[test]
+fn homogeneous_readout_matches_the_serial_oracle_bit_for_bit() {
+    const RACKS: u32 = 23;
+    let mut fleets = Lockstep {
+        oracle: SerialBackend::new(homogeneous(RACKS)),
+        engines: vec![
+            SoaBackend::new(homogeneous(RACKS)),
+            SoaBackend::sharded(homogeneous(RACKS), 2),
+            SoaBackend::sharded(homogeneous(RACKS), 4),
+            SoaBackend::event(homogeneous(RACKS)),
+            SoaBackend::event_sharded(homogeneous(RACKS), 2),
+        ],
+    };
+    assert_eq!(fleets.engines[2].shard_count(), 4);
+    fleets.drive("before any step", 1.0, &[], |_| {});
+    fleets.drive("outage", 20.0, &[false; 3], |_| {});
+    fleets.drive("recharge under commands", 30.0, &[true; 4], |bus| {
+        bus.cap_servers(RackId::new(3), Watts::from_kilowatts(4.0));
+        bus.cap_servers(RackId::new(11), Watts::from_kilowatts(1.0));
+        bus.set_charge_override(RackId::new(5), Amperes::new(1.5));
+        bus.set_charge_override(RackId::new(17), Amperes::new(9.0));
+        bus.set_charge_postponed(RackId::new(8), true);
+    });
+    fleets.drive("quiet", 30.0, &[true; 2_000], |_| {});
+    for engine in &fleets.engines[3..] {
+        assert!(
+            engine.substeps_skipped() > 0,
+            "{} never slept",
+            engine.name()
+        );
+    }
+    // An empty schedule reads the commands' effect before any step:
+    // CapServers moves `it_load` at once.
+    fleets.drive("commands on sleeping racks", 30.0, &[], |bus| {
+        bus.uncap_servers(RackId::new(11));
+        bus.cap_servers(RackId::new(20), Watts::from_kilowatts(2.0));
+        bus.clear_charge_override(RackId::new(5));
+        bus.set_charge_postponed(RackId::new(8), false);
+    });
+    fleets.drive("after the wake", 30.0, &[true; 3], |_| {});
+    fleets.drive("second outage", 10.0, &[true, false, false, true], |_| {});
 }

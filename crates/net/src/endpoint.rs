@@ -140,22 +140,18 @@ pub enum NetListener {
 }
 
 impl NetListener {
-    /// Binds to `endpoint` in non-blocking mode (the accept loop polls a
-    /// shutdown flag between attempts).
+    /// Binds to `endpoint`; [`accept`](Self::accept) blocks until a
+    /// connection arrives (a server wakes its own accept loop on shutdown
+    /// by connecting to it).
     pub fn bind(endpoint: &Endpoint) -> io::Result<Self> {
         match endpoint {
-            Endpoint::Tcp(addr) => {
-                let listener = TcpListener::bind(addr)?;
-                listener.set_nonblocking(true)?;
-                Ok(NetListener::Tcp(listener))
-            }
+            Endpoint::Tcp(addr) => Ok(NetListener::Tcp(TcpListener::bind(addr)?)),
             #[cfg(unix)]
             Endpoint::Unix(path) => {
                 // A stale socket file from a crashed prior run would make
                 // bind fail with AddrInUse; remove it first.
                 let _ = std::fs::remove_file(path);
                 let listener = UnixListener::bind(path)?;
-                listener.set_nonblocking(true)?;
                 Ok(NetListener::Unix(listener, path.clone()))
             }
             #[cfg(not(unix))]
@@ -175,21 +171,16 @@ impl NetListener {
         }
     }
 
-    /// Accepts one pending connection, or `WouldBlock` if none is queued.
+    /// Accepts one connection, blocking until one arrives.
     pub fn accept(&self) -> io::Result<NetStream> {
         match self {
             NetListener::Tcp(l) => {
                 let (stream, _) = l.accept()?;
                 stream.set_nodelay(true)?;
-                stream.set_nonblocking(false)?;
                 Ok(NetStream::Tcp(stream))
             }
             #[cfg(unix)]
-            NetListener::Unix(l, _) => {
-                let (stream, _) = l.accept()?;
-                stream.set_nonblocking(false)?;
-                Ok(NetStream::Unix(stream))
-            }
+            NetListener::Unix(l, _) => Ok(NetStream::Unix(l.accept()?.0)),
         }
     }
 }
@@ -333,7 +324,6 @@ pub fn recv_frame(
 mod tests {
     use super::*;
     use crate::wire::MAX_FRAME_LEN;
-    use std::thread;
 
     /// Extracts a [`WireError::FrameTooLarge`] from an I/O error produced by
     /// [`send_frame`] or [`recv_frame`], if that is what it carries.
@@ -348,15 +338,7 @@ mod tests {
         let listener = NetListener::bind(&Endpoint::loopback()).expect("bind");
         let endpoint = listener.local_endpoint().expect("endpoint");
         let client = NetStream::connect(&endpoint, Duration::from_secs(1)).expect("connect");
-        let server = loop {
-            match listener.accept() {
-                Ok(stream) => break stream,
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    thread::sleep(Duration::from_millis(1));
-                }
-                Err(e) => panic!("accept: {e}"),
-            }
-        };
+        let server = listener.accept().expect("accept");
         (client, server)
     }
 
@@ -536,15 +518,7 @@ mod tests {
         let listener = NetListener::bind(&endpoint).expect("bind");
         let bound = listener.local_endpoint().expect("endpoint");
         let mut client = NetStream::connect(&bound, Duration::from_secs(1)).expect("connect");
-        let mut server = loop {
-            match listener.accept() {
-                Ok(stream) => break stream,
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    thread::sleep(Duration::from_millis(1));
-                }
-                Err(e) => panic!("accept: {e}"),
-            }
-        };
+        let mut server = listener.accept().expect("accept");
         server
             .set_read_timeout(Some(Duration::from_millis(20)))
             .expect("timeout");

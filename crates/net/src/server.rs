@@ -26,12 +26,26 @@
 //! controller's first read, and a lease that expired during warm-up would
 //! otherwise inject a spurious fallback event into every run.
 //!
+//! The host keeps its agents' readings as of their last change. Every
+//! mutation under the host lock marks them stale (stepping or any other
+//! [`AgentHost::with_agents`] access, a command batch that lands, a lease
+//! fallback), and the next read refills them. The stepping side reads right
+//! after each step ([`AgentHost::readings`]), so a `ReadAllReadings` served
+//! from a handler thread copies those rows instead of walking the agents,
+//! which would pull their state into another core's cache just before the
+//! next physics step.
+//!
 //! [`AgentServer`] puts an [`AgentHost`] behind a TCP or Unix-domain
 //! listener: one accept thread, one handler thread per connection, all
-//! plain blocking I/O with short poll timeouts so shutdown is prompt.
+//! plain blocking I/O. The accept thread blocks in `accept` and a dropping
+//! server wakes it with a connection of its own; a handler returns as soon
+//! as its peer closes and otherwise re-checks the shutdown flag on a short
+//! read poll. So neither connecting nor a shutdown whose clients already
+//! hung up waits out a poll.
 
 use std::collections::HashMap;
 use std::io;
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
@@ -72,6 +86,31 @@ struct RackLease {
 struct HostState<A> {
     agents: Vec<A>,
     leases: Vec<RackLease>,
+    /// Every agent's reading as of its last change, in fleet order; valid
+    /// only while `stale` is false.
+    readings: Vec<PowerReading>,
+    stale: bool,
+}
+
+impl<A: RackAgent> HostState<A> {
+    /// The agents, to change: the one way to mutate them, so the cached
+    /// readings always go stale with them.
+    fn agents_mut(&mut self) -> &mut [A] {
+        self.stale = true;
+        &mut self.agents
+    }
+
+    /// The agents' current readings, refilled first if anything changed
+    /// since the last fill.
+    fn readings(&mut self) -> &[PowerReading] {
+        if self.stale {
+            self.readings.clear();
+            self.readings
+                .extend(self.agents.iter().map(RackAgent::read));
+            self.stale = false;
+        }
+        &self.readings
+    }
 }
 
 /// The racks hosted behind one server, with lease tracking.
@@ -105,7 +144,12 @@ impl<A: RackAgent> AgentHost<A> {
             agents.len()
         ];
         AgentHost {
-            state: Mutex::new(HostState { agents, leases }),
+            state: Mutex::new(HostState {
+                readings: Vec::with_capacity(agents.len()),
+                stale: true,
+                agents,
+                leases,
+            }),
             index_of,
             racks,
             clock,
@@ -145,17 +189,20 @@ impl<A: RackAgent> AgentHost<A> {
     }
 
     /// Runs `f` over the mutable agent slice (fleet order) — the stepping
-    /// hook for backends.
+    /// hook for backends. The cached readings go stale.
     pub fn with_agents<R>(&self, f: impl FnOnce(&mut [A]) -> R) -> R {
-        let mut state = self.lock();
-        f(&mut state.agents)
+        f(self.lock().agents_mut())
     }
 
     /// Post-step telemetry for every hosted rack, in fleet order.
     #[must_use]
     pub fn readings(&self) -> Vec<PowerReading> {
-        let state = self.lock();
-        state.agents.iter().map(RackAgent::read).collect()
+        self.lock().readings().to_vec()
+    }
+
+    /// Appends [`readings`](Self::readings) to `out`.
+    pub(crate) fn append_readings(&self, out: &mut Vec<PowerReading>) {
+        out.extend_from_slice(self.lock().readings());
     }
 
     /// Whether `rack` is currently coordinated (lease unexpired).
@@ -179,8 +226,9 @@ impl<A: RackAgent> AgentHost<A> {
                 state.leases[i].coordinated = false;
                 // Standalone: automatic variable-charger current, charging
                 // resumed. Caps stay (see module docs).
-                state.agents[i].clear_charge_override();
-                state.agents[i].set_charge_postponed(false);
+                let agent = &mut state.agents_mut()[i];
+                agent.clear_charge_override();
+                agent.set_charge_postponed(false);
                 tcounter!("net.standalone_fallbacks").inc();
                 flight_at(
                     now as f64,
@@ -229,7 +277,7 @@ impl<A: RackAgent> AgentHost<A> {
             let Some(&i) = self.index_of.get(&command.rack()) else {
                 continue;
             };
-            let agent = &mut state.agents[i];
+            let agent = &mut state.agents_mut()[i];
             match *command {
                 AgentCommand::SetChargeOverride(_, current) => agent.set_charge_override(current),
                 AgentCommand::ClearChargeOverride(_) => agent.clear_charge_override(),
@@ -272,9 +320,7 @@ impl<A: RackAgent> AgentHost<A> {
         }
         match request {
             Request::ListRacks => Response::Racks(self.racks.clone()),
-            Request::ReadAllReadings => {
-                Response::Readings(state.agents.iter().map(RackAgent::read).collect())
-            }
+            Request::ReadAllReadings => Response::Readings(state.readings().to_vec()),
             Request::ApplyCommandBatch(commands) => {
                 Response::BatchAck(self.apply_commands(&mut state, commands))
             }
@@ -291,8 +337,13 @@ impl<A: RackAgent> AgentHost<A> {
     }
 }
 
-/// Poll interval for accept and read loops; bounds shutdown latency.
+/// Read poll of a connection handler: how often a handler whose peer stays
+/// connected re-checks the shutdown flag.
 const POLL_INTERVAL: Duration = Duration::from_millis(10);
+
+/// Connect timeout of the connection a dropping server wakes its accept
+/// thread with.
+const WAKE_TIMEOUT: Duration = Duration::from_secs(1);
 
 /// An [`AgentHost`] behind a listening socket.
 ///
@@ -344,7 +395,24 @@ impl<A> Drop for AgentServer<A> {
     fn drop(&mut self) {
         self.shutdown.store(true, Ordering::SeqCst);
         if let Some(handle) = self.accept_thread.take() {
-            let _ = handle.join();
+            // Wake the blocking accept with a connection of our own; the loop
+            // sees the flag and returns. An unspecified TCP address is woken
+            // on loopback.
+            let mut wake = self.endpoint.clone();
+            if let Endpoint::Tcp(addr) = &mut wake {
+                if addr.ip().is_unspecified() {
+                    addr.set_ip(match addr.ip() {
+                        IpAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                        IpAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+                    });
+                }
+            }
+            let woken = NetStream::connect(&wake, WAKE_TIMEOUT).is_ok();
+            // A loop that could not be woken is left blocked rather than
+            // joined forever.
+            if woken || handle.is_finished() {
+                let _ = handle.join();
+            }
         }
     }
 }
@@ -355,8 +423,14 @@ fn accept_loop<A: RackAgent + Send + 'static>(
     shutdown: &Arc<AtomicBool>,
 ) {
     let mut handlers: Vec<JoinHandle<()>> = Vec::new();
-    while !shutdown.load(Ordering::SeqCst) {
-        match listener.accept() {
+    loop {
+        let accepted = listener.accept();
+        // After shutdown, the connection is the dropping server's wake-up
+        // (or a late client): either way, stop.
+        if shutdown.load(Ordering::SeqCst) {
+            break;
+        }
+        match accepted {
             Ok(stream) => {
                 tcounter!("net.rpc_server_accepts").inc();
                 let host = Arc::clone(host);
@@ -368,9 +442,6 @@ fn accept_loop<A: RackAgent + Send + 'static>(
                     Ok(handle) => handlers.push(handle),
                     Err(_) => continue,
                 }
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::sleep(POLL_INTERVAL);
             }
             Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
             Err(_) => break,
@@ -640,6 +711,167 @@ mod tests {
             panic!("expected health");
         };
         assert_eq!(health.coordinated, 1);
+    }
+
+    /// Every field of each reading as bits.
+    fn bits(readings: &[PowerReading]) -> Vec<[u64; 9]> {
+        readings
+            .iter()
+            .map(|r| {
+                [
+                    u64::from(r.rack.index()),
+                    u64::from(r.priority.rank()),
+                    u64::from(r.input_power_present),
+                    r.it_load.as_watts().to_bits(),
+                    r.recharge_power.as_watts().to_bits(),
+                    r.bbu_state as u64,
+                    r.event_dod.value().to_bits(),
+                    r.dod.value().to_bits(),
+                    r.capped_power.as_watts().to_bits(),
+                ]
+            })
+            .collect()
+    }
+
+    /// The agents' readings walked fresh, without touching the cache.
+    fn fresh(host: &AgentHost<SimRackAgent>) -> Vec<PowerReading> {
+        host.lock().agents.iter().map(RackAgent::read).collect()
+    }
+
+    /// The host's reading cache is never stale: a seeded loop interleaves
+    /// stepping, command batches of every kind, lease fallbacks, health
+    /// scrapes and both read paths, and every served row has the bits of a
+    /// fresh walk of the agents.
+    #[test]
+    fn cached_readings_are_never_stale() {
+        const RACKS: u32 = 6;
+        let host = host(RACKS, 4);
+        let mut rng = 0x5eed_u64;
+        let mut draw = |n: u64| rand::splitmix64(&mut rng) % n;
+        let mut power = true;
+        let (mut served, mut fallbacks) = (0, 0);
+        for round in 0..3_000 {
+            match draw(7) {
+                0 => {
+                    // One sub-step; outages are rare and short.
+                    power = if power { draw(40) != 0 } else { draw(3) == 0 };
+                    let load = Watts::from_kilowatts(4.0 + draw(40) as f64 * 0.1);
+                    host.with_agents(|agents| {
+                        for agent in agents.iter_mut() {
+                            agent.set_offered_load(load);
+                            agent.set_input_power(power);
+                            agent.step(Seconds::new(5.0));
+                        }
+                    });
+                }
+                1 | 2 => {
+                    let rack = RackId::new(draw(u64::from(RACKS) + 1) as u32);
+                    let command = match draw(5) {
+                        0 => AgentCommand::SetChargeOverride(rack, Amperes::new(draw(6) as f64)),
+                        1 => AgentCommand::ClearChargeOverride(rack),
+                        2 => AgentCommand::SetChargePostponed(rack, draw(2) == 0),
+                        3 => AgentCommand::CapServers(
+                            rack,
+                            Watts::from_kilowatts(2.0 + draw(50) as f64 * 0.1),
+                        ),
+                        _ => AgentCommand::UncapServers(rack),
+                    };
+                    let _ = host.readings(); // fill the cache before the batch
+                    host.handle(&batch(vec![command]));
+                    if let AgentCommand::CapServers(_, limit) = command {
+                        if let Some(i) = (rack.index() < RACKS).then_some(rack.index() as usize) {
+                            // A cap moves `it_load` at once, with no step between.
+                            let offered = host.lock().agents[i].offered_load();
+                            assert_eq!(host.readings()[i].it_load, offered.min(limit));
+                        }
+                    }
+                }
+                3 => {
+                    let coordinated = |host: &AgentHost<SimRackAgent>| {
+                        (0..RACKS)
+                            .filter(|&i| host.is_coordinated(RackId::new(i)))
+                            .count()
+                    };
+                    let before = coordinated(&host);
+                    advance(&host, draw(7));
+                    fallbacks += before - coordinated(&host);
+                }
+                4 => {
+                    host.handle(&Request::ReadHealth);
+                }
+                5 => {
+                    assert_eq!(bits(&host.readings()), bits(&fresh(&host)), "round {round}");
+                    served += 1;
+                }
+                _ => {
+                    let Response::Readings(readings) = host.handle(&Request::ReadAllReadings)
+                    else {
+                        panic!("expected readings");
+                    };
+                    assert_eq!(bits(&readings), bits(&fresh(&host)), "round {round}");
+                    served += 1;
+                }
+            }
+        }
+        assert!(served > 500, "{served} reads");
+        assert!(fallbacks > 0, "no lease fell back");
+    }
+
+    /// A rack whose reading shows its charge override at once, where a
+    /// `SimRackAgent` shows it only after its next step.
+    struct Eager(SimRackAgent);
+
+    impl RackAgent for Eager {
+        fn rack(&self) -> RackId {
+            self.0.rack()
+        }
+
+        fn read(&self) -> PowerReading {
+            let current = self.0.battery().bbu().charger().override_current();
+            PowerReading {
+                recharge_power: Watts::new(current.map_or(0.0, Amperes::as_amps)),
+                ..self.0.read()
+            }
+        }
+
+        fn set_charge_override(&mut self, current: Amperes) {
+            self.0.set_charge_override(current);
+        }
+
+        fn clear_charge_override(&mut self) {
+            self.0.clear_charge_override();
+        }
+
+        fn set_charge_postponed(&mut self, postponed: bool) {
+            self.0.set_charge_postponed(postponed);
+        }
+
+        fn cap_servers(&mut self, limit: Watts) {
+            self.0.cap_servers(limit);
+        }
+
+        fn uncap_servers(&mut self) {
+            self.0.uncap_servers();
+        }
+    }
+
+    /// A lease fallback clears the override under the host lock; the next
+    /// read must not serve the rows cached before it.
+    #[test]
+    fn lease_fallback_refreshes_cached_readings() {
+        let rack = RackId::new(0);
+        let agent = Eager(SimRackAgent::builder(rack, Priority::P1).build());
+        let host = AgentHost::new(vec![agent], 2, FaultClock::new());
+        host.handle(&batch(vec![AgentCommand::SetChargeOverride(
+            rack,
+            Amperes::MAX_CHARGE,
+        )]));
+        let commanded = Watts::new(Amperes::MAX_CHARGE.as_amps());
+        assert_eq!(host.readings()[0].recharge_power, commanded);
+        host.clock().advance(3);
+        host.sweep_leases();
+        assert!(!host.is_coordinated(rack));
+        assert_eq!(host.readings()[0].recharge_power, Watts::ZERO);
     }
 
     #[test]

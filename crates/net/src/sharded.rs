@@ -9,10 +9,16 @@
 //!   racks; buffered commands flush as one `ApplyCommandBatch` per shard. A
 //!   control tick costs O(servers) RPCs, not O(racks). A shard holds at most
 //!   [`MAX_READINGS_PER_FRAME`] racks, so its readings fit one frame.
-//! * **Concurrent fan-out** — each shard has a persistent client thread
-//!   owning its [`RpcBus`]; the bus hands every worker its job, then joins
-//!   on the reply channels. Per-tick network latency is max-over-shards,
-//!   not sum-over-racks.
+//! * **Concurrent fan-out** — the calling thread owns shard 0's [`RpcBus`]
+//!   and calls it itself; every other shard has a persistent client thread
+//!   owning its bus. The bus hands every worker its job, serves shard 0
+//!   inline, then joins on the reply channels, so per-tick network latency
+//!   is max-over-shards, not sum-over-racks, and a single-shard mesh spawns
+//!   no client thread and pays no thread hop.
+//! * **One-hop reads** — each shard's reply is kept as the fleet-order `Vec`
+//!   it arrived as, addressed through a rack → (shard, index) map built at
+//!   spawn. A reply whose length or rack ids differ from what discovery
+//!   found reads as absent, the same as an unreachable shard.
 //!
 //! Control stays on the caller's side of the wire: a single `Controller` or
 //! a `HierarchicalControl` tree (one scoped leaf per RPP, which a
@@ -35,14 +41,14 @@
 //! [`ShardPlan::ByRpp`]: crate::backend::ShardPlan::ByRpp
 //! [`InMemoryBus`]: recharge_dynamo::InMemoryBus
 
-use std::collections::HashMap;
 use std::io;
+use std::ops::Range;
 use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 
 use recharge_dynamo::{step_agents, AgentBus, FleetBackend, PowerReading, RackAgent, SimRackAgent};
-use recharge_units::{Amperes, RackId, Seconds, Watts};
+use recharge_units::{Amperes, RackId, RackMap, Seconds, Watts};
 
 use crate::backend::RpcMeshConfig;
 use crate::client::{RpcBus, RpcBusConfig};
@@ -58,7 +64,8 @@ enum Job {
     Apply(Vec<AgentCommand>, Sender<bool>),
 }
 
-/// A persistent client thread owning one shard's [`RpcBus`].
+/// A persistent client thread owning the [`RpcBus`] of one shard past the
+/// first.
 ///
 /// The bus is connected *inside* the thread (readiness reported through a
 /// channel) so all shards connect concurrently too.
@@ -125,39 +132,56 @@ impl Drop for ShardWorker {
 }
 
 struct BusState {
-    /// Per-control-tick read cache: the first `read` after invalidation fans
-    /// `ReadAllReadings` out to every shard; later reads hit the map.
-    snapshot: Option<HashMap<RackId, PowerReading>>,
+    /// Per-control-tick read cache, one entry per shard: the first `read`
+    /// after invalidation fans `ReadAllReadings` out to every shard; later
+    /// reads index into it. `None` marks a shard that did not answer, or
+    /// whose reply did not match its discovered racks.
+    snapshot: Option<Vec<Option<Vec<PowerReading>>>>,
     /// Commands buffered per shard, flushed as one batch per shard at the
     /// start of the next `step_schedule`.
     pending: Vec<Vec<AgentCommand>>,
 }
 
-/// An [`AgentBus`] fanning out to one worker per shard.
+/// An [`AgentBus`] over every shard: shard 0 on the calling thread, one
+/// worker per further shard.
 ///
 /// Reads are snapshot-cached per control tick; commands are buffered and
 /// batch-flushed (see the module docs for why that preserves bit-identity).
 pub struct ShardedRpcBus {
+    /// Shard 0's client, called on the calling thread.
+    first: RpcBus,
+    /// Shards 1 and up, one client thread each.
     workers: Vec<ShardWorker>,
-    shard_of: HashMap<RackId, usize>,
+    /// Every shard's racks, concatenated in shard order (fleet order).
     racks: Vec<RackId>,
+    /// Shard `k`'s slice of `racks`.
+    shards: Vec<Range<usize>>,
+    /// rack → (shard, index within the shard's reply).
+    position: RackMap<(usize, usize)>,
     state: Mutex<BusState>,
 }
 
 impl ShardedRpcBus {
-    fn new(workers: Vec<ShardWorker>, groups: &[Vec<RackId>]) -> Self {
-        let mut shard_of = HashMap::new();
+    /// A bus over `first` (shard 0) and `workers` (shards 1 and up), which
+    /// discovered `groups` (one per shard, in shard order).
+    fn new(first: RpcBus, workers: Vec<ShardWorker>, groups: &[Vec<RackId>]) -> Self {
+        let mut position = RackMap::default();
         let mut racks = Vec::new();
+        let mut shards = Vec::with_capacity(groups.len());
         for (shard, group) in groups.iter().enumerate() {
-            for &rack in group {
-                shard_of.insert(rack, shard);
+            let start = racks.len();
+            for (index, &rack) in group.iter().enumerate() {
+                position.insert(rack, (shard, index));
                 racks.push(rack);
             }
+            shards.push(start..racks.len());
         }
         ShardedRpcBus {
+            first,
             workers,
-            shard_of,
             racks,
+            shards,
+            position,
             state: Mutex::new(BusState {
                 snapshot: None,
                 pending: vec![Vec::new(); groups.len()],
@@ -172,12 +196,26 @@ impl ShardedRpcBus {
     /// The number of shards this bus fans out to.
     #[must_use]
     pub fn shard_count(&self) -> usize {
-        self.workers.len()
+        self.shards.len()
     }
 
-    /// Fans `ReadAllReadings` out to every shard and joins on the replies —
-    /// the latch making per-tick latency max-over-shards.
-    fn fan_out_reads(&self) -> HashMap<RackId, PowerReading> {
+    /// `reply` if it lists exactly shard `shard`'s discovered racks, in
+    /// order; `None` (the shard reads as absent) otherwise.
+    fn checked(&self, shard: usize, reply: Option<Vec<PowerReading>>) -> Option<Vec<PowerReading>> {
+        let expected = &self.racks[self.shards[shard].clone()];
+        reply.filter(|readings| {
+            readings.len() == expected.len()
+                && readings
+                    .iter()
+                    .zip(expected)
+                    .all(|(r, &rack)| r.rack == rack)
+        })
+    }
+
+    /// Fans `ReadAllReadings` out to every worker, reads shard 0 inline,
+    /// and joins on the replies — the latch making per-tick latency
+    /// max-over-shards.
+    fn fan_out_reads(&self) -> Vec<Option<Vec<PowerReading>>> {
         let replies: Vec<Option<Receiver<Option<Vec<PowerReading>>>>> = self
             .workers
             .iter()
@@ -186,15 +224,13 @@ impl ShardedRpcBus {
                 worker.submit(Job::ReadAll(tx)).then_some(rx)
             })
             .collect();
-        let mut snapshot = HashMap::with_capacity(self.racks.len());
-        for reply in replies.into_iter().flatten() {
-            if let Ok(Some(readings)) = reply.recv() {
-                for reading in readings {
-                    snapshot.insert(reading.rack, reading);
-                }
-            }
+        let mut snapshot = Vec::with_capacity(self.shards.len());
+        snapshot.push(self.checked(0, self.first.read_all()));
+        for (shard, reply) in (1..).zip(replies) {
             // An unreachable shard contributes nothing: its racks read as
             // `None`, the same signal a disconnected in-memory rack gives.
+            let readings = reply.and_then(|rx| rx.recv().ok()).flatten();
+            snapshot.push(self.checked(shard, readings));
         }
         snapshot
     }
@@ -202,22 +238,25 @@ impl ShardedRpcBus {
     /// Flushes buffered commands, one `ApplyCommandBatch` per shard with any
     /// pending, all shards in flight concurrently.
     pub(crate) fn flush_commands(&self) {
-        let pending: Vec<Vec<AgentCommand>> = {
+        let mut pending: Vec<Vec<AgentCommand>> = {
             let mut state = self.lock();
             let shards = state.pending.len();
             std::mem::replace(&mut state.pending, vec![Vec::new(); shards])
         };
-        let replies: Vec<Option<Receiver<bool>>> = pending
-            .into_iter()
-            .enumerate()
+        let first = std::mem::take(&mut pending[0]);
+        let replies: Vec<Option<Receiver<bool>>> = self
+            .workers
+            .iter()
+            .zip(pending.into_iter().skip(1))
             .filter(|(_, commands)| !commands.is_empty())
-            .map(|(shard, commands)| {
+            .map(|(worker, commands)| {
                 let (tx, rx) = mpsc::channel();
-                self.workers[shard]
-                    .submit(Job::Apply(commands, tx))
-                    .then_some(rx)
+                worker.submit(Job::Apply(commands, tx)).then_some(rx)
             })
             .collect();
+        if !first.is_empty() {
+            self.first.apply_batch(first);
+        }
         for reply in replies.into_iter().flatten() {
             let _ = reply.recv();
         }
@@ -230,7 +269,7 @@ impl ShardedRpcBus {
 
     /// Runs `f` on the per-tick read snapshot, fanning out first if this is
     /// the first read since the last invalidation.
-    fn with_snapshot<R>(&self, f: impl FnOnce(&HashMap<RackId, PowerReading>) -> R) -> R {
+    fn with_snapshot<R>(&self, f: impl FnOnce(&[Option<Vec<PowerReading>>]) -> R) -> R {
         let state = self.lock();
         if let Some(snapshot) = &state.snapshot {
             return f(snapshot);
@@ -241,7 +280,7 @@ impl ShardedRpcBus {
     }
 
     fn buffer(&self, rack: RackId, command: AgentCommand) {
-        if let Some(&shard) = self.shard_of.get(&rack) {
+        if let Some(&(shard, _)) = self.position.get(&rack) {
             self.lock().pending[shard].push(command);
         }
     }
@@ -253,12 +292,17 @@ impl AgentBus for ShardedRpcBus {
     }
 
     fn read(&self, rack: RackId) -> Option<PowerReading> {
-        self.with_snapshot(|snapshot| snapshot.get(&rack).copied())
+        let &(shard, index) = self.position.get(&rack)?;
+        self.with_snapshot(|snapshot| snapshot[shard].as_ref()?.get(index).copied())
     }
 
     fn read_all(&self, out: &mut Vec<PowerReading>) {
+        // Shards are contiguous fleet ranges, so their replies concatenate
+        // in `racks` order.
         self.with_snapshot(|snapshot| {
-            out.extend(self.racks.iter().filter_map(|r| snapshot.get(r).copied()));
+            for readings in snapshot.iter().flatten() {
+                out.extend_from_slice(readings);
+            }
         });
     }
 
@@ -285,12 +329,13 @@ impl AgentBus for ShardedRpcBus {
 
 /// A [`FleetBackend`] running the fleet behind per-shard agent servers.
 pub struct ShardedRpcFleetBackend {
-    hosts: Vec<Arc<AgentHost<SimRackAgent>>>,
-    // Dropped after `bus` (whose workers hold the connections); order is
-    // load-bearing only for prompt shutdown.
-    _servers: Vec<AgentServer<SimRackAgent>>,
-    clock: FaultClock,
+    // Fields drop in declaration order. The bus goes first and closes every
+    // client connection, so each server's connection handlers see their
+    // peer close and return at once instead of waiting out a read poll.
     bus: ShardedRpcBus,
+    _servers: Vec<AgentServer<SimRackAgent>>,
+    hosts: Vec<Arc<AgentHost<SimRackAgent>>>,
+    clock: FaultClock,
 }
 
 impl ShardedRpcFleetBackend {
@@ -325,7 +370,7 @@ impl ShardedRpcFleetBackend {
         let mut agent_iter = agents.into_iter();
         let mut hosts = Vec::with_capacity(groups.len());
         let mut servers = Vec::with_capacity(groups.len());
-        let mut pending_workers = Vec::with_capacity(groups.len());
+        let mut links = Vec::with_capacity(groups.len());
         for (shard, group) in groups.iter().enumerate() {
             let shard_agents: Vec<SimRackAgent> = agent_iter.by_ref().take(group.len()).collect();
             let host = Arc::new(
@@ -343,32 +388,44 @@ impl ShardedRpcFleetBackend {
                 shard_label: shard as u32,
                 ..RpcBusConfig::default()
             };
-            let (worker, ready) =
-                ShardWorker::spawn(server.endpoint().clone(), bus_config, clock.clone())?;
+            links.push((server.endpoint().clone(), bus_config));
             hosts.push(host);
             servers.push(server);
-            pending_workers.push((worker, ready));
         }
+        // Shards 1 and up connect on their workers while the calling thread
+        // connects shard 0.
+        let mut links = links.into_iter();
+        let (endpoint, bus_config) = links.next().expect("a partition has at least one shard");
+        let pending_workers = links
+            .map(|(endpoint, config)| ShardWorker::spawn(endpoint, config, clock.clone()))
+            .collect::<io::Result<Vec<_>>>()?;
+        let first = RpcBus::connect(&endpoint, bus_config, clock.clone())?;
 
         // Join the concurrent connects; discovery must agree with the plan.
+        let check = |group: &Vec<RackId>, discovered: &[RackId]| {
+            if discovered == group.as_slice() {
+                Ok(())
+            } else {
+                Err(io::Error::other(format!(
+                    "shard discovery mismatch: expected {group:?}, got {discovered:?}"
+                )))
+            }
+        };
+        check(&groups[0], first.racks())?;
         let mut workers = Vec::with_capacity(pending_workers.len());
-        for ((worker, ready), group) in pending_workers.into_iter().zip(&groups) {
+        for ((worker, ready), group) in pending_workers.into_iter().zip(&groups[1..]) {
             let discovered = ready
                 .recv()
                 .map_err(|_| io::Error::other("shard worker died during connect"))??;
-            if discovered != *group {
-                return Err(io::Error::other(format!(
-                    "shard discovery mismatch: expected {group:?}, got {discovered:?}"
-                )));
-            }
+            check(group, &discovered)?;
             workers.push(worker);
         }
 
         Ok(ShardedRpcFleetBackend {
-            hosts,
+            bus: ShardedRpcBus::new(first, workers, &groups),
             _servers: servers,
+            hosts,
             clock,
-            bus: ShardedRpcBus::new(workers, &groups),
         })
     }
 
@@ -445,7 +502,11 @@ impl FleetBackend for ShardedRpcFleetBackend {
     fn readings(&self) -> Vec<PowerReading> {
         // Shard order is fleet order (contiguous partition), so plain
         // concatenation reproduces the serial backend's reading order.
-        self.hosts.iter().flat_map(|host| host.readings()).collect()
+        let mut out = Vec::with_capacity(self.bus.racks.len());
+        for host in &self.hosts {
+            host.append_readings(&mut out);
+        }
+        out
     }
 
     fn bus_mut(&mut self) -> &mut dyn AgentBus {
@@ -457,8 +518,10 @@ impl FleetBackend for ShardedRpcFleetBackend {
 mod tests {
     use super::*;
     use crate::backend::ShardPlan;
+    use crate::endpoint::Endpoint;
     use recharge_dynamo::FleetBackendKind;
     use recharge_units::Priority;
+    use std::time::{Duration, Instant};
 
     fn agents(n: u32) -> Vec<SimRackAgent> {
         (0..n)
@@ -490,6 +553,8 @@ mod tests {
         let mut single =
             ShardedRpcFleetBackend::spawn(agents(6), &RpcMeshConfig::default()).expect("spawn");
         assert_eq!(single.shard_count(), 1);
+        // The calling thread serves the only shard: no client thread.
+        assert!(single.bus.workers.is_empty());
         let mut sharded = ShardedRpcFleetBackend::spawn(agents(6), &RpcMeshConfig::shard_count(2))
             .expect("spawn");
         let schedule = [true; 3];
@@ -610,6 +675,112 @@ mod tests {
         let mut readings = Vec::new();
         split.bus_mut().read_all(&mut readings);
         assert_eq!(readings.len(), racks as usize);
+    }
+
+    /// A bus over one server per `hosted` group whose discovery is
+    /// overridden by `discovered`, as if each server had listed those racks.
+    /// The bus comes first in the tuple, so it drops before the servers.
+    fn bus_over(
+        hosted: &[&[u32]],
+        discovered: &[&[u32]],
+    ) -> (ShardedRpcBus, Vec<AgentServer<SimRackAgent>>) {
+        let clock = FaultClock::new();
+        let servers: Vec<AgentServer<SimRackAgent>> = hosted
+            .iter()
+            .map(|racks| {
+                let agents = racks
+                    .iter()
+                    .map(|&i| SimRackAgent::builder(RackId::new(i), Priority::P2).build())
+                    .collect();
+                let host = Arc::new(AgentHost::new(agents, 30, clock.clone()));
+                AgentServer::serve(host, &Endpoint::loopback()).expect("serve")
+            })
+            .collect();
+        let config = RpcBusConfig::default();
+        let first =
+            RpcBus::connect(servers[0].endpoint(), config.clone(), clock.clone()).expect("connect");
+        let workers = servers[1..]
+            .iter()
+            .map(|server| {
+                let (worker, ready) =
+                    ShardWorker::spawn(server.endpoint().clone(), config.clone(), clock.clone())
+                        .expect("spawn");
+                ready.recv().expect("ready").expect("connect");
+                worker
+            })
+            .collect();
+        let groups: Vec<Vec<RackId>> = discovered
+            .iter()
+            .map(|racks| racks.iter().copied().map(RackId::new).collect())
+            .collect();
+        (ShardedRpcBus::new(first, workers, &groups), servers)
+    }
+
+    /// A shard whose reply is short, long, reordered or names a foreign rack
+    /// reads as absent, and never hands out another rack's reading.
+    #[test]
+    fn mismatched_shard_replies_read_as_absent() {
+        let good: &[u32] = &[0, 1, 2];
+        let hosted: &[u32] = &[3, 4, 5];
+        for bad in [&[3, 4, 5, 6][..], &[3, 4], &[5, 4, 3], &[3, 4, 9]] {
+            for (discovered, bad_shard) in [([good, bad], 1), ([bad, good], 0)] {
+                let hosts = if bad_shard == 1 {
+                    [good, hosted]
+                } else {
+                    [hosted, good]
+                };
+                let (bus, _servers) = bus_over(&hosts, &discovered);
+                let mut all = Vec::new();
+                bus.read_all(&mut all);
+                let racks: Vec<u32> = all.iter().map(|r| r.rack.index()).collect();
+                assert_eq!(racks, good, "{bad:?} on shard {bad_shard}");
+                for &rack in good {
+                    assert!(bus.read(RackId::new(rack)).is_some());
+                }
+                for &rack in bad {
+                    assert_eq!(bus.read(RackId::new(rack)), None, "{bad:?} rack {rack}");
+                }
+            }
+        }
+        // The same servers with their true discovery read in full.
+        let (bus, _servers) = bus_over(&[good, hosted], &[good, hosted]);
+        let mut all = Vec::new();
+        bus.read_all(&mut all);
+        assert_eq!(all.len(), 6);
+        assert!(bus
+            .read(RackId::new(5))
+            .is_some_and(|r| r.rack == RackId::new(5)));
+    }
+
+    /// Neither spawning nor dropping a mesh waits out a poll interval.
+    /// Waiting out the 10 ms accept and read polls, a 316-rack mesh took
+    /// about 8 ms to spawn and 14 ms to drop on a 2-vCPU host, on every
+    /// cycle. The bound is on the third-fastest of 10 cycles, so a few
+    /// cycles slowed by a loaded host cannot fail the test.
+    #[cfg(unix)]
+    #[test]
+    fn spawn_and_drop_wait_out_no_poll() {
+        const BOUND: Duration = Duration::from_micros(2_500);
+        let config = RpcMeshConfig {
+            transport: crate::backend::RpcTransport::UnixSocket,
+            ..RpcMeshConfig::shard_count(1)
+        };
+        let (mut spawns, mut drops) = (Vec::new(), Vec::new());
+        for _ in 0..10 {
+            let fleet = agents(316);
+            let start = Instant::now();
+            let mesh = ShardedRpcFleetBackend::spawn(fleet, &config).expect("spawn");
+            let spawned = Instant::now();
+            drop(mesh);
+            spawns.push(spawned - start);
+            drops.push(spawned.elapsed());
+        }
+        spawns.sort_unstable();
+        drops.sort_unstable();
+        assert!(
+            spawns[2] < BOUND && drops[2] < BOUND,
+            "spawns took {spawns:?} and drops {drops:?}"
+        );
     }
 
     #[test]
