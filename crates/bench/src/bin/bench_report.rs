@@ -214,7 +214,7 @@ fn paper_msb_leader() -> Controller {
 }
 
 /// Share of a `paper_msb(7)` tick (control every 5 ticks) the hot-standby
-/// leader spends replicating: one `snapshot().to_bytes()` per
+/// leader spends replicating: one `snapshot_bytes()` per
 /// `DEFAULT_SNAPSHOT_EVERY` ticks. Decode + restore runs only on takeover,
 /// so it is not amortized.
 fn ha_replication_overhead(leader: &Controller) -> f64 {
@@ -232,7 +232,7 @@ fn ha_replication_overhead(leader: &Controller) -> f64 {
     let tick_secs = single_secs / (single.series.len().max(1) * CONTROL_EVERY) as f64;
     let ((), snap_secs) = time(|| {
         for _ in 0..OPS {
-            std::hint::black_box(leader.snapshot().to_bytes());
+            std::hint::black_box(leader.snapshot_bytes());
         }
     });
     snap_secs / f64::from(OPS) / recharge_ha::DEFAULT_SNAPSHOT_EVERY as f64 / tick_secs

@@ -37,15 +37,7 @@ pub fn assign_global(
     policy: &SlaCurrentPolicy,
     model: &RechargePowerModel,
 ) -> AssignmentOutcome {
-    let uniform = if racks.is_empty() {
-        Amperes::MIN_CHARGE
-    } else {
-        let per_rack = available_power / racks.len() as f64;
-        model
-            .current_for_power(per_rack)
-            .clamp(Amperes::MIN_CHARGE, Amperes::MAX_CHARGE)
-    };
-
+    let uniform = global_current(racks.len(), available_power, model);
     let assignments: Vec<ChargeAssignment> = racks
         .iter()
         .map(|r| ChargeAssignment {
@@ -66,6 +58,35 @@ pub fn assign_global(
         total_recharge_power: total,
         remaining_power: (available_power - total).max(Watts::ZERO),
     }
+}
+
+/// The one current [`assign_global`] gives each of `racks` charging racks:
+/// an equal share of `available_power`, clamped to the 1–5 A hardware range
+/// (the 1 A floor when no rack charges).
+///
+/// The controller's global arm calls this directly, so it re-derives the
+/// uniform rate every tick without building the assignments.
+///
+/// # Examples
+///
+/// ```
+/// use recharge_core::{global_current, RechargePowerModel};
+/// use recharge_units::{Amperes, Watts};
+///
+/// let model = RechargePowerModel::production();
+/// let ample = Watts::from_megawatts(1.0);
+/// assert_eq!(global_current(4, ample, &model), Amperes::MAX_CHARGE);
+/// assert_eq!(global_current(4, Watts::ZERO, &model), Amperes::MIN_CHARGE);
+/// ```
+#[must_use]
+pub fn global_current(racks: usize, available_power: Watts, model: &RechargePowerModel) -> Amperes {
+    if racks == 0 {
+        return Amperes::MIN_CHARGE;
+    }
+    let per_rack = available_power / racks as f64;
+    model
+        .current_for_power(per_rack)
+        .clamp(Amperes::MIN_CHARGE, Amperes::MAX_CHARGE)
 }
 
 #[cfg(test)]

@@ -20,7 +20,6 @@ use std::collections::BTreeSet;
 
 use recharge_units::{Amperes, Dod, Priority, RackId, RackMap};
 
-use crate::algorithm::RackChargeState;
 use crate::policy::SLA_MEMO_DOD_BINS;
 
 /// One rack's tracked charging state inside a [`ChargeIndex`].
@@ -175,22 +174,10 @@ impl ChargeIndex {
 
     /// Tracked racks in Algorithm 1's assignment order:
     /// highest-priority-lowest-discharge-first.
-    pub fn charge_order(&self) -> impl Iterator<Item = (RackId, &IndexedCharge)> + '_ {
+    pub fn charge_order(&self) -> impl ExactSizeIterator<Item = (RackId, &IndexedCharge)> + '_ {
         self.order
             .iter()
             .map(|&(_, _, rack)| (rack, &self.entries[&rack]))
-    }
-
-    /// The tracked racks as plain [`RackChargeState`]s, in charge order.
-    #[must_use]
-    pub fn states(&self) -> Vec<RackChargeState> {
-        self.charge_order()
-            .map(|(rack, e)| RackChargeState {
-                rack,
-                priority: e.priority,
-                dod: e.dod,
-            })
-            .collect()
     }
 }
 
@@ -268,16 +255,5 @@ mod tests {
         assert_eq!(index.current(RackId::new(1)), Some(Amperes::new(4.0)));
         index.set_current(RackId::new(9), Amperes::new(1.0)); // ignored
         assert_eq!(index.current(RackId::new(9)), None);
-    }
-
-    #[test]
-    fn states_round_trip_in_charge_order() {
-        let mut index = ChargeIndex::new();
-        index.upsert(RackId::new(5), Priority::P2, Dod::new(0.4), Amperes::ZERO);
-        index.upsert(RackId::new(3), Priority::P1, Dod::new(0.7), Amperes::ZERO);
-        let states = index.states();
-        assert_eq!(states.len(), 2);
-        assert_eq!(states[0].rack, RackId::new(3));
-        assert_eq!(states[1].rack, RackId::new(5));
     }
 }

@@ -56,7 +56,7 @@ pub use algorithm::{
     throttle_on_overload_indexed, AssignmentOutcome, ChargeAssignment, RackChargeState,
     ThrottleOutcome,
 };
-pub use global::assign_global;
+pub use global::{assign_global, global_current};
 pub use index::{ChargeIndex, IndexedCharge};
 pub use policy::{SlaCurrentPolicy, SLA_MEMO_DOD_BINS};
 pub use postpone::{postpone_on_deficit, PostponeOutcome};

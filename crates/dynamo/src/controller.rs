@@ -3,8 +3,8 @@
 use std::collections::HashMap;
 
 use recharge_core::{
-    assign_global, assign_priority_aware_indexed, throttle_on_overload_indexed, ChargeAssignment,
-    ChargeIndex, RechargePowerModel, SlaCurrentPolicy,
+    assign_priority_aware_indexed, global_current, throttle_on_overload_indexed, ChargeAssignment,
+    ChargeIndex, IndexedCharge, RechargePowerModel, SlaCurrentPolicy,
 };
 use recharge_telemetry::{flight, tcounter, tspan, FlightKind, ReasonCode, NO_BUCKET};
 use recharge_units::{Amperes, DeviceId, Dod, Priority, RackId, RackMap, SimTime, Watts};
@@ -157,16 +157,18 @@ struct ParkedCharge {
 /// their iteration order straight off the index instead of re-sorting the
 /// fleet every tick.
 ///
-/// Call [`Controller::tick`] once per control interval with the agent bus;
-/// the controller is transport-agnostic and holds no references between
-/// ticks.
+/// Call [`Controller::tick`] once per control interval with the agent bus,
+/// or [`Controller::tick_on`] with the interval's rows when the caller has
+/// already read them; the controller is transport-agnostic and holds no
+/// references between ticks.
 pub struct Controller {
     config: ControllerConfig,
     strategy: Strategy,
     index: ChargeIndex,
     parked: RackMap<ParkedCharge>,
-    /// The gather's buffer, kept between ticks so a tick reads the fleet
-    /// without allocating. It holds no state: every tick refills it.
+    /// [`tick`](Self::tick)'s read buffer, kept between ticks so a tick
+    /// reads the fleet without allocating. It holds no state: every tick
+    /// refills it.
     readings: Vec<PowerReading>,
 }
 
@@ -220,26 +222,55 @@ impl Controller {
 
     /// Runs one control interval: read, coordinate, protect.
     ///
+    /// The read goes through the bus: the scope rack by rack, or the whole
+    /// bus with one [`read_all`](AgentBus::read_all), into a buffer the
+    /// controller keeps between ticks. The rows then go to
+    /// [`tick_on`](Self::tick_on), which makes every decision. When
+    /// telemetry is enabled the read is traced as `controller.read`.
+    pub fn tick<B: AgentBus + ?Sized>(&mut self, now: SimTime, bus: &mut B) -> ControllerReport {
+        // The buffer leaves `self` for the tick, so the rows can be borrowed
+        // while the controller's state changes; it returns at the end.
+        let mut rows = std::mem::take(&mut self.readings);
+        rows.clear();
+        {
+            let _read_span = tspan!("controller.read", "controller");
+            match &self.config.scope {
+                Some(scope) => rows.extend(scope.iter().filter_map(|&r| bus.read(r))),
+                None => bus.read_all(&mut rows),
+            }
+        }
+        let report = self.tick_on(now, &rows, bus);
+        self.readings = rows;
+        report
+    }
+
+    /// Runs one control interval on rows the caller has already read:
+    /// coordinate, protect.
+    ///
+    /// `rows` must be what [`tick`](Self::tick)'s read would return at this
+    /// instant: every reachable rack the controller watches, in bus order
+    /// (the scope's order for a scoped controller). A caller that holds the
+    /// fleet's rows anyway, like the simulator's in-process backends, hands
+    /// them over instead of reading the fleet a second time; the decisions,
+    /// commands and report are then exactly `tick`'s.
+    ///
     /// When telemetry is enabled the tick's phases are traced as spans
     /// (`controller.gather`, `controller.assign`, `controller.throttle`,
     /// `controller.postpone`, `controller.recover`) under the parent
     /// `controller.tick`; the instrumentation reads clocks only and cannot
     /// change any control decision.
-    pub fn tick<B: AgentBus + ?Sized>(&mut self, now: SimTime, bus: &mut B) -> ControllerReport {
+    pub fn tick_on<B: AgentBus + ?Sized>(
+        &mut self,
+        now: SimTime,
+        rows: &[PowerReading],
+        bus: &mut B,
+    ) -> ControllerReport {
         let _tick_span = tspan!("controller.tick", "controller");
         tcounter!("controller.ticks").inc();
         // Anchor ambient flight-recorder time to the control interval so every
         // decision journaled below lands at this tick's simulated instant.
         recharge_telemetry::set_flight_now(now.as_secs());
         let gather_span = tspan!("controller.gather", "controller");
-        // The buffer leaves `self` for the tick, so the readings can be
-        // borrowed while the controller's state changes; it returns at the end.
-        let mut readings = std::mem::take(&mut self.readings);
-        readings.clear();
-        match &self.config.scope {
-            Some(scope) => readings.extend(scope.iter().filter_map(|&r| bus.read(r))),
-            None => bus.read_all(&mut readings),
-        }
 
         // One pass over the fleet. Each sum is its own accumulator folded
         // from zero in fleet order, so it has the bits of a separate `Sum`.
@@ -249,19 +280,22 @@ impl Controller {
         // collects the racks still riding the open transition: the
         // controller estimates their DOD while the power is out (§IV-B) and
         // pre-plans their override so the charger never starts at its
-        // automatic current.
+        // automatic current. It also counts the capped racks: a count, not
+        // the float sum, decides exactly whether any cap is left to release.
         let mut it_load = Watts::ZERO;
         let mut recharge = Watts::ZERO;
         let mut capped_now = Watts::ZERO;
         let mut planning_it = Watts::ZERO;
+        let mut capped_racks = 0usize;
         let mut charging: Vec<&PowerReading> = Vec::new();
         let mut discharging: Vec<&PowerReading> = Vec::new();
-        for r in &readings {
+        for r in rows {
             if r.input_power_present {
                 it_load += r.it_load;
                 recharge += r.recharge_power;
             }
             capped_now += r.capped_power;
+            capped_racks += usize::from(r.capped_power > Watts::ZERO);
             planning_it += r.it_load;
             match r.bbu_state {
                 recharge_battery::BbuState::Charging => charging.push(r),
@@ -320,14 +354,8 @@ impl Controller {
                 // Re-derive the uniform rate from instantaneous headroom.
                 if !self.index.is_empty() {
                     let available = (self.config.planning_limit() - planning_it).max(Watts::ZERO);
-                    let planning = self.index.states();
-                    let outcome = assign_global(
-                        &planning,
-                        available,
-                        &self.config.policy,
-                        &self.config.model,
-                    );
-                    overrides_sent += self.apply_assignments(&outcome.assignments, bus);
+                    let uniform = global_current(self.index.len(), available, &self.config.model);
+                    overrides_sent += self.apply_uniform(uniform, bus);
                 }
             }
             Strategy::PriorityAware => {
@@ -451,7 +479,7 @@ impl Controller {
                 residual = outcome.residual_deficit;
             }
             if residual > Watts::ZERO {
-                let (caps, _uncovered) = plan_caps(&readings, residual, MAX_CAP_FRACTION);
+                let (caps, _uncovered) = plan_caps(rows, residual, MAX_CAP_FRACTION);
                 for cap in &caps {
                     bus.cap_servers(cap.rack, cap.limit);
                     flight(
@@ -510,18 +538,21 @@ impl Controller {
                 }
             }
             // Recovery: release caps that fit comfortably in the headroom.
-            let headroom = (self.config.limit - effective_total.max(total)) * 0.9;
-            for rack in plan_uncaps(&readings, headroom) {
-                bus.uncap_servers(rack);
-                flight(
-                    FlightKind::Uncap,
-                    ReasonCode::UncapHeadroom,
-                    rack.index(),
-                    0,
-                    NO_BUCKET,
-                    headroom.as_watts().to_bits(),
-                    0,
-                );
+            // With no rack capped there is nothing to plan.
+            if capped_racks > 0 {
+                let headroom = (self.config.limit - effective_total.max(total)) * 0.9;
+                for rack in plan_uncaps(rows, headroom) {
+                    bus.uncap_servers(rack);
+                    flight(
+                        FlightKind::Uncap,
+                        ReasonCode::UncapHeadroom,
+                        rack.index(),
+                        0,
+                        NO_BUCKET,
+                        headroom.as_watts().to_bits(),
+                        0,
+                    );
+                }
             }
         }
 
@@ -530,7 +561,6 @@ impl Controller {
         if cap_requested > Watts::ZERO {
             tcounter!("controller.cap_requests").inc();
         }
-        self.readings = readings;
 
         ControllerReport {
             now,
@@ -585,8 +615,6 @@ impl Controller {
             .collect()
     }
 
-    /// Sends overrides for assignments that differ from the commanded state;
-    /// returns how many were sent.
     /// Clears any stale postpone flag on newly admitted racks.
     ///
     /// A rack re-appearing after a partition or an agent flap may still
@@ -601,6 +629,8 @@ impl Controller {
         }
     }
 
+    /// Sends overrides for assignments that differ from the commanded state;
+    /// returns how many were sent.
     fn apply_assignments<B: AgentBus + ?Sized>(
         &mut self,
         assignments: &[ChargeAssignment],
@@ -611,22 +641,33 @@ impl Controller {
             let Some(current) = self.index.current(a.rack) else {
                 continue;
             };
-            if (current - a.current).abs() > Amperes::new(0.01) {
+            if overrides(current, a.current) {
                 self.index.set_current(a.rack, a.current);
-                bus.set_charge_override(a.rack, a.current);
-                flight(
-                    FlightKind::Override,
-                    ReasonCode::OverrideDelta,
-                    a.rack.index(),
-                    a.priority.rank(),
-                    ChargeIndex::dod_bucket(a.dod),
-                    a.current.as_amps().to_bits(),
-                    current.as_amps().to_bits(),
-                );
+                send_override(bus, a.rack, a.priority, a.dod, current, a.current);
                 sent += 1;
             }
         }
         sent
+    }
+
+    /// The global arm's assignment: every indexed rack to `uniform`, through
+    /// the same delta rule as [`apply_assignments`](Self::apply_assignments)
+    /// and in charge order, without building the assignments. Returns how
+    /// many overrides were sent.
+    fn apply_uniform<B: AgentBus + ?Sized>(&mut self, uniform: Amperes, bus: &mut B) -> usize {
+        // Setting a current moves no rack in the order, so the racks to
+        // command can be read off first and commanded after.
+        let changed: Vec<(RackId, IndexedCharge)> = self
+            .index
+            .charge_order()
+            .filter(|(_, e)| overrides(e.current, uniform))
+            .map(|(rack, e)| (rack, *e))
+            .collect();
+        for &(rack, e) in &changed {
+            self.index.set_current(rack, uniform);
+            send_override(bus, rack, e.priority, e.dod, e.current, uniform);
+        }
+        changed.len()
     }
 
     /// Captures the controller's brain — the [`ChargeIndex`] population and
@@ -640,16 +681,34 @@ impl Controller {
     /// live on the agent side where they survive a controller loss anyway.
     #[must_use]
     pub fn snapshot(&self) -> ControllerSnapshot {
-        let entries = self
-            .index
-            .charge_order()
-            .map(|(rack, e)| SnapshotEntry {
-                rack,
-                priority: e.priority,
-                dod: e.dod,
-                current: e.current,
-            })
-            .collect();
+        ControllerSnapshot {
+            entries: self.snapshot_entries().collect(),
+            parked: self.snapshot_parked(),
+        }
+    }
+
+    /// The brain's snapshot, encoded: byte for byte what
+    /// `snapshot().to_bytes()` returns, written in one pass straight from
+    /// the index without building the [`ControllerSnapshot`]. This is what
+    /// an HA leader replicates.
+    #[must_use]
+    pub fn snapshot_bytes(&self) -> Vec<u8> {
+        encode_snapshot(self.snapshot_entries(), self.snapshot_parked().into_iter())
+    }
+
+    /// The indexed racks as snapshot entries, in charge order.
+    fn snapshot_entries(&self) -> impl ExactSizeIterator<Item = SnapshotEntry> + '_ {
+        self.index.charge_order().map(|(rack, e)| SnapshotEntry {
+            rack,
+            priority: e.priority,
+            dod: e.dod,
+            current: e.current,
+        })
+    }
+
+    /// The parked racks as snapshot entries, in rack order. Nothing is
+    /// allocated while no rack is parked.
+    fn snapshot_parked(&self) -> Vec<SnapshotParked> {
         let mut parked: Vec<SnapshotParked> = self
             .parked
             .iter()
@@ -660,7 +719,7 @@ impl Controller {
             })
             .collect();
         parked.sort_unstable_by_key(|p| p.rack);
-        ControllerSnapshot { entries, parked }
+        parked
     }
 
     /// Replaces the controller's brain with `snapshot`'s state.
@@ -685,6 +744,33 @@ impl Controller {
             );
         }
     }
+}
+
+/// The override delta rule: a new current is sent only when it differs from
+/// the commanded one by more than 0.01 A.
+fn overrides(commanded: Amperes, new: Amperes) -> bool {
+    (commanded - new).abs() > Amperes::new(0.01)
+}
+
+/// Sends one charging-current override and journals it.
+fn send_override<B: AgentBus + ?Sized>(
+    bus: &mut B,
+    rack: RackId,
+    priority: Priority,
+    dod: Dod,
+    commanded: Amperes,
+    new: Amperes,
+) {
+    bus.set_charge_override(rack, new);
+    flight(
+        FlightKind::Override,
+        ReasonCode::OverrideDelta,
+        rack.index(),
+        priority.rank(),
+        ChargeIndex::dod_bucket(dod),
+        new.as_amps().to_bits(),
+        commanded.as_amps().to_bits(),
+    );
 }
 
 /// One indexed rack inside a [`ControllerSnapshot`].
@@ -767,26 +853,7 @@ impl ControllerSnapshot {
     /// ```
     #[must_use]
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(
-            1 + 8
-                + self.entries.len() * SNAPSHOT_ENTRY_BYTES
-                + self.parked.len() * SNAPSHOT_PARKED_BYTES,
-        );
-        out.push(SNAPSHOT_VERSION);
-        out.extend_from_slice(&(self.entries.len() as u32).to_le_bytes());
-        for e in &self.entries {
-            out.extend_from_slice(&e.rack.index().to_le_bytes());
-            out.push(e.priority.rank());
-            out.extend_from_slice(&e.dod.value().to_bits().to_le_bytes());
-            out.extend_from_slice(&e.current.as_amps().to_bits().to_le_bytes());
-        }
-        out.extend_from_slice(&(self.parked.len() as u32).to_le_bytes());
-        for p in &self.parked {
-            out.extend_from_slice(&p.rack.index().to_le_bytes());
-            out.push(p.priority.rank());
-            out.extend_from_slice(&p.dod.value().to_bits().to_le_bytes());
-        }
-        out
+        encode_snapshot(self.entries.iter().copied(), self.parked.iter().copied())
     }
 
     /// Decodes a snapshot serialized by [`to_bytes`](Self::to_bytes).
@@ -832,6 +899,33 @@ impl ControllerSnapshot {
         }
         Ok(ControllerSnapshot { entries, parked })
     }
+}
+
+/// The snapshot codec's one writer (layout at
+/// [`ControllerSnapshot::to_bytes`]), shared by the decoded snapshot and the
+/// live controller.
+fn encode_snapshot(
+    entries: impl ExactSizeIterator<Item = SnapshotEntry>,
+    parked: impl ExactSizeIterator<Item = SnapshotParked>,
+) -> Vec<u8> {
+    let mut out = Vec::with_capacity(
+        1 + 8 + entries.len() * SNAPSHOT_ENTRY_BYTES + parked.len() * SNAPSHOT_PARKED_BYTES,
+    );
+    out.push(SNAPSHOT_VERSION);
+    out.extend_from_slice(&(entries.len() as u32).to_le_bytes());
+    for e in entries {
+        out.extend_from_slice(&e.rack.index().to_le_bytes());
+        out.push(e.priority.rank());
+        out.extend_from_slice(&e.dod.value().to_bits().to_le_bytes());
+        out.extend_from_slice(&e.current.as_amps().to_bits().to_le_bytes());
+    }
+    out.extend_from_slice(&(parked.len() as u32).to_le_bytes());
+    for p in parked {
+        out.extend_from_slice(&p.rack.index().to_le_bytes());
+        out.push(p.priority.rank());
+        out.extend_from_slice(&p.dod.value().to_bits().to_le_bytes());
+    }
+    out
 }
 
 /// Minimal little-endian cursor for the snapshot codec.
@@ -902,6 +996,7 @@ mod tests {
     use crate::agent::{RackAgent, SimRackAgent};
     use crate::bus::InMemoryBus;
     use recharge_battery::BbuState;
+    use recharge_core::{assign_global, RackChargeState};
     use recharge_units::Seconds;
     use std::cell::{Cell, RefCell};
 
@@ -1208,13 +1303,15 @@ mod tests {
     }
 
     /// A fixed-reading bus that counts bulk and per-rack reads and records
-    /// override clears; other commands route nowhere.
+    /// overrides, override clears and uncaps; other commands route nowhere.
     #[derive(Default)]
     struct ScriptedBus {
         readings: Vec<PowerReading>,
         reads: RefCell<Vec<RackId>>,
         bulk_reads: Cell<usize>,
+        overrides: Vec<(RackId, Amperes)>,
         cleared: Vec<RackId>,
+        uncapped: Vec<RackId>,
     }
 
     impl AgentBus for ScriptedBus {
@@ -1229,13 +1326,17 @@ mod tests {
             self.bulk_reads.set(self.bulk_reads.get() + 1);
             out.extend_from_slice(&self.readings);
         }
-        fn set_charge_override(&mut self, _rack: RackId, _current: Amperes) {}
+        fn set_charge_override(&mut self, rack: RackId, current: Amperes) {
+            self.overrides.push((rack, current));
+        }
         fn clear_charge_override(&mut self, rack: RackId) {
             self.cleared.push(rack);
         }
         fn set_charge_postponed(&mut self, _rack: RackId, _postponed: bool) {}
         fn cap_servers(&mut self, _rack: RackId, _limit: Watts) {}
-        fn uncap_servers(&mut self, _rack: RackId) {}
+        fn uncap_servers(&mut self, rack: RackId) {
+            self.uncapped.push(rack);
+        }
     }
 
     fn reading(rack: u32, priority: Priority, state: BbuState, dod: f64) -> PowerReading {
@@ -1458,6 +1559,127 @@ mod tests {
     }
 
     #[test]
+    fn global_arm_sends_what_assign_global_and_the_delta_rule_sent() {
+        // Nine charging racks across priorities and DODs; the IT load moves
+        // so that the uniform rate changes by well over 0.01 A, by 0.02 A,
+        // by 0.005 A, by 0.0001 A and not at all, and hits both clamps.
+        let mut bus = ScriptedBus {
+            readings: (0..9)
+                .map(|i| {
+                    let dod = 0.2 + 0.07 * f64::from(i);
+                    let mut r = reading(i, Priority::ALL[i as usize % 3], BbuState::Charging, dod);
+                    r.recharge_power = Watts::ZERO;
+                    r
+                })
+                .collect(),
+            ..ScriptedBus::default()
+        };
+        let mut c = controller(70.0, Strategy::Global);
+        let (policy, model) = (
+            SlaCurrentPolicy::production(),
+            RechargePowerModel::production(),
+        );
+        // A per-rack IT step that moves the uniform rate by `amps`.
+        let step = |amps: f64| model.rack_power(Amperes::new(amps)).as_watts();
+        let its = [
+            6000.0,
+            6000.0,
+            6200.0,
+            6200.0 + step(0.005),
+            6200.0 + step(0.025),
+            6500.0,
+            6500.0 + step(0.0001),
+            9000.0,
+            5000.0,
+        ];
+        let mut sent_any = 0;
+        let mut held_any = 0;
+        for (t, it_w) in its.into_iter().enumerate() {
+            for r in &mut bus.readings {
+                r.it_load = Watts::new(it_w);
+            }
+            // The old arm: `assign_global` over the index's states, then the
+            // 0.01 A delta rule against the commanded currents.
+            let mut before = c.index.clone();
+            for r in &bus.readings {
+                if !before.contains(r.rack) {
+                    before.upsert(r.rack, r.priority, r.event_dod, Amperes::ZERO);
+                }
+                before.set_dod(r.rack, r.event_dod);
+            }
+            let planning_it: Watts = bus.readings.iter().map(|r| r.it_load).sum();
+            let available = (c.config.planning_limit() - planning_it).max(Watts::ZERO);
+            let states: Vec<RackChargeState> = before
+                .charge_order()
+                .map(|(rack, e)| RackChargeState {
+                    rack,
+                    priority: e.priority,
+                    dod: e.dod,
+                })
+                .collect();
+            let outcome = assign_global(&states, available, &policy, &model);
+            let expected: Vec<(RackId, Amperes)> = outcome
+                .assignments
+                .iter()
+                .filter(|a| {
+                    (before.current(a.rack).unwrap() - a.current).abs() > Amperes::new(0.01)
+                })
+                .map(|a| (a.rack, a.current))
+                .collect();
+
+            bus.overrides.clear();
+            let report = c.tick(SimTime::from_secs(t as f64), &mut bus);
+            assert_eq!(bus.overrides, expected, "tick {t} at {it_w} W per rack");
+            assert_eq!(report.overrides_sent, expected.len());
+            // One formula: every rack sits at the uniform rate it was sent.
+            let uniform = global_current(9, available, &model);
+            assert!(outcome.assignments.iter().all(|a| a.current == uniform));
+            if expected.is_empty() {
+                held_any += 1;
+            } else {
+                sent_any += 1;
+                assert!(c.commanded_currents().values().all(|&a| a == uniform));
+            }
+        }
+        assert_eq!((sent_any, held_any), (6, 3));
+    }
+
+    #[test]
+    fn one_capped_rack_is_released_as_before() {
+        // Settled racks with ample headroom; one of them carries a cap.
+        let mut bus = ScriptedBus {
+            readings: (0..6)
+                .map(|i| {
+                    let mut r = reading(
+                        i,
+                        Priority::ALL[i as usize % 3],
+                        BbuState::FullyCharged,
+                        0.0,
+                    );
+                    r.recharge_power = Watts::ZERO;
+                    r
+                })
+                .collect(),
+            ..ScriptedBus::default()
+        };
+        let mut c = controller(190.0, Strategy::PriorityAware);
+        c.tick(SimTime::from_secs(1.0), &mut bus);
+        assert!(bus.uncapped.is_empty(), "no rack is capped");
+
+        // The smallest positive cap still counts as a capped rack.
+        for capped in [Watts::from_kilowatts(1.5), Watts::new(f64::MIN_POSITIVE)] {
+            bus.uncapped.clear();
+            bus.readings[4].capped_power = capped;
+            let headroom = (c.config.limit() - Watts::from_kilowatts(36.0)) * 0.9;
+            let expected = plan_uncaps(&bus.readings, headroom);
+            assert_eq!(expected, vec![RackId::new(4)]);
+            let report = c.tick(SimTime::from_secs(2.0), &mut bus);
+            assert_eq!(bus.uncapped, expected, "cap of {capped}");
+            assert_eq!(report.capped_power, capped);
+        }
+    }
+
+    #[test]
     fn strategy_display() {
         assert_eq!(Strategy::PriorityAware.to_string(), "priority-aware");
         assert_eq!(Strategy::Global.to_string(), "global");
@@ -1486,8 +1708,10 @@ mod tests {
         let bytes = snap.to_bytes();
         let decoded = ControllerSnapshot::from_bytes(&bytes).expect("decodes");
         assert_eq!(decoded, snap);
-        // Deterministic: re-snapshotting unchanged state is byte-identical.
+        // Deterministic: re-snapshotting unchanged state is byte-identical,
+        // and the one-pass encoding writes the same bytes.
         assert_eq!(c.snapshot().to_bytes(), bytes);
+        assert_eq!(c.snapshot_bytes(), bytes);
 
         // Restoring into a fresh controller reproduces the brain exactly.
         let mut standby = controller(18.5, Strategy::PriorityAware);
@@ -1495,6 +1719,7 @@ mod tests {
         assert_eq!(standby.commanded_currents(), c.commanded_currents());
         assert_eq!(standby.postponed_racks(), c.postponed_racks());
         assert_eq!(standby.snapshot().to_bytes(), bytes);
+        assert_eq!(standby.snapshot_bytes(), bytes);
     }
 
     #[test]

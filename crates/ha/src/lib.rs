@@ -22,8 +22,9 @@
 //!   set fences it in process: it journals the stale and current terms once
 //!   (`StaleLeaderFenced`) and never lets the replica act under its old term.
 //! - **Deterministic snapshot replication.** On a configurable cadence the
-//!   leader serializes its brain ([`Controller::snapshot`] — `ChargeIndex`
-//!   plus parked-charge map, `f64`s as exact bit patterns) and replicates it
+//!   leader serializes its brain ([`Controller::snapshot_bytes`] —
+//!   `ChargeIndex` plus parked-charge map, `f64`s as exact bit patterns, in
+//!   one pass with no decoded copy) and replicates it
 //!   to the standbys. On takeover the new leader
 //!   restores the latest snapshot and replays the delta since from live
 //!   agent readings: the first post-takeover tick re-reads every rack, so
@@ -127,7 +128,7 @@ impl HaConfig {
 }
 
 /// A replicated controller-brain snapshot: the leader's term and tick plus
-/// the encoded brain ([`ControllerSnapshot::to_bytes`]), decoded only when a
+/// the encoded brain ([`Controller::snapshot_bytes`]), decoded only when a
 /// takeover restores it.
 struct StoredSnapshot {
     /// HA term of the leader that took the snapshot.
@@ -410,10 +411,7 @@ impl ControllerSet {
         if !due {
             return;
         }
-        let bytes = self.replicas[leader as usize]
-            .controller
-            .snapshot()
-            .to_bytes();
+        let bytes = self.replicas[leader as usize].controller.snapshot_bytes();
         flight_at(
             now.as_secs(),
             FlightKind::SnapshotTaken,

@@ -1,7 +1,10 @@
 //! The tick loop: trace → agents → controller → breaker → metrics.
 
 use recharge_core::{ChargeIndex, SlaTable};
-use recharge_dynamo::{Controller, ControllerConfig, FleetBackend, PowerReading, SimRackAgent};
+use recharge_dynamo::{
+    AgentBus, Controller, ControllerConfig, ControllerReport, FleetBackend, PowerReading,
+    SimRackAgent,
+};
 use recharge_power::{Breaker, BreakerStatus};
 use recharge_telemetry::{flight, tcounter, tgauge, tspan, FlightKind, ReasonCode};
 use recharge_trace::{LoadAt, RackPowerTrace, SyntheticFleet};
@@ -105,11 +108,23 @@ impl FleetSimulation {
         // RPC mesh — is a pluggable [`FleetBackend`]; every backend runs the
         // identical sub-step schedule, so metrics are bit-identical across
         // them (for the mesh: under a clean link).
-        let mut backend: Box<dyn FleetBackend> = match &self.scenario.rpc {
-            Some(mesh) => {
-                recharge_net::spawn_mesh(agents, mesh, None).expect("spawning the RPC mesh backend")
-            }
-            None => self.scenario.backend.build(agents),
+        //
+        // How the controller reads the fleet is decided here too. In process,
+        // `readings()` returns exactly the rows the controller's own gather
+        // would read, since nothing in a run disconnects a rack, so the
+        // controller decides on the simulator's rows and each interval reads
+        // the fleet once. The mesh's controller sees the wire snapshot, not
+        // host truth, so it keeps reading through its bus.
+        let (mut backend, decide): (Box<dyn FleetBackend>, Decide) = match &self.scenario.rpc {
+            Some(mesh) => (
+                recharge_net::spawn_mesh(agents, mesh, None)
+                    .expect("spawning the RPC mesh backend"),
+                |controller, now, _, bus| controller.tick(now, bus),
+            ),
+            None => (
+                self.scenario.backend.build(agents),
+                |controller, now, rows, bus| controller.tick_on(now, rows, bus),
+            ),
         };
         let mut config = ControllerConfig::new(DeviceId::new(0), self.scenario.power_limit);
         if self.scenario.allow_postponing {
@@ -196,7 +211,7 @@ impl FleetSimulation {
                         None => monitor_only(&readings),
                     }
                 } else {
-                    let report = controller.tick(now, backend.bus_mut());
+                    let report = decide(&mut controller, now, &readings, backend.bus_mut());
                     (report.it_load, report.recharge_power, report.capped_power)
                 }
             } else {
@@ -249,6 +264,9 @@ impl FleetSimulation {
                             dod: reading.event_dod,
                         });
                     }
+                    // With nothing tracked (the whole warmup, and every
+                    // settled stretch after), there is no track to close.
+                    recharge_battery::BbuState::FullyCharged if tracks.is_empty() => {}
                     recharge_battery::BbuState::FullyCharged => {
                         if let Some(track) = tracks.remove(&reading.rack) {
                             let duration = now - track.started;
@@ -329,6 +347,10 @@ impl FleetSimulation {
         }
     }
 }
+
+/// One control interval of the simulator's own controller, given the rows
+/// the simulator read: [`Controller::tick`] or [`Controller::tick_on`].
+type Decide = fn(&mut Controller, SimTime, &[PowerReading], &mut dyn AgentBus) -> ControllerReport;
 
 /// Monitoring-only aggregation for an interval no controller commands (an
 /// unmitigated run, or an HA leaderless gap): IT load and recharge draw of
