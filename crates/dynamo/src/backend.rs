@@ -138,8 +138,8 @@ pub enum FleetBackendKind {
     /// stepping. Bit-identical to every dense backend.
     Event,
     /// The SoA engine in event mode, one persistent worker per shard
-    /// ([`SoaBackend::event_sharded`]): one event queue and active list per
-    /// shard. Bit-identical to every other backend.
+    /// ([`SoaBackend::event_sharded`]): one sleep lane per shard.
+    /// Bit-identical to every other backend.
     EventSharded {
         /// Shard/worker-thread count (clamped to `[1, agents.len()]` at
         /// build).

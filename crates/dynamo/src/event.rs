@@ -3,8 +3,10 @@
 //! Most of a diurnal run is dead time — batteries sit full, no overload, no
 //! CC→CV knee — yet dense stepping still executes every rack on every
 //! sub-step. In event mode each [`SoaBackend`](crate::SoaBackend) shard
-//! carries a per-slot sleep state ([`Lane`]) and its own next-event queue,
-//! and only steps the slots whose input has actually changed.
+//! carries a per-slot sleep state ([`Lane`]) and only steps the slots whose
+//! input has actually changed. Nothing is queued: every wake is a command
+//! the engine already holds or a power edge the schedule already names, so
+//! its time and order are known before the batch runs.
 //!
 //! **Equivalence argument.** The skip authority is
 //! `SoaShard::is_quiescent`, which grants sleep only when the next dense
@@ -20,29 +22,26 @@
 //!    quiescent, so boundary effects (the final wall-power reading of a
 //!    charge, the state latch flip) are always executed densely.
 //! 2. Input-power edges and bus commands wake racks before the sub-step on
-//!    which they take effect: edges wake the whole fleet (power is a global
-//!    input), commands wake their target via a scheduled event at the next
-//!    sub-step. Sleeping racks therefore never miss an input transition.
+//!    which they take effect. An edge is a sub-step whose input power
+//!    differs from the one before it (the first is compared with the
+//!    previous schedule's last power), and it wakes the whole lane (power
+//!    is a global input). A command on a sleeping rack keeps the slot on
+//!    its shard's `woken` list until the next schedule's first sub-step.
+//!    Sleeping racks therefore never miss an input transition.
 //! 3. The only array a skipped sub-step would have written is the
 //!    `offered[]` trace mirror; `touch_offered` replays the schedule's final
 //!    load for every sleeping rack, which is exactly the value the dense
 //!    pass would have left behind (intermediate writes are unobservable —
 //!    readings happen only at schedule boundaries, DESIGN.md §11).
 //!
-//! Two more rules make the result independent of the shard count and of
+//! One more rule makes the result independent of the shard count and of
 //! which thread steps a shard:
 //!
-//! 4. Every shard's queue receives its events in one fixed order. A bus
-//!    command pushes its `Wake` straight into the owning shard's queue when
-//!    the command arrives (between batches, at the next sub-step's time), and
-//!    the batch start broadcasts each power edge into every shard's queue.
-//!    So within a shard, command wakes keep command order, edges keep
-//!    sub-step order, and a batch's wakes carry lower sequence numbers than
-//!    its edges — exactly the order one fleet-wide `(time, seq)` queue would
-//!    have produced, restricted to the shard's slots.
-//! 5. Cross-shard ordering within a sub-step is immaterial: an event only
-//!    mutates its own shard's lane and arrays (a power edge is replicated
-//!    per shard, and waking an already-awake slot is a no-op), so any
+//! 4. A shard wakes its commanded racks in arrival order, then all of its
+//!    sleepers at each edge. Commands arrive between batches, and the
+//!    calling thread wakes them before any worker starts; every shard reads
+//!    the same edges off the schedule. A wake mutates only its own shard's
+//!    lane and arrays (waking an awake slot is a no-op), so any
 //!    interleaving of shard timelines yields the same arrays — which is why
 //!    the workers can run them concurrently at all.
 //!
@@ -50,25 +49,13 @@
 //! as a `FlightKind::FastForward` event with the number of sub-steps skipped,
 //! on the calling thread after the batch, so provenance of the fast-forward
 //! is auditable after the fact. `sim.rack_substeps`, `sim.ticks_skipped`,
-//! `sim.events_fired`, and `sim.offered_replays` counters quantify the win
-//! per run.
+//! `sim.events_fired` (one delivery per command that landed on a sleeping
+//! rack, duplicates included, plus one per edge per shard), and
+//! `sim.offered_replays` counters quantify the win per run.
 
 use recharge_units::{RackId, Seconds, Watts};
 
-use crate::scheduler::EventScheduler;
 use crate::soa::SoaShard;
-
-/// Extra scheduler capacity beyond one pending wake per rack, covering a
-/// typical batch's worth of power edges without a mid-run reallocation.
-pub(crate) const EDGE_HEADROOM: usize = 64;
-
-/// What a shard's event queue carries.
-pub(crate) enum ShardEvent {
-    /// Input power flips at the event's sub-step: every sleeper wakes.
-    PowerEdge,
-    /// A bus command touched this sleeping slot; it must step again.
-    Wake(usize),
-}
 
 /// A sleep→wake transition recorded during a batch, journaled by the
 /// engine after the batch so every flight-recorder write happens on the
@@ -118,65 +105,43 @@ impl Lane {
         &self.active
     }
 
-    /// Wakes `slot` if it is sleeping, returning how many sub-steps it
-    /// skipped. Waking an awake slot is a no-op (`None`).
-    fn wake_one(&mut self, slot: usize, now: u64) -> Option<u64> {
-        if !self.sleeping[slot] {
-            return None;
+    /// Wakes the commanded slots that still sleep, in command order, at
+    /// `now` (the batch's first sub-step), recording each sleep→wake
+    /// transition into `wakes`. A slot commanded twice wakes once.
+    pub(crate) fn wake_commanded(&mut self, woken: &[u32], now: u64, wakes: &mut Vec<WakeRecord>) {
+        for &s in woken {
+            let slot = s as usize;
+            if !self.sleeping[slot] {
+                continue;
+            }
+            self.sleeping[slot] = false;
+            if let Ok(pos) = self.asleep.binary_search(&s) {
+                self.asleep.remove(pos);
+            }
+            if let Err(pos) = self.active.binary_search(&s) {
+                self.active.insert(pos, s);
+            }
+            let skipped = now.saturating_sub(self.slept_at[slot] + 1);
+            wakes.push(WakeRecord { slot, skipped, now });
         }
-        self.sleeping[slot] = false;
-        let skipped = now.saturating_sub(self.slept_at[slot] + 1);
-        let s32 = u32::try_from(slot).expect("slot fits u32");
-        if let Ok(pos) = self.asleep.binary_search(&s32) {
-            self.asleep.remove(pos);
-        }
-        if let Err(pos) = self.active.binary_search(&s32) {
-            self.active.insert(pos, s32);
-        }
-        Some(skipped)
     }
 
-    /// Wakes every sleeping slot, invoking `woken(slot, skipped)` in
-    /// ascending slot order.
-    fn wake_all(&mut self, now: u64, mut woken: impl FnMut(usize, u64)) {
+    /// Wakes every sleeping slot at a power edge, recording each transition
+    /// into `wakes` in ascending slot order.
+    pub(crate) fn wake_all(&mut self, now: u64, wakes: &mut Vec<WakeRecord>) {
         if self.asleep.is_empty() {
             return;
         }
         for &s in &self.asleep {
             let slot = s as usize;
             self.sleeping[slot] = false;
-            woken(slot, now.saturating_sub(self.slept_at[slot] + 1));
+            let skipped = now.saturating_sub(self.slept_at[slot] + 1);
+            wakes.push(WakeRecord { slot, skipped, now });
         }
         self.asleep.clear();
         self.active.clear();
         self.active
             .extend(0..u32::try_from(self.sleeping.len()).expect("shard fits u32"));
-    }
-
-    /// Pops every event due at `now` and applies it, recording each
-    /// sleep→wake transition into `wakes`. Returns the number of events
-    /// delivered.
-    pub(crate) fn fire_due(
-        &mut self,
-        queue: &mut EventScheduler<ShardEvent>,
-        now: u64,
-        wakes: &mut Vec<WakeRecord>,
-    ) -> u64 {
-        let mut fired = 0;
-        while let Some((_, event)) = queue.pop_due(now) {
-            fired += 1;
-            match event {
-                ShardEvent::PowerEdge => self.wake_all(now, |slot, skipped| {
-                    wakes.push(WakeRecord { slot, skipped, now });
-                }),
-                ShardEvent::Wake(slot) => {
-                    if let Some(skipped) = self.wake_one(slot, now) {
-                        wakes.push(WakeRecord { slot, skipped, now });
-                    }
-                }
-            }
-        }
-        fired
     }
 
     /// Executes one sub-step for every active slot, retiring the ones whose

@@ -53,7 +53,6 @@ mod controller;
 mod event;
 mod hierarchy;
 mod messages;
-mod scheduler;
 mod soa;
 mod workers;
 

@@ -47,19 +47,16 @@
 //! bit 6    input power present
 //! ```
 
-use std::collections::HashMap;
-
 use recharge_battery::kernel;
 use recharge_battery::{BbuParams, BbuState, ChargePhase, ChargePolicy};
 use recharge_telemetry::{flight, tcounter, tspan, FlightKind, ReasonCode, NO_BUCKET};
-use recharge_units::{Amperes, Dod, Priority, RackId, Seconds, Soc, Watts};
+use recharge_units::{Amperes, Dod, Priority, RackId, RackMap, Seconds, Soc, Watts};
 
 use crate::agent::{RackAgent, SimRackAgent};
 use crate::backend::FleetBackend;
 use crate::bus::AgentBus;
-use crate::event::{Lane, ShardEvent, WakeRecord, EDGE_HEADROOM};
+use crate::event::{Lane, WakeRecord};
 use crate::messages::PowerReading;
-use crate::scheduler::EventScheduler;
 use crate::workers::Workers;
 
 const STATE_MASK: u8 = 0b0000_0011;
@@ -419,6 +416,9 @@ pub(crate) struct Batch<'a> {
     pub(crate) mode: Mode,
     /// Global sub-step index of the batch's first sub-step.
     pub(crate) base: u64,
+    /// Input power on the sub-step before `base` (the previous schedule's
+    /// last), which the first sub-step is compared with for an edge.
+    pub(crate) power_before: bool,
     pub(crate) dt: Seconds,
     pub(crate) input_power: &'a [bool],
 }
@@ -431,18 +431,17 @@ struct BatchCounts {
     replays: u64,
 }
 
-/// One shard's complete stepping state: its arrays, sleep lane, and event
-/// queue. Ownership moves to a worker thread for the length of a batch on
-/// the sharded kinds and stays with the engine otherwise.
+/// One shard's complete stepping state: its arrays and sleep lane.
+/// Ownership moves to a worker thread for the length of a batch on the
+/// sharded kinds and stays with the engine otherwise.
 pub(crate) struct ShardState {
     pub(crate) shard: SoaShard,
     /// Sleep bookkeeping. Dense mode never retires a slot, so its lane stays
-    /// all-awake and no command ever schedules a wake.
+    /// all-awake and no command ever lands on a sleeper.
     pub(crate) lane: Lane,
-    queue: EventScheduler<ShardEvent>,
-    /// Slots a command woke since the last batch (a worker frame carries
-    /// loads for them).
-    pub(crate) woken: Vec<u32>,
+    /// Slots commands touched while they slept since the last batch, in
+    /// command order, duplicates included.
+    woken: Vec<u32>,
     /// Sleep→wake transitions of the last batch, journaled by the engine.
     wakes: Vec<WakeRecord>,
     executed_total: u64,
@@ -450,17 +449,10 @@ pub(crate) struct ShardState {
 }
 
 impl ShardState {
-    fn new(shard: SoaShard, mode: Mode) -> Self {
-        let queue = match mode {
-            // Steady-state sizing: at most one pending wake per slot plus a
-            // batch's worth of power edges — the hot loop never grows the heap.
-            Mode::Event => EventScheduler::with_capacity(shard.len() + EDGE_HEADROOM),
-            Mode::Dense => EventScheduler::new(),
-        };
+    fn new(shard: SoaShard) -> Self {
         ShardState {
             lane: Lane::new(shard.len()),
             shard,
-            queue,
             woken: Vec::new(),
             wakes: Vec::new(),
             executed_total: 0,
@@ -468,11 +460,24 @@ impl ShardState {
         }
     }
 
+    /// Opens a batch whose first sub-step is `now`: wakes the commanded
+    /// slots (rule 4 in `event.rs`) and starts the batch's counts with one
+    /// delivery per command. Runs on the calling thread, before any worker
+    /// frame is filled.
+    fn open_batch(&mut self, now: u64) {
+        self.lane.wake_commanded(&self.woken, now, &mut self.wakes);
+        self.batch = BatchCounts {
+            fired: self.woken.len() as u64,
+            ..BatchCounts::default()
+        };
+        self.woken.clear();
+    }
+
     /// The per-shard batch runner, the same on the calling thread and on a
-    /// worker: in event mode pop the due events, step the awake slots, and
-    /// replay the final offered load into sleepers; in dense mode step every
-    /// slot. `load(substep, slot, rack)` and `final_load(slot, rack)` supply
-    /// offered loads.
+    /// worker: in event mode wake every sleeper at each power edge, step the
+    /// awake slots, and replay the final offered load into sleepers; in
+    /// dense mode step every slot. `load(substep, slot, rack)` and
+    /// `final_load(slot, rack)` supply offered loads.
     pub(crate) fn run_batch(
         &mut self,
         batch: &Batch<'_>,
@@ -482,14 +487,11 @@ impl ShardState {
         let ShardState {
             shard,
             lane,
-            queue,
-            woken,
             wakes,
             executed_total,
             batch: counts,
+            ..
         } = self;
-        woken.clear();
-        *counts = BatchCounts::default();
         match batch.mode {
             Mode::Dense => {
                 for (i, &power) in batch.input_power.iter().enumerate() {
@@ -501,9 +503,14 @@ impl ShardState {
                 counts.executed = (batch.input_power.len() * shard.len()) as u64;
             }
             Mode::Event => {
+                let mut before = batch.power_before;
                 for (i, &power) in batch.input_power.iter().enumerate() {
                     let now = batch.base + i as u64;
-                    counts.fired += lane.fire_due(queue, now, wakes);
+                    if power != before {
+                        counts.fired += 1;
+                        lane.wake_all(now, wakes);
+                        before = power;
+                    }
                     counts.executed +=
                         lane.step_active(shard, now, power, batch.dt, |slot, rack| {
                             load(i, slot, rack)
@@ -552,9 +559,9 @@ pub struct SoaBackend {
     /// homogeneous-group partition reshuffled racks across shards.
     order: Vec<(usize, usize)>,
     /// rack → (shard, slot); commands and reads route through here.
-    index: HashMap<RackId, (usize, usize)>,
-    /// Fleet-wide input power as of the last scheduled edge. Safe to start
-    /// `true`: every rack begins awake, and a rack only sleeps after
+    index: RackMap<(usize, usize)>,
+    /// Input power on the last sub-step of the previous schedule. Safe to
+    /// start `true`: every rack begins awake, and a rack only sleeps after
     /// executing a sub-step whose power this field tracked.
     power: bool,
     /// Global sub-step counter across schedules (the event timeline).
@@ -661,15 +668,14 @@ impl SoaBackend {
         let chunk = agents.len().div_ceil(shards.clamp(1, agents.len().max(1)));
         let mut built: Vec<ShardState> = Vec::new();
         let mut order = vec![(0usize, 0usize); agents.len()];
-        let mut index = HashMap::with_capacity(agents.len());
+        let mut index = RackMap::with_capacity_and_hasher(agents.len(), Default::default());
         for (params, policy, members) in &groups {
             for piece in members.chunks(chunk) {
                 let refs: Vec<&SimRackAgent> = piece.iter().map(|&pos| &agents[pos]).collect();
                 let s = built.len();
-                built.push(ShardState::new(
-                    SoaShard::from_agents(&refs, *params, *policy),
-                    mode,
-                ));
+                built.push(ShardState::new(SoaShard::from_agents(
+                    &refs, *params, *policy,
+                )));
                 for (slot, &pos) in piece.iter().enumerate() {
                     order[pos] = (s, slot);
                     index.insert(agents[pos].rack(), (s, slot));
@@ -737,25 +743,6 @@ impl SoaBackend {
             .collect()
     }
 
-    /// Broadcasts the schedule's power edges into every shard's queue at
-    /// batch start (rule 4 in `event.rs`); returns whether any edge lands in
-    /// the batch.
-    fn broadcast_edges(&mut self, input_power: &[bool]) -> bool {
-        let mut has_edge = false;
-        for (i, &p) in input_power.iter().enumerate() {
-            if p != self.power {
-                for state in &mut self.shards {
-                    state
-                        .queue
-                        .schedule(self.clock + i as u64, ShardEvent::PowerEdge);
-                }
-                has_edge = true;
-                self.power = p;
-            }
-        }
-        has_edge
-    }
-
     /// Sums the shards' batch counts and journals their wake records, on the
     /// calling thread, after the batch.
     fn finish_batch(&mut self, n: usize) {
@@ -789,8 +776,8 @@ impl SoaBackend {
     }
 
     /// Applies a command to the owning shard's arrays and, if the target is
-    /// sleeping, queues its wake at the next sub-step so the command's effect
-    /// is stepped densely (rule 2 in `event.rs`).
+    /// sleeping, lists it to wake at the next schedule's first sub-step so
+    /// the command's effect is stepped densely (rule 2 in `event.rs`).
     fn command(&mut self, rack: RackId, apply: impl FnOnce(&mut SoaShard, usize)) {
         let Some(&(s, slot)) = self.index.get(&rack) else {
             return;
@@ -798,7 +785,6 @@ impl SoaBackend {
         let state = &mut self.shards[s];
         apply(&mut state.shard, slot);
         if state.lane.is_sleeping(slot) {
-            state.queue.schedule(self.clock, ShardEvent::Wake(slot));
             state
                 .woken
                 .push(u32::try_from(slot).expect("slot fits u32"));
@@ -827,15 +813,18 @@ impl FleetBackend for SoaBackend {
         if n == 0 || self.shards.is_empty() {
             return;
         }
-        let has_edge = self.mode == Mode::Event && self.broadcast_edges(input_power);
+        for state in &mut self.shards {
+            state.open_batch(self.clock);
+        }
         let batch = Batch {
             mode: self.mode,
             base: self.clock,
+            power_before: self.power,
             dt,
             input_power,
         };
         match &mut self.workers {
-            Some(workers) => workers.run(&mut self.shards, &batch, has_edge, load_of),
+            Some(workers) => workers.run(&mut self.shards, &batch, load_of),
             // Inline, the runner calls `load_of` directly: no frame, and
             // loads are evaluated only for the slots that execute.
             None => {
@@ -849,6 +838,7 @@ impl FleetBackend for SoaBackend {
             }
         }
         self.clock += n as u64;
+        self.power = input_power[n - 1];
         self.finish_batch(n);
     }
 

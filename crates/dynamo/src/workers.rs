@@ -16,9 +16,9 @@
 //!
 //! `load_of` is not `Sync`, so the coordinator evaluates loads into the
 //! frame: every slot on every sub-step in dense mode or when a power edge
-//! lands in the batch; otherwise only the slots that can possibly execute
-//! (`active ∪ woken`), plus one final-sub-step load per slot for the
-//! sleeping replay.
+//! lands in the batch; otherwise only each lane's active slots (the engine
+//! wakes commanded slots before it fills the frame), plus one
+//! final-sub-step load per slot for the sleeping replay.
 //!
 //! Spawning threads per batch instead (a `std::thread::scope` fan-out) costs
 //! ≈95 µs per batch for 4 threads on a 2-vCPU host; a persistent-worker
@@ -38,6 +38,7 @@ use crate::soa::{Batch, Mode, ShardState};
 struct Frame {
     mode: Mode,
     base: u64,
+    power_before: bool,
     dt: Seconds,
     input_power: Vec<bool>,
     shards: Vec<ShardFrame>,
@@ -63,6 +64,7 @@ impl Frame {
         Frame {
             mode: Mode::Dense,
             base: 0,
+            power_before: true,
             dt: Seconds::ZERO,
             input_power: Vec::new(),
             shards: Vec::new(),
@@ -73,15 +75,17 @@ impl Frame {
         &mut self,
         states: &[ShardState],
         batch: &Batch<'_>,
-        has_edge: bool,
         load_of: &dyn Fn(RackId, usize) -> Watts,
     ) {
         self.mode = batch.mode;
         self.base = batch.base;
+        self.power_before = batch.power_before;
         self.dt = batch.dt;
         self.input_power.clear();
         self.input_power.extend_from_slice(batch.input_power);
         self.shards.resize_with(states.len(), ShardFrame::default);
+        // A power edge anywhere in the batch wakes every slot.
+        let has_edge = batch.input_power.contains(&!batch.power_before);
         let every_slot = batch.mode == Mode::Dense || has_edge;
         for (sf, state) in self.shards.iter_mut().zip(states) {
             sf.fill(state, batch, every_slot, load_of);
@@ -92,6 +96,7 @@ impl Frame {
         Batch {
             mode: self.mode,
             base: self.base,
+            power_before: self.power_before,
             dt: self.dt,
             input_power: &self.input_power,
         }
@@ -117,11 +122,6 @@ impl ShardFrame {
                 .extend(0..u32::try_from(len).expect("shard fits u32"));
         } else {
             self.awake.extend_from_slice(state.lane.active_slots());
-            for &w in &state.woken {
-                if let Err(pos) = self.awake.binary_search(&w) {
-                    self.awake.insert(pos, w);
-                }
-            }
         }
         let n = batch.input_power.len();
         self.loads.reserve(self.awake.len() * n);
@@ -213,12 +213,11 @@ impl Workers {
         &mut self,
         states: &mut Vec<ShardState>,
         batch: &Batch<'_>,
-        has_edge: bool,
         load_of: &dyn Fn(RackId, usize) -> Watts,
     ) {
         debug_assert_eq!(states.len(), self.workers.len());
         let mut frame = std::mem::replace(&mut self.spare, Frame::empty());
-        frame.fill(states, batch, has_edge, load_of);
+        frame.fill(states, batch, load_of);
         let frame = Arc::new(frame);
         for (state, worker) in states.drain(..).zip(&self.workers) {
             worker

@@ -3,22 +3,22 @@
 //!
 //! [`RpcMeshConfig`] is the scenario-carried selector, playing the same role
 //! [`FleetBackendKind`](recharge_dynamo::FleetBackendKind) plays for the
-//! in-process backends: a plain value describing transport, lease, deadlines,
-//! retry budget, shard plan, and (optionally) a seeded [`FaultPlan`] for
-//! chaos runs. [`spawn_mesh`] turns it into a [`ShardedRpcFleetBackend`] —
-//! one agent server by default, one per shard when the plan asks for more.
+//! in-process backends: a plain value describing transport, shard plan, and
+//! (optionally) a seeded [`FaultPlan`] for chaos runs. Every mesh runs the
+//! default lease ([`DEFAULT_LEASE_TICKS`](crate::DEFAULT_LEASE_TICKS)) and
+//! [`RpcBusConfig::default`](crate::RpcBusConfig::default)'s deadline,
+//! retry budget and jitter seed. [`spawn_mesh`] turns the config into a
+//! [`ShardedRpcFleetBackend`] — one agent server by default, one per shard
+//! when the plan asks for more.
 
 use std::convert::Infallible;
 use std::io;
-use std::time::Duration;
 
 use recharge_dynamo::{FleetBackend, SimRackAgent};
 use recharge_units::RackId;
 
-use crate::client::RetryPolicy;
 use crate::endpoint::Endpoint;
 use crate::fault::FaultPlan;
-use crate::server::DEFAULT_LEASE_TICKS;
 use crate::sharded::ShardedRpcFleetBackend;
 
 /// Which socket family the mesh uses.
@@ -75,18 +75,8 @@ impl ShardPlan {
 pub struct RpcMeshConfig {
     /// Socket family.
     pub transport: RpcTransport,
-    /// Coordination lease in simulation ticks; must exceed the controller's
-    /// `control_every`, or healthy racks would flap into standalone between
-    /// control tick contacts.
-    pub lease_ticks: u64,
-    /// Per-attempt response deadline.
-    pub deadline: Duration,
-    /// Retry budget and backoff shape.
-    pub retry: RetryPolicy,
     /// Link faults to inject; `None` for a clean link.
     pub fault: Option<FaultPlan>,
-    /// Seed for client backoff jitter.
-    pub seed: u64,
     /// Fleet partitioning: `n` servers or one per RPP row (default: one
     /// server for the whole fleet).
     pub shards: ShardPlan,
@@ -96,11 +86,7 @@ impl Default for RpcMeshConfig {
     fn default() -> Self {
         RpcMeshConfig {
             transport: RpcTransport::TcpLoopback,
-            lease_ticks: DEFAULT_LEASE_TICKS,
-            deadline: Duration::from_millis(500),
-            retry: RetryPolicy::default(),
             fault: None,
-            seed: 0x0b5e_55ed,
             shards: ShardPlan::Count(1),
         }
     }

@@ -53,7 +53,7 @@ use recharge_units::{Amperes, RackId, RackMap, Seconds, Watts};
 use crate::backend::RpcMeshConfig;
 use crate::client::{RpcBus, RpcBusConfig};
 use crate::fault::FaultClock;
-use crate::server::{AgentHost, AgentServer};
+use crate::server::{AgentHost, AgentServer, DEFAULT_LEASE_TICKS};
 use crate::wire::{AgentCommand, MAX_READINGS_PER_FRAME};
 
 /// One unit of work for a shard's client thread.
@@ -374,19 +374,18 @@ impl ShardedRpcFleetBackend {
         for (shard, group) in groups.iter().enumerate() {
             let shard_agents: Vec<SimRackAgent> = agent_iter.by_ref().take(group.len()).collect();
             let host = Arc::new(
-                AgentHost::new(shard_agents, config.lease_ticks, clock.clone())
+                AgentHost::new(shard_agents, DEFAULT_LEASE_TICKS, clock.clone())
                     .with_shard(shard as u32),
             );
             let server = AgentServer::serve(Arc::clone(&host), &config.fresh_endpoint()?)?;
+            let defaults = RpcBusConfig::default();
             let bus_config = RpcBusConfig {
-                deadline: config.deadline,
-                retry: config.retry,
-                seed: config
+                seed: defaults
                     .seed
                     .wrapping_add(0x9e37_79b9_7f4a_7c15u64.wrapping_mul(shard as u64 + 1)),
                 fault: config.fault.as_ref().map(|f| f.for_shard(shard, group)),
                 shard_label: shard as u32,
-                ..RpcBusConfig::default()
+                ..defaults
             };
             links.push((server.endpoint().clone(), bus_config));
             hosts.push(host);

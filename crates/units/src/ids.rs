@@ -1,4 +1,4 @@
-//! Identifiers for racks, BBUs, and power-hierarchy devices.
+//! Identifiers for racks and power-hierarchy devices.
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
@@ -48,7 +48,7 @@ impl From<u32> for RackId {
     }
 }
 
-/// A hash map keyed by [`RackId`] with the cheap [`RackHasher`].
+/// A hash map keyed by [`RackId`] with the cheap `RackHasher`.
 pub type RackMap<V> = HashMap<RackId, V, BuildHasherDefault<RackHasher>>;
 
 /// A [`Hasher`] for [`RackId`] keys: one multiply per id instead of SipHash.
@@ -95,52 +95,6 @@ impl Hasher for RackHasher {
 
     fn finish(&self) -> u64 {
         self.0 ^ (self.0 >> 32)
-    }
-}
-
-/// Identifier of a battery backup unit: a rack plus a slot index.
-///
-/// Open Rack V2 racks carry six BBUs (two power zones × three units).
-///
-/// # Examples
-///
-/// ```
-/// use recharge_units::{BbuId, RackId};
-///
-/// let id = BbuId::new(RackId::new(3), 5);
-/// assert_eq!(format!("{id}"), "rack-3/bbu-5");
-/// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
-pub struct BbuId {
-    rack: RackId,
-    slot: u8,
-}
-
-impl BbuId {
-    /// Creates a BBU identifier for the given rack and slot.
-    #[must_use]
-    pub const fn new(rack: RackId, slot: u8) -> Self {
-        BbuId { rack, slot }
-    }
-
-    /// The rack hosting this BBU.
-    #[must_use]
-    pub const fn rack(self) -> RackId {
-        self.rack
-    }
-
-    /// The slot index within the rack (0-based).
-    #[must_use]
-    pub const fn slot(self) -> u8 {
-        self.slot
-    }
-}
-
-impl core::fmt::Display for BbuId {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        write!(f, "{}/bbu-{}", self.rack, self.slot)
     }
 }
 
@@ -193,13 +147,6 @@ mod tests {
     }
 
     #[test]
-    fn bbu_id_components() {
-        let id = BbuId::new(RackId::new(1), 2);
-        assert_eq!(id.rack(), RackId::new(1));
-        assert_eq!(id.slot(), 2);
-    }
-
-    #[test]
     fn ids_are_ordered_and_hashable() {
         use std::collections::HashSet;
         let mut set = HashSet::new();
@@ -207,7 +154,6 @@ mod tests {
         set.insert(RackId::new(1));
         assert_eq!(set.len(), 1);
         assert!(RackId::new(1) < RackId::new(2));
-        assert!(BbuId::new(RackId::new(1), 0) < BbuId::new(RackId::new(1), 1));
         assert!(DeviceId::new(3) < DeviceId::new(4));
     }
 

@@ -38,7 +38,7 @@ mod time;
 pub use electrical::{Amperes, Ohms, Volts};
 pub use energy::Joules;
 pub use fraction::{Dod, Fraction, Soc};
-pub use ids::{BbuId, DeviceId, RackHasher, RackId, RackMap};
+pub use ids::{DeviceId, RackId, RackMap};
 pub use power::Watts;
 pub use priority::{ParsePriorityError, Priority};
 pub use time::{Seconds, SimTime};

@@ -19,7 +19,7 @@ pub use recharge_units as units;
 /// Commonly used types, one `use` away.
 pub mod prelude {
     pub use recharge_units::{
-        Amperes, BbuId, DeviceId, Dod, Fraction, Joules, Ohms, Priority, RackId, Seconds, SimTime,
-        Soc, Volts, Watts,
+        Amperes, DeviceId, Dod, Fraction, Joules, Ohms, Priority, RackId, Seconds, SimTime, Soc,
+        Volts, Watts,
     };
 }
