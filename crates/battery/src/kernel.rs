@@ -102,82 +102,6 @@ pub fn charge_step(
     }
 }
 
-/// A conservative lower bound on the time until the charge sequence's next
-/// *qualitative* event — the CC→CV knee crossing while the pack charges in
-/// constant current, or charge termination (the taper reaching the cutoff)
-/// once it is in constant voltage.
-///
-/// The bound is analytic. Under the affine OCV model both thresholds
-/// correspond to fixed states of charge:
-///
-/// ```text
-/// soc_knee = (cc_to_cv_voltage − I·R − ocv_empty) / (ocv_full − ocv_empty)
-/// soc_cut  = (cv_voltage − I_cutoff·R − ocv_empty) / (ocv_full − ocv_empty)
-/// ```
-///
-/// and every charging step stores at most `ocv_full × I_now × η` joules per
-/// second, because the OCV and (in CV) the taper current only fall as charge
-/// accrues. Dividing the charge still missing to the threshold by that
-/// ceiling can therefore only *under*-estimate the time to the event:
-/// discrete stepping with any `dt` cannot observe the event strictly before
-/// the returned time (property-tested). The event-driven backend uses this
-/// as a safe horizon — never as permission to skip state it would otherwise
-/// have computed, since the accumulated float series is step-size dependent.
-///
-/// The bound is valid only while the inputs stand still: a setpoint change,
-/// a postpone/override, or any discharge invalidates it and a fresh bound
-/// must be taken from the new state.
-///
-/// Returns infinite [`Seconds`] when no self-driven event can occur: charging
-/// already terminated, a non-positive setpoint (postponed), or parameters
-/// whose threshold lies beyond 100% SoC.
-#[must_use]
-pub fn next_charge_event_time(
-    params: &BbuParams,
-    soc: f64,
-    charge_terminated: bool,
-    setpoint: Amperes,
-) -> Seconds {
-    let never = Seconds::new(f64::INFINITY);
-    if charge_terminated || setpoint <= Amperes::ZERO {
-        return never;
-    }
-    let span = params.ocv_full.as_volts() - params.ocv_empty.as_volts();
-    let r = params.internal_resistance.as_ohms();
-    let capacity = params.full_discharge_energy.as_joules();
-    // J/s stored per ampere at the OCV ceiling.
-    let rate_per_amp = params.ocv_full.as_volts() * params.charge_efficiency;
-
-    let cc_terminal = params.ocv(soc) + setpoint * params.internal_resistance;
-    if cc_terminal < params.cc_to_cv_voltage {
-        // Constant current: the next event is the CC→CV knee.
-        let soc_knee = (params.cc_to_cv_voltage.as_volts()
-            - setpoint.as_amps() * r
-            - params.ocv_empty.as_volts())
-            / span;
-        if soc_knee > 1.0 {
-            return never; // the terminal can never reach the knee
-        }
-        let missing = (soc_knee - soc).max(0.0) * capacity;
-        Seconds::new(missing / (rate_per_amp * setpoint.as_amps()))
-    } else {
-        // Constant voltage: the next event is termination at the cutoff.
-        let current_now = natural_cv_current(params, params.ocv(soc)).min(setpoint);
-        if current_now <= params.cutoff_current {
-            return Seconds::ZERO; // the very next step latches completion
-        }
-        let soc_cut = (params.cv_voltage.as_volts()
-            - params.cutoff_current.as_amps() * r
-            - params.ocv_empty.as_volts())
-            / span;
-        if soc_cut > 1.0 {
-            return never; // the taper never crosses the cutoff
-        }
-        let missing = (soc_cut - soc).max(0.0) * capacity;
-        Seconds::new(missing / (rate_per_amp * current_now.as_amps()))
-    }
-}
-
 /// Draws `requested` power from raw pack state for `dt`.
 ///
 /// Delivery is limited by the per-BBU discharge ceiling
@@ -217,98 +141,5 @@ pub fn discharge_step(
     DischargeStep {
         delivered_power: delivered_energy / dt,
         depleted,
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn production() -> BbuParams {
-        BbuParams::production()
-    }
-
-    #[test]
-    fn terminated_or_paused_charging_has_no_event() {
-        let p = production();
-        assert!(next_charge_event_time(&p, 1.0, true, Amperes::new(5.0))
-            .as_secs()
-            .is_infinite());
-        assert!(next_charge_event_time(&p, 0.5, false, Amperes::ZERO)
-            .as_secs()
-            .is_infinite());
-        assert!(next_charge_event_time(&p, 0.5, false, Amperes::new(-1.0))
-            .as_secs()
-            .is_infinite());
-    }
-
-    #[test]
-    fn cc_phase_predicts_a_positive_knee_horizon() {
-        let p = production();
-        // Half discharged at 5 A: deep in CC, the knee is minutes away.
-        let t = next_charge_event_time(&p, 0.5, false, Amperes::new(5.0));
-        assert!(t > Seconds::new(60.0), "knee horizon {t}");
-        // The bound must not exceed the true knee time: stepping densely at
-        // 1 s must stay in CC for at least `t` seconds.
-        let mut soc = 0.5;
-        let mut term = false;
-        let mut elapsed = 0.0;
-        loop {
-            let step = charge_step(
-                &p,
-                &mut soc,
-                &mut term,
-                Amperes::new(5.0),
-                Seconds::new(1.0),
-            );
-            if step.phase != ChargePhase::ConstantCurrent {
-                break;
-            }
-            elapsed += 1.0;
-            assert!(elapsed < 1e6, "never left CC");
-        }
-        assert!(
-            elapsed >= t.as_secs() - 1e-9,
-            "knee at {elapsed:.1} s before predicted {t}"
-        );
-    }
-
-    #[test]
-    fn cv_phase_predicts_termination_and_zero_at_the_cutoff() {
-        let p = production();
-        // Just past the cutoff SoC the next step must terminate: bound is 0.
-        let span = p.ocv_full.as_volts() - p.ocv_empty.as_volts();
-        let soc_cut = (p.cv_voltage.as_volts()
-            - p.cutoff_current.as_amps() * p.internal_resistance.as_ohms()
-            - p.ocv_empty.as_volts())
-            / span;
-        assert_eq!(
-            next_charge_event_time(&p, soc_cut + 1e-6, false, Amperes::new(2.0)),
-            Seconds::ZERO
-        );
-        // Early in the CV leg the bound is positive and conservative.
-        let soc0 = soc_cut - 0.02;
-        let t = next_charge_event_time(&p, soc0, false, Amperes::new(2.0));
-        assert!(t > Seconds::ZERO, "{t}");
-        let mut soc = soc0;
-        let mut term = false;
-        let mut elapsed = 0.0;
-        while !term {
-            charge_step(
-                &p,
-                &mut soc,
-                &mut term,
-                Amperes::new(2.0),
-                Seconds::new(1.0),
-            );
-            if !term {
-                elapsed += 1.0;
-            }
-            assert!(elapsed < 1e6, "never terminated");
-        }
-        assert!(
-            elapsed >= t.as_secs() - 1e-9,
-            "terminated at {elapsed:.1} s before predicted {t}"
-        );
     }
 }

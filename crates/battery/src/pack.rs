@@ -167,19 +167,6 @@ impl BbuPack {
         )
     }
 
-    /// A conservative lower bound on the time until this pack's next
-    /// self-driven charge event — the CC→CV knee while in constant current,
-    /// or termination once in constant voltage — at the given setpoint.
-    ///
-    /// See [`kernel::next_charge_event_time`] for the ceiling argument and
-    /// the invalidation rules: infinite when charging is terminated or
-    /// paused, and any external input (setpoint change, discharge) requires
-    /// taking a fresh bound from the new state.
-    #[must_use]
-    pub fn next_event_time(&self, setpoint: Amperes) -> Seconds {
-        kernel::next_charge_event_time(&self.params, self.soc, self.charge_terminated, setpoint)
-    }
-
     /// Charges to completion at a fixed setpoint, returning the total time.
     ///
     /// Used by table generation and tests; `dt` is the integration step.

@@ -143,50 +143,6 @@ proptest! {
     }
 
     #[test]
-    fn no_charge_event_strictly_before_the_predicted_time(
-        dod in 0.005f64..=1.0,
-        amps in 0.5f64..=5.0,
-        dt in 0.25f64..=30.0,
-    ) {
-        // The event-driven scheduler's safety contract: dense stepping at any
-        // step size must not observe the next qualitative charge event (CC→CV
-        // knee, or termination once in CV) strictly before the analytic lower
-        // bound taken from the same state.
-        let params = BbuParams::production();
-        let mut pack = BbuPack::discharged(params, Dod::new(dod));
-        let setpoint = Amperes::new(amps);
-        let predicted = pack.next_event_time(setpoint);
-        prop_assert!(predicted.as_secs() >= 0.0);
-        prop_assert!(predicted.as_secs().is_finite(), "{predicted}");
-
-        // Which event the bound refers to depends on the starting phase.
-        let started_cc = params.ocv(pack.soc().value())
-            + setpoint * params.internal_resistance
-            < params.cc_to_cv_voltage;
-        let mut steps: u64 = 0;
-        loop {
-            let step = pack.charge_step(setpoint, Seconds::new(dt));
-            let event = if started_cc {
-                step.phase != recharge_battery::ChargePhase::ConstantCurrent
-            } else {
-                step.phase == recharge_battery::ChargePhase::Complete
-            };
-            if event {
-                // The event is observed at the *start* of this step.
-                let elapsed = steps as f64 * dt;
-                let slack = 1e-9 * predicted.as_secs().max(1.0);
-                prop_assert!(
-                    elapsed >= predicted.as_secs() - slack,
-                    "event at {elapsed:.3} s, predicted no earlier than {predicted}"
-                );
-                break;
-            }
-            steps += 1;
-            prop_assert!(steps < 1_000_000, "no event observed");
-        }
-    }
-
-    #[test]
     fn charged_energy_never_exceeds_capacity(dod in 0.0f64..=1.0) {
         let params = BbuParams::production();
         let mut pack = BbuPack::discharged(params, Dod::new(dod));

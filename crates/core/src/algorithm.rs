@@ -343,9 +343,9 @@ pub fn throttle_on_overload(
 
 /// Reverse-order throttling over an incrementally maintained [`ChargeIndex`]:
 /// the same shed pass as [`throttle_on_overload`], but the
-/// lowest-priority-highest-discharge-first order is read off the index's
-/// materialized ordering — no per-call comparison sort. The racks' commanded
-/// currents are read from the index.
+/// lowest-priority-highest-discharge-first order is
+/// [`ChargeIndex::shed_order`] — no per-call comparison sort. The racks'
+/// commanded currents are read from the index.
 ///
 /// Assignments are returned in the index's *charge* order (the reverse of the
 /// shed order), with `sla_met` recomputed for every rack against `policy`.
@@ -373,25 +373,10 @@ pub fn throttle_on_overload_indexed(
             residual_overload: Watts::ZERO,
         };
     }
-    // The shed order visits (priority, DOD-bucket) groups in reverse charge
-    // order but keeps the racks *within* a group ascending — matching the
-    // stable descending sort in `throttle_on_overload`, which sheds
-    // equal-(priority, DOD) racks in their input (rack-ascending) order.
-    let keys: Vec<(u8, u16)> = updated
-        .iter()
-        .map(|a| (a.priority.rank(), ChargeIndex::dod_bucket(a.dod)))
-        .collect();
-    let mut order = Vec::with_capacity(updated.len());
-    let mut end = updated.len();
-    while end > 0 {
-        let mut start = end;
-        while start > 0 && keys[start - 1] == keys[end - 1] {
-            start -= 1;
-        }
-        order.extend(start..end);
-        end = start;
-    }
-    let shed = shed_in_order(&mut updated, order.into_iter(), overload, policy, model);
+    // `updated` is in charge order, so the index's shed positions address it
+    // directly; ties shed rack-ascending, as in `throttle_on_overload`.
+    let order = index.shed_order().into_iter();
+    let shed = shed_in_order(&mut updated, order, overload, policy, model);
     ThrottleOutcome {
         assignments: updated,
         power_shed: shed,

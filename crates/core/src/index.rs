@@ -42,7 +42,8 @@ type OrderKey = (u8, u16, RackId);
 ///
 /// Ascending iteration ([`charge_order`](Self::charge_order)) yields the
 /// highest-priority-lowest-discharge-first order Algorithm 1 assigns in;
-/// the overload response sheds in the reverse order.
+/// the overload response sheds in [`shed_order`](Self::shed_order), its
+/// reverse by group.
 ///
 /// # Examples
 ///
@@ -179,11 +180,36 @@ impl ChargeIndex {
             .iter()
             .map(|&(_, _, rack)| (rack, &self.entries[&rack]))
     }
+
+    /// The overload response's shed order, as positions in
+    /// [`charge_order`](Self::charge_order): (priority, DOD-bucket) groups in
+    /// reverse charge order, racks ascending within a group — the order a
+    /// stable descending sort by (priority, DOD bucket) gives rack-ascending
+    /// input.
+    #[must_use]
+    pub fn shed_order(&self) -> Vec<usize> {
+        let mut starts = Vec::new();
+        let mut group = None;
+        for (pos, &(rank, bucket, _)) in self.order.iter().enumerate() {
+            if group != Some((rank, bucket)) {
+                group = Some((rank, bucket));
+                starts.push(pos);
+            }
+        }
+        let mut order = Vec::with_capacity(self.order.len());
+        let mut end = self.order.len();
+        for &start in starts.iter().rev() {
+            order.extend(start..end);
+            end = start;
+        }
+        order
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::collection::vec;
 
     fn ids(index: &ChargeIndex) -> Vec<u32> {
         index.charge_order().map(|(r, _)| r.index()).collect()
@@ -255,5 +281,49 @@ mod tests {
         assert_eq!(index.current(RackId::new(1)), Some(Amperes::new(4.0)));
         index.set_current(RackId::new(9), Amperes::new(1.0)); // ignored
         assert_eq!(index.current(RackId::new(9)), None);
+    }
+
+    /// Bucket edges and interior points: drawing one value twice gives an
+    /// exact tie, and the three values in bucket 512 tie on their bucket only.
+    const TIE_DODS: [f64; 8] = [
+        0.0,
+        0.25 - 0.5 / 1024.0,
+        0.25,
+        0.5 - 0.75 / 1024.0,
+        0.5 - 0.25 / 1024.0,
+        0.5,
+        0.5 + 0.5 / 1024.0,
+        1.0,
+    ];
+
+    /// A tie-prone DOD for codes inside `TIE_DODS`, else the random one.
+    fn dod(code: usize, random: f64) -> Dod {
+        Dod::new(TIE_DODS.get(code).copied().unwrap_or(random))
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn shed_order_is_a_stable_descending_sort_of_charge_order(
+            racks in vec((0u32..48, 0usize..3, 0usize..12, 0.0f64..=1.0), 0..64),
+            refreshes in vec((0u32..48, 0usize..12, 0.0f64..=1.0), 0..16),
+        ) {
+            let mut index = ChargeIndex::new();
+            for (rack, priority, code, random) in racks {
+                let priority = Priority::ALL[priority];
+                index.upsert(RackId::new(rack), priority, dod(code, random), Amperes::ZERO);
+            }
+            for (rack, code, random) in refreshes {
+                index.set_dod(RackId::new(rack), dod(code, random));
+            }
+            let keys: Vec<(u8, u16)> = index
+                .charge_order()
+                .map(|(_, e)| (e.priority.rank(), ChargeIndex::dod_bucket(e.dod)))
+                .collect();
+            let mut expected: Vec<usize> = (0..keys.len()).collect();
+            expected.sort_by(|&a, &b| keys[b].cmp(&keys[a]));
+            proptest::prop_assert_eq!(index.shed_order(), expected);
+        }
     }
 }

@@ -2,8 +2,8 @@
 //!
 //! Capping "according to priority of services" (§II-B) is the last line of
 //! defense in every strategy: lower-priority racks are throttled first, each
-//! down to a configurable fraction of its load, until the required reduction
-//! is covered.
+//! shedding at most [`MAX_CAP_FRACTION`] of its load, until the required
+//! reduction is covered.
 
 use recharge_units::{RackId, Watts};
 
@@ -11,7 +11,7 @@ use crate::messages::PowerReading;
 
 /// The largest fraction of a rack's IT load that either controller tier's
 /// server capping may shed: servers are never throttled below 60 % of load.
-pub(crate) const MAX_CAP_FRACTION: f64 = 0.4;
+pub const MAX_CAP_FRACTION: f64 = 0.4;
 
 /// One rack's capping decision: limit the rack to `limit`.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -26,8 +26,8 @@ pub struct CapDecision {
 
 /// Plans server caps covering `deficit`, capping lowest-priority racks first
 /// (highest current load first within a priority class, so the fewest racks
-/// are touched). Each rack can shed at most `max_cap_fraction` of its current
-/// load — servers cannot be throttled to zero.
+/// are touched). Each rack can shed at most [`MAX_CAP_FRACTION`] of its
+/// current load — servers cannot be throttled to zero.
 ///
 /// Returns the decisions and the deficit that remains uncovered (non-zero
 /// only when every rack is already at its floor).
@@ -47,20 +47,12 @@ pub struct CapDecision {
 /// #     capped_power: Watts::ZERO,
 /// # };
 /// let readings = vec![reading(0, Priority::P1, 8.0), reading(1, Priority::P3, 8.0)];
-/// let (caps, uncovered) = plan_caps(&readings, Watts::from_kilowatts(2.0), 0.4);
+/// let (caps, uncovered) = plan_caps(&readings, Watts::from_kilowatts(2.0));
 /// assert_eq!(caps[0].rack, RackId::new(1)); // P3 capped before P1
 /// assert_eq!(uncovered, Watts::ZERO);
 /// ```
 #[must_use]
-pub fn plan_caps(
-    readings: &[PowerReading],
-    deficit: Watts,
-    max_cap_fraction: f64,
-) -> (Vec<CapDecision>, Watts) {
-    assert!(
-        (0.0..=1.0).contains(&max_cap_fraction),
-        "cap fraction must be a fraction"
-    );
+pub fn plan_caps(readings: &[PowerReading], deficit: Watts) -> (Vec<CapDecision>, Watts) {
     if deficit <= Watts::ZERO {
         return (Vec::new(), Watts::ZERO);
     }
@@ -79,7 +71,7 @@ pub fn plan_caps(
         if remaining <= Watts::ZERO {
             break;
         }
-        let max_shed = reading.it_load * max_cap_fraction;
+        let max_shed = reading.it_load * MAX_CAP_FRACTION;
         if max_shed <= Watts::ZERO {
             continue;
         }
@@ -153,7 +145,7 @@ mod tests {
             reading(1, Priority::P2, 8.0, 0.0),
             reading(2, Priority::P3, 8.0, 0.0),
         ];
-        let (caps, uncovered) = plan_caps(&readings, Watts::from_kilowatts(3.0), 0.4);
+        let (caps, uncovered) = plan_caps(&readings, Watts::from_kilowatts(3.0));
         assert_eq!(uncovered, Watts::ZERO);
         assert_eq!(caps[0].rack, RackId::new(2));
         // P3 sheds its full 40% (3.2 kW ≥ 3.0 kW needed): one rack suffices.
@@ -168,7 +160,7 @@ mod tests {
             reading(0, Priority::P1, 10.0, 0.0),
             reading(1, Priority::P3, 10.0, 0.0),
         ];
-        let (caps, uncovered) = plan_caps(&readings, Watts::from_kilowatts(6.0), 0.4);
+        let (caps, uncovered) = plan_caps(&readings, Watts::from_kilowatts(6.0));
         assert_eq!(caps.len(), 2);
         assert_eq!(caps[0].rack, RackId::new(1));
         assert_eq!(caps[1].rack, RackId::new(0));
@@ -180,7 +172,7 @@ mod tests {
     #[test]
     fn reports_uncoverable_deficit() {
         let readings = vec![reading(0, Priority::P3, 10.0, 0.0)];
-        let (caps, uncovered) = plan_caps(&readings, Watts::from_kilowatts(7.0), 0.4);
+        let (caps, uncovered) = plan_caps(&readings, Watts::from_kilowatts(7.0));
         assert_eq!(caps.len(), 1);
         assert!((caps[0].shed.as_kilowatts() - 4.0).abs() < 1e-9);
         assert!((uncovered.as_kilowatts() - 3.0).abs() < 1e-9);
@@ -190,7 +182,7 @@ mod tests {
     fn racks_on_battery_are_not_capped() {
         let mut riding = reading(0, Priority::P3, 10.0, 0.0);
         riding.input_power_present = false;
-        let (caps, uncovered) = plan_caps(&[riding], Watts::from_kilowatts(1.0), 0.4);
+        let (caps, uncovered) = plan_caps(&[riding], Watts::from_kilowatts(1.0));
         assert!(caps.is_empty());
         assert!(uncovered > Watts::ZERO);
     }
@@ -198,7 +190,7 @@ mod tests {
     #[test]
     fn zero_deficit_needs_no_caps() {
         let readings = vec![reading(0, Priority::P3, 10.0, 0.0)];
-        let (caps, uncovered) = plan_caps(&readings, Watts::ZERO, 0.4);
+        let (caps, uncovered) = plan_caps(&readings, Watts::ZERO);
         assert!(caps.is_empty());
         assert_eq!(uncovered, Watts::ZERO);
     }

@@ -10,7 +10,7 @@ use recharge_telemetry::{flight, tcounter, tspan, FlightKind, ReasonCode, NO_BUC
 use recharge_units::{Amperes, DeviceId, Dod, Priority, RackId, RackMap, SimTime, Watts};
 
 use crate::bus::AgentBus;
-use crate::capping::{plan_caps, plan_uncaps, MAX_CAP_FRACTION};
+use crate::capping::{plan_caps, plan_uncaps};
 use crate::messages::PowerReading;
 
 /// How the controller coordinates battery charging (§V-B2/3).
@@ -479,7 +479,7 @@ impl Controller {
                 residual = outcome.residual_deficit;
             }
             if residual > Watts::ZERO {
-                let (caps, _uncovered) = plan_caps(rows, residual, MAX_CAP_FRACTION);
+                let (caps, _uncovered) = plan_caps(rows, residual);
                 for cap in &caps {
                     bus.cap_servers(cap.rack, cap.limit);
                     flight(

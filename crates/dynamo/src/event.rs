@@ -12,11 +12,8 @@
 //! `SoaShard::is_quiescent`, which grants sleep only when the next dense
 //! sub-step would be an *exact* no-op (settled state with zero wall power, or
 //! postponed charging) — never from an analytic prediction, because float
-//! accumulation is step-size dependent. The battery/breaker
-//! `next_event_time()` horizons stay advisory lower bounds (proptest-pinned
-//! in their own crates); here they would only ever be used to *defer* a wake,
-//! never to skip one. Three rules keep the arrays bit-identical to the dense
-//! pass at every schedule boundary:
+//! accumulation is step-size dependent. Three rules keep the arrays
+//! bit-identical to the dense pass at every schedule boundary:
 //!
 //! 1. A rack sleeps only *after* executing a sub-step that left it
 //!    quiescent, so boundary effects (the final wall-power reading of a

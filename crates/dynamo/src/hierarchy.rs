@@ -16,7 +16,7 @@ use recharge_power::{DeviceKind, Topology};
 use recharge_units::{Amperes, DeviceId, RackId, SimTime, Watts};
 
 use crate::bus::AgentBus;
-use crate::capping::{plan_caps, MAX_CAP_FRACTION};
+use crate::capping::plan_caps;
 use crate::controller::{Controller, ControllerConfig, Strategy};
 use crate::messages::PowerReading;
 
@@ -29,11 +29,9 @@ use crate::messages::PowerReading;
 ///
 /// The shed order is kept *materialized* in a persistent [`ChargeIndex`]
 /// maintained from per-tick reading deltas, the same structure the leaf
-/// controllers use — overload response walks the index instead of re-sorting
-/// the subtree every tick. Ordering follows the index convention: (priority
-/// rank, quantized DOD bucket) groups in reverse charge order, racks within
-/// a group in ascending (input) order — matching the stable descending sort
-/// it replaces (see `charge_tiebreak_parity` in the module tests).
+/// controllers use — overload response walks
+/// [`ChargeIndex::shed_order`] instead of re-sorting the subtree every tick
+/// (see `charge_tiebreak_parity` in the module tests).
 #[derive(Debug)]
 pub struct UpperMonitor {
     device: DeviceId,
@@ -111,35 +109,17 @@ impl UpperMonitor {
         }
         let mut overload = draw - self.limit;
 
-        // Reverse order: lowest priority first, deepest discharge first.
-        // Visit the index's (priority, DOD-bucket) groups in reverse charge
-        // order, keeping racks *within* a group ascending — the same
-        // convention as `throttle_on_overload_indexed`, matching the stable
-        // descending sort this replaces.
-        let entries: Vec<(RackId, (u8, u16))> = self
-            .index
-            .charge_order()
-            .map(|(rack, e)| (rack, (e.priority.rank(), ChargeIndex::dod_bucket(e.dod))))
-            .collect();
-        let mut order = Vec::with_capacity(entries.len());
-        let mut end = entries.len();
-        while end > 0 {
-            let mut start = end;
-            while start > 0 && entries[start - 1].1 == entries[end - 1].1 {
-                start -= 1;
-            }
-            order.extend(start..end);
-            end = start;
-        }
-
+        // Reverse order: lowest priority first, deepest discharge first,
+        // the index's shed order (the same as `throttle_on_overload_indexed`).
+        let racks: Vec<RackId> = self.index.charge_order().map(|(rack, _)| rack).collect();
         let by_rack: HashMap<RackId, &PowerReading> =
             readings.iter().map(|r| (r.rack, r)).collect();
         let floor = Watts::new(375.0); // ≈1 A rack draw; shed estimate only
-        for i in order {
+        for i in self.index.shed_order() {
             if overload <= Watts::ZERO {
                 break;
             }
-            let rack = entries[i].0;
+            let rack = racks[i];
             if self.forced_minimum.contains(&rack) {
                 continue;
             }
@@ -152,7 +132,7 @@ impl UpperMonitor {
         }
 
         if overload > Watts::ZERO {
-            let (caps, _uncovered) = plan_caps(&readings, overload, MAX_CAP_FRACTION);
+            let (caps, _uncovered) = plan_caps(&readings, overload);
             for cap in &caps {
                 bus.cap_servers(cap.rack, cap.limit);
             }

@@ -4,7 +4,7 @@
 use proptest::prelude::*;
 
 use recharge_battery::BbuState;
-use recharge_dynamo::capping::{plan_caps, plan_uncaps};
+use recharge_dynamo::capping::{plan_caps, plan_uncaps, MAX_CAP_FRACTION};
 use recharge_dynamo::{
     Controller, ControllerConfig, ControllerSnapshot, FleetBackendKind, InMemoryBus, PowerReading,
     SimRackAgent, Strategy as ControlStrategy,
@@ -134,16 +134,15 @@ proptest! {
     fn caps_never_exceed_the_fraction_and_cover_or_report(
         readings in arb_readings(25),
         deficit_kw in 0.0f64..80.0,
-        fraction in 0.05f64..1.0,
     ) {
         let deficit = Watts::from_kilowatts(deficit_kw);
-        let (caps, uncovered) = plan_caps(&readings, deficit, fraction);
+        let (caps, uncovered) = plan_caps(&readings, deficit);
 
         let mut shed_total = Watts::ZERO;
         for cap in &caps {
             let reading = readings.iter().find(|r| r.rack == cap.rack).expect("cap targets a rack");
             prop_assert!(reading.input_power_present, "capped a rack on battery");
-            prop_assert!(cap.shed <= reading.it_load * fraction + Watts::new(1e-9));
+            prop_assert!(cap.shed <= reading.it_load * MAX_CAP_FRACTION + Watts::new(1e-9));
             prop_assert!(cap.limit >= Watts::ZERO);
             prop_assert!(
                 (cap.limit + cap.shed - reading.it_load).abs() < Watts::new(1e-6),
@@ -163,7 +162,7 @@ proptest! {
         readings in arb_readings(25),
         deficit_kw in 1.0f64..40.0,
     ) {
-        let (caps, _) = plan_caps(&readings, Watts::from_kilowatts(deficit_kw), 0.4);
+        let (caps, _) = plan_caps(&readings, Watts::from_kilowatts(deficit_kw));
         // If any P1 rack is capped, every powered P2/P3 rack must already be
         // capped at its maximum shed.
         let capped_p1 = caps.iter().any(|c| {
@@ -175,7 +174,9 @@ proptest! {
             }) {
                 let cap = caps.iter().find(|c| c.rack == reading.rack);
                 prop_assert!(
-                    cap.is_some_and(|c| c.shed >= reading.it_load * 0.4 - Watts::new(1e-6)),
+                    cap.is_some_and(|c| {
+                        c.shed >= reading.it_load * MAX_CAP_FRACTION - Watts::new(1e-6)
+                    }),
                     "P1 capped while {} had slack",
                     reading.rack
                 );

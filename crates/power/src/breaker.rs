@@ -124,10 +124,9 @@ impl Breaker {
     /// by `worst_case_draw` trips strictly before it. An already-tripped
     /// breaker reports `now`.
     ///
-    /// Like the kernel's charge-event horizons, this is scheduling
-    /// information only — the event-driven loop still feeds
-    /// [`observe`](Self::observe) at every control tick, it just knows no
-    /// trip can land inside the bound.
+    /// This is information only: the simulator exports it as the
+    /// `power.breaker_trip_horizon_s` gauge and still feeds
+    /// [`observe`](Self::observe) at every control tick.
     #[must_use]
     pub fn next_possible_trip_time(&self, now: SimTime, worst_case_draw: Watts) -> Option<SimTime> {
         if self.tripped {
