@@ -271,6 +271,7 @@ mod tests {
 
     #[test]
     fn registry_returns_same_instance_per_name() {
+        let _g = test_support::guard();
         let a = counter("test.same.counter");
         let b = counter("test.same.counter");
         set_enabled(true);
